@@ -65,10 +65,11 @@ from .qrational import (
     qdeform_shift_check,
     qdeform_via_graph,
 )
+# the function ``fence`` stays ``hyperq.fence.fence``: re-exporting it
+# here would shadow the module ``hyperq.fence``
 from .fence import (
     FencePoset,
     IsoReport,
-    fence,
     fence_dot,
     ideal_count,
     ideal_members,
@@ -103,91 +104,3 @@ from .matrices import (
 from .verify import REGISTRY, VerifyReport, run_verify
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BiMat2",
-    "BiPoly",
-    "FencePoset",
-    "HBAR_NAMES",
-    "HyperStats",
-    "IsoReport",
-    "L",
-    "L_PRIME",
-    "LaurentPoly",
-    "Mat2",
-    "OrientedPath",
-    "R",
-    "R_PRIME",
-    "REGISTRY",
-    "RatFunc",
-    "UnsupportedDomain",
-    "VerifyReport",
-    "binary_expansion",
-    "cf_expand",
-    "cf_odd",
-    "closure_graph",
-    "closure_poly",
-    "closure_poly_brute",
-    "covers",
-    "cw",
-    "cw_index",
-    "cw_q",
-    "det_check",
-    "digits_text",
-    "digits_value",
-    "entries_formula",
-    "expansions",
-    "fence",
-    "fence_dot",
-    "fusc",
-    "fusc_q",
-    "fusc_range",
-    "h_count",
-    "h_q",
-    "h_q_closed_form",
-    "h_q_closed_form_applies",
-    "h_q_enum",
-    "h_rs",
-    "h_rs_enum",
-    "hbar_st",
-    "hbar_st_enum",
-    "ideal_count",
-    "ideal_members",
-    "ideals",
-    "ideals_dot",
-    "is_ideal",
-    "iso_check",
-    "join",
-    "join_irreducibles",
-    "lattice_dot",
-    "left_delete",
-    "leq",
-    "m_of",
-    "m_prime_check",
-    "m_prime_of",
-    "m_prime_range",
-    "m_range",
-    "max_element",
-    "meet",
-    "min_element",
-    "parse_digits",
-    "principal_prefix",
-    "qcw_fence",
-    "qcw_fence_check",
-    "qdeform",
-    "qdeform_cf",
-    "qdeform_shift_check",
-    "qdeform_via_graph",
-    "qint",
-    "qpow",
-    "rgf",
-    "rgf_of",
-    "row_sum_check",
-    "run_verify",
-    "s_vector",
-    "stats",
-    "stats_rows",
-    "stilde",
-    "weight_check",
-    "word_of",
-]

@@ -10,8 +10,8 @@ The lattice of order ideals of this fence is order isomorphic to the
 lattice of hyperbinary expansions of n; the isomorphism sends an
 expansion d to the ideal whose indicator vector is the first r entries
 of s(d) - s(bottom).  ``iso_check`` verifies all of this exhaustively
-for one n, comparing the full prefix-sum order against ideal
-containment on every pair.
+for one n in a single pass over D(n); see its docstring for why that
+pass decides the order on every pair.
 
 ``rgf`` is the rank generating function sum q^|I| over ideals; the
 weight identity h_q(n) = q^(r+s) * rgf(1/q), with s the number of ones
@@ -23,10 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .hyperbinary import (
     Digits,
+    digits_value,
     expansions,
     h_q,
     min_element,
@@ -127,19 +126,21 @@ def ideal_count(n: int) -> int:
 # the order isomorphism with D(n)
 
 
+def _reduce(d: Digits, s0: tuple[int, ...], r: int) -> tuple[tuple[int, ...], bool]:
+    """The first r coordinates of s(d) - s0, which must be 0/1, and
+    whether s(d) equals s0 on every later coordinate."""
+    sd = s_vector(d)
+    head = tuple(a - b for a, b in zip(sd[:r], s0))
+    if any(v not in (0, 1) for v in head):
+        raise ArithmeticError(f"reduced prefix sums not 0/1 for {d}")
+    return head, sd[r:] == s0[r:]
+
+
 def stilde(d: Digits) -> tuple[int, ...]:
     """The first r coordinates of s(d) - s(bottom); always a 0/1 vector
     and the indicator of the ideal matched with d."""
-    n = 0
-    for dig in d:
-        n = 2 * n + dig
-    r = len(principal_prefix(n))
-    s0 = s_vector(min_element(n))
-    sd = s_vector(d)
-    out = tuple(sd[i] - s0[i] for i in range(r))
-    if any(v not in (0, 1) for v in out):
-        raise ArithmeticError(f"reduced prefix sums not 0/1 for {d}")
-    return out
+    n = digits_value(d)
+    return _reduce(d, s_vector(min_element(n)), len(principal_prefix(n)))[0]
 
 
 @dataclass(frozen=True)
@@ -151,39 +152,34 @@ class IsoReport:
 
 
 def iso_check(n: int) -> IsoReport:
-    """Exhaustively confirm D(n) and the ideal lattice are the same
-    order: the reduced prefix vectors hit every ideal indicator exactly
-    once, and on every pair of expansions full prefix-sum domination
-    agrees with containment of the matched ideals."""
+    """Exhaustively confirm D(n) and the ideal lattice are the same order.
+
+    With s0 = s(bottom) and r the fence size, one pass over D(n) checks
+    that every s(d) equals s0 beyond coordinate r and exceeds it by a
+    0/1 vector on the first r, the indicator of an ideal.  Then
+    s(c) <= s(d) holds exactly when the indicator of c is contained in
+    that of d, so once the indicators are distinct and are all the
+    ideals, d -> indicator is an order isomorphism: the same verdict as
+    comparing domination with containment on every pair, and a failure
+    whenever a tail differs.
+    """
     elems = expansions(n)
     f = fence(n)
     r = f.size
+    s0 = s_vector(min_element(n))
     h = len(elems)
 
-    masks = []
+    masks = set()
     for d in elems:
-        st = stilde(d)
-        masks.append(sum(1 << i for i, v in enumerate(st) if v))
-    if len(set(masks)) != h:
+        head, tail_ok = _reduce(d, s0, r)
+        if not tail_ok:
+            return IsoReport(n, h, False,
+                             f"prefix sums of {d} leave the bottom's beyond position {r}")
+        masks.add(sum(1 << i for i, v in enumerate(head) if v))
+    if len(masks) != h:
         return IsoReport(n, h, False, "reduced prefix vectors collide")
-    if set(masks) != set(ideals(f)):
+    if masks != set(ideals(f)):
         return IsoReport(n, h, False, "image is not the set of ideals")
-
-    dtype = object if n >= 2**62 else np.int64
-    svecs = np.array([s_vector(d) for d in elems], dtype=dtype)
-    if h == 1:
-        return IsoReport(n, h, True)
-    dom = (svecs[:, None, :] <= svecs[None, :, :]).all(axis=2)
-    marr = np.array(masks, dtype=np.int64)
-    contained = (marr[:, None] & ~marr[None, :]) == 0
-    bad = np.argwhere(dom != contained)
-    if len(bad):
-        i, j = (int(v) for v in bad[0])
-        return IsoReport(
-            n, h, False,
-            f"order mismatch between {elems[i]} and {elems[j]}: "
-            f"domination={bool(dom[i, j])} containment={bool(contained[i, j])}",
-        )
     return IsoReport(n, h, True)
 
 
@@ -192,16 +188,23 @@ def iso_check(n: int) -> IsoReport:
 
 
 def ones_count(n: int) -> int:
-    return bin(n).count("1") if n else 0
+    return n.bit_count()
+
+
+def _weight(n: int) -> int:
+    """r + s: the fence size plus the number of ones in binary n."""
+    return len(principal_prefix(n)) + ones_count(n)
+
+
+def h_q_fence(n: int) -> LaurentPoly:
+    """h_q(n) through the fence: q^(r+s) * rgf(1/q)."""
+    return rgf_of(n).reverse_var().shift(_weight(n))
 
 
 def weight_check(n: int, memo: dict[int, LaurentPoly] | None = None) -> bool:
     """h_q(n) = q^(r+s) * rgf(1/q) with r the fence size and s the
     number of ones in the binary expansion of n."""
-    r = len(principal_prefix(n))
-    s = ones_count(n)
-    expected = rgf_of(n).reverse_var().shift(r + s)
-    return h_q(n, memo) == expected
+    return h_q(n, memo) == h_q_fence(n)
 
 
 def qcw_fence(n: int) -> RatFunc:
@@ -209,14 +212,8 @@ def qcw_fence(n: int) -> RatFunc:
     functions, with the monomial prefix balancing the two weights."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    r1 = len(principal_prefix(n - 1))
-    s1 = ones_count(n - 1)
-    r0 = len(principal_prefix(n))
-    s0 = ones_count(n)
-    e = (r1 - r0) + (s1 - s0)
-    num = rgf_of(n - 1).reverse_var().shift(e)
-    den = rgf_of(n).reverse_var()
-    return RatFunc(num, den)
+    w = _weight(n)
+    return RatFunc(h_q_fence(n - 1).shift(-w), h_q_fence(n).shift(-w))
 
 
 def qcw_fence_check(n: int, memo: dict[int, LaurentPoly] | None = None) -> bool:

@@ -126,16 +126,21 @@ def entries_formula(n: int, memo: dict[int, LaurentPoly] | None = None) -> Mat2:
     return Mat2(a_, b_, c_, d_)
 
 
+def row_sums_formula(n: int, memo: dict[int, LaurentPoly] | None = None
+                     ) -> tuple[LaurentPoly, LaurentPoly]:
+    """(q^-k h_q(n-1), q^-k-1 h_q(n)), which M(n) (1,1)^T equals."""
+    if memo is None:
+        memo = {}
+    k = n.bit_length() - 1
+    return h_q(n - 1, memo).shift(-k), h_q(n, memo).shift(-k - 1)
+
+
 def row_sum_check(n: int, m: Mat2 | None = None,
                   memo: dict[int, LaurentPoly] | None = None) -> bool:
     """M(n) (1,1)^T = (q^-k h_q(n-1), q^-k-1 h_q(n))^T."""
-    if memo is None:
-        memo = {}
     if m is None:
         m = m_of(n)
-    k = n.bit_length() - 1
-    top, bottom = m.column_sums_vector()
-    return top == h_q(n - 1, memo).shift(-k) and bottom == h_q(n, memo).shift(-k - 1)
+    return m.column_sums_vector() == row_sums_formula(n, memo)
 
 
 def det_check(n: int, m: Mat2 | None = None) -> bool:

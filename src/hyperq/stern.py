@@ -32,15 +32,19 @@ def fusc(n: int) -> int:
     """
     if n < 0:
         raise ValueError("fusc is defined for n >= 0")
-    # Walk the bits of n from the top, keeping (fusc(m), fusc(m+1)) for
-    # the prefix m read so far.
+    return _fusc_pair(n)[0]
+
+
+def _fusc_pair(n: int) -> tuple[int, int]:
+    """(fusc(n), fusc(n+1)) by one walk over the bits of n from the top,
+    keeping (fusc(m), fusc(m+1)) for the prefix m read so far."""
     a, b = 0, 1
     for bit in bin(n)[2:] if n else "":
         if bit == "0":
-            a, b = a, a + b
+            b = a + b
         else:
-            a, b = a + b, b
-    return a
+            a = a + b
+    return a, b
 
 
 def fusc_range(limit: int) -> list[int]:
@@ -85,14 +89,7 @@ def cw(n: int) -> Fraction:
     """The n-th vertex of the Calkin-Wilf enumeration, fusc(n)/fusc(n+1)."""
     if n < 0:
         raise ValueError("cw is defined for n >= 0")
-    # One bit walk gives both consecutive values.
-    a, b = 0, 1
-    for bit in bin(n)[2:] if n else "":
-        if bit == "0":
-            a, b = a, a + b
-        else:
-            a, b = a + b, b
-    return Fraction(a, b)
+    return Fraction(*_fusc_pair(n))
 
 
 def cw_q(n: int, memo: dict[int, LaurentPoly] | None = None) -> RatFunc:

@@ -1,10 +1,13 @@
 """Exhaustive sweeps that confirm the package's identities on ranges.
 
-Each verifier runs one family of checks over a configurable range and
-returns a ``VerifyReport``.  Everything is exact arithmetic; a failure
-records where it happened plus expected/actual renderings.  Verifiers
-are single threaded and iterate in increasing order, so reports are
-deterministic; each owns private memo dicts, one per memoized function.
+Each sweep is a generator of ``(where, expected, actual)`` checks over
+its range; ``_sweep`` registers it and turns it into ``verify_<name>
+(bound)``, which times the checks, counts them, compares the two sides
+and returns a ``VerifyReport``.  Everything is exact arithmetic; a
+failure records where it happened plus expected/actual renderings.
+Sweeps are single threaded and iterate in increasing order, so reports
+are deterministic; each owns private memo dicts, one per memoized
+function.
 
 ``hbar`` deserves a word: the literal halving recurrence usually quoted
 for the (ones, twos) generating function drops a factor in the odd case
@@ -18,13 +21,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import wraps
 from math import gcd
 
 from . import hyperbinary as hb
 from . import matrices as mx
 from . import qrational as qr
 from . import stern
-from .fence import iso_check, ones_count, rgf_of, weight_check
+from .fence import h_q_fence, iso_check
 from .poly import BiPoly, LaurentPoly, qpow
 
 Failure = tuple[str, str, str]  # where, expected, actual
@@ -71,178 +75,148 @@ class VerifyReport:
         return out
 
 
-def verify_qrat(max_n: int = 10_000) -> VerifyReport:
+def _text(v) -> str:
+    """One side of a check as text: a string as is, a tuple as
+    ``(a, b)``, anything else by its ``text()``."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, tuple):
+        return "(" + ", ".join(_text(x) for x in v) + ")"
+    return v.text()
+
+
+#: name -> (function, default bound, what the bound ranges over)
+REGISTRY: dict[str, tuple] = {}
+
+
+def _sweep(default: int, kind: str = "n", lo: int = 1, render=_text, notes=None):
+    """Register the generator ``verify_<name>(bound)`` as sweep ``name``.
+
+    The returned function runs every check, compares expected with
+    actual, renders the failures with ``render`` and appends
+    ``notes(bound)``, all inside one timer.
+    """
+    def register(checks):
+        name = checks.__name__.removeprefix("verify_")
+
+        @wraps(checks)
+        def run(bound: int = default) -> VerifyReport:
+            t0 = time.perf_counter()
+            failures: list[Failure] = []
+            checked = 0
+            for where, expected, actual in checks(bound):
+                checked += 1
+                if expected != actual:
+                    failures.append((where, render(expected), render(actual)))
+            return VerifyReport(name, lo, bound, checked, failures,
+                                time.perf_counter() - t0, notes(bound) if notes else [])
+
+        REGISTRY[name] = (run, default, kind)
+        return run
+    return register
+
+
+@_sweep(10_000)
+def verify_qrat(max_n):
     """[cw(n)]_q = q * cw_q(n) for 1 <= n <= max_n."""
-    t0 = time.perf_counter()
     fr = stern.fusc_range(max_n + 1)
     fq_memo: dict[int, LaurentPoly] = {}
-    failures: list[Failure] = []
     for n in range(1, max_n + 1):
-        lhs = qr.qdeform(fr[n], fr[n + 1])
-        rhs = stern.cw_q(n, fq_memo) * qpow(1)
-        if lhs != rhs:
-            failures.append((str(n), rhs.text(), lhs.text()))
-    return VerifyReport("qrat", 1, max_n, max_n, failures, time.perf_counter() - t0)
+        yield str(n), stern.cw_q(n, fq_memo) * qpow(1), qr.qdeform(fr[n], fr[n + 1])
 
 
-def verify_mainbij(max_n: int = 4096) -> VerifyReport:
+@_sweep(4096)
+def verify_mainbij(max_n):
     """D(n) is order isomorphic to the ideal lattice of the fence."""
-    t0 = time.perf_counter()
-    failures: list[Failure] = []
     for n in range(1, max_n + 1):
         rep = iso_check(n)
-        if not rep.passed:
-            failures.append((str(n), "order isomorphism", rep.detail or "failed"))
-    return VerifyReport("mainbij", 1, max_n, max_n, failures, time.perf_counter() - t0)
+        yield str(n), "order isomorphism", "order isomorphism" if rep.passed else rep.detail
 
 
-def verify_weightbij(max_n: int = 16_384) -> VerifyReport:
+@_sweep(16_384)
+def verify_weightbij(max_n):
     """h_q(n) = q^(r+s) * rgf(1/q) for 1 <= n <= max_n."""
-    t0 = time.perf_counter()
     hq_memo: dict[int, LaurentPoly] = {}
-    failures: list[Failure] = []
     for n in range(1, max_n + 1):
-        if not weight_check(n, hq_memo):
-            r = len(hb.principal_prefix(n))
-            s = ones_count(n)
-            expected = rgf_of(n).reverse_var().shift(r + s)
-            failures.append((str(n), expected.text(), hb.h_q(n, hq_memo).text()))
-    return VerifyReport("weightbij", 1, max_n, max_n, failures, time.perf_counter() - t0)
+        yield str(n), h_q_fence(n), hb.h_q(n, hq_memo)
 
 
-def verify_mnent(max_n: int = 16_384) -> VerifyReport:
+@_sweep(16_384, lo=2, render=lambda m: " | ".join(e.text() for e in m.entries()))
+def verify_mnent(max_n):
     """entries_formula(n) equals the word product M(n) entrywise."""
-    t0 = time.perf_counter()
     ms = mx.m_range(max_n)
     hq_memo: dict[int, LaurentPoly] = {}
-    failures: list[Failure] = []
     for n in range(2, max_n + 1):
-        m = ms[n]
-        assert m is not None
-        f = mx.entries_formula(n, hq_memo)
-        if f != m:
-            failures.append(
-                (str(n),
-                 " | ".join(e.text() for e in m.entries()),
-                 " | ".join(e.text() for e in f.entries()))
-            )
-    return VerifyReport("mnent", 2, max_n, max_n - 1, failures, time.perf_counter() - t0)
+        yield str(n), ms[n], mx.entries_formula(n, hq_memo)
 
 
-def verify_mnthm(max_n: int = 16_384) -> VerifyReport:
+@_sweep(16_384)
+def verify_mnthm(max_n):
     """M(n) (1,1)^T = (q^-k h_q(n-1), q^-k-1 h_q(n))^T."""
-    t0 = time.perf_counter()
     ms = mx.m_range(max_n)
     hq_memo: dict[int, LaurentPoly] = {}
-    failures: list[Failure] = []
     for n in range(1, max_n + 1):
-        m = ms[n]
-        assert m is not None
-        if not mx.row_sum_check(n, m, hq_memo):
-            k = n.bit_length() - 1
-            top, bottom = m.column_sums_vector()
-            expected = (f"({hb.h_q(n - 1, hq_memo).shift(-k).text()}, "
-                        f"{hb.h_q(n, hq_memo).shift(-k - 1).text()})")
-            failures.append((str(n), expected, f"({top.text()}, {bottom.text()})"))
-    return VerifyReport("mnthm", 1, max_n, max_n, failures, time.perf_counter() - t0)
+        yield str(n), mx.row_sums_formula(n, hq_memo), ms[n].column_sums_vector()
 
 
-def verify_mprime(max_n: int = 16_384) -> VerifyReport:
+@_sweep(16_384)
+def verify_mprime(max_n):
     """M'(n) (1,1)^T = (h_rs(n-1), h_rs(n))^T."""
-    t0 = time.perf_counter()
     mps = mx.m_prime_range(max_n)
     hrs_memo: dict[int, BiPoly] = {}
-    failures: list[Failure] = []
     for n in range(1, max_n + 1):
-        m = mps[n]
-        assert m is not None
-        if not mx.m_prime_check(n, m, hrs_memo):
-            top, bottom = m.column_sums_vector()
-            expected = (f"({hb.h_rs(n - 1, hrs_memo).text()}, "
-                        f"{hb.h_rs(n, hrs_memo).text()})")
-            failures.append((str(n), expected, f"({top.text()}, {bottom.text()})"))
-    return VerifyReport("mprime", 1, max_n, max_n, failures, time.perf_counter() - t0)
+        expected = (hb.h_rs(n - 1, hrs_memo), hb.h_rs(n, hrs_memo))
+        yield str(n), expected, mps[n].column_sums_vector()
 
 
-def verify_hrs(max_n: int = 4096) -> VerifyReport:
+@_sweep(4096, lo=0)
+def verify_hrs(max_n):
     """Enumeration equals recurrence for h_q and h_rs, and the closed
-    forms match enumeration on every applicable n in range."""
-    t0 = time.perf_counter()
+    forms match enumeration on every applicable n in range.  D(n) is
+    listed once per n and tallied for both polynomials at once."""
     hq_memo: dict[int, LaurentPoly] = {}
     hrs_memo: dict[int, BiPoly] = {}
-    failures: list[Failure] = []
-    checked = 0
     for n in range(0, max_n + 1):
-        elems = hb.expansions(n)
         hq_coeffs: dict[int, int] = {}
         hrs_coeffs: dict[tuple[int, int], int] = {}
-        for d in elems:
+        for d in hb.expansions(n):
             st = hb.stats(d)
             hq_coeffs[st.ell] = hq_coeffs.get(st.ell, 0) + 1
             p = (st.t, st.z)
             hrs_coeffs[p] = hrs_coeffs.get(p, 0) + 1
         hq_enum = LaurentPoly(hq_coeffs)
-        hrs_enum = BiPoly(hrs_coeffs)
-        if hq_enum != hb.h_q(n, hq_memo):
-            failures.append((str(n), hq_enum.text(), hb.h_q(n, hq_memo).text()))
-        if hrs_enum != hb.h_rs(n, hrs_memo):
-            failures.append((str(n), hrs_enum.text(), hb.h_rs(n, hrs_memo).text()))
-        checked += 2
+        yield str(n), hq_enum, hb.h_q(n, hq_memo)
+        yield str(n), BiPoly(hrs_coeffs), hb.h_rs(n, hrs_memo)
         if hb.h_q_closed_form_applies(n):
-            closed = hb.h_q_closed_form(n)
-            if closed != hq_enum:
-                failures.append((str(n), hq_enum.text(), closed.text()))
-            checked += 1
-    return VerifyReport("hrs", 0, max_n, checked, failures, time.perf_counter() - t0)
+            yield str(n), hq_enum, hb.h_q_closed_form(n)
 
 
-def verify_gg(max_rs: int = 50) -> VerifyReport:
+@_sweep(50, kind="r,s")
+def verify_gg(max_rs):
     """The closure-set quotient equals the continued-fraction value for
     every reduced r/s > 1 with r, s <= max_rs."""
-    t0 = time.perf_counter()
-    failures: list[Failure] = []
-    checked = 0
     for s in range(1, max_rs + 1):
         for r in range(s + 1, max_rs + 1):
-            if gcd(r, s) != 1:
-                continue
-            checked += 1
-            via_cf = qr.qdeform(r, s)
-            via_graph = qr.qdeform_via_graph(r, s)
-            if via_cf != via_graph:
-                failures.append((f"{r}/{s}", via_cf.text(), via_graph.text()))
-    return VerifyReport("gg", 1, max_rs, checked, failures, time.perf_counter() - t0)
+            if gcd(r, s) == 1:
+                yield f"{r}/{s}", qr.qdeform(r, s), qr.qdeform_via_graph(r, s)
 
 
-def verify_hbar(max_n: int = 4096) -> VerifyReport:
-    """hbar_st by enumeration equals the corrected recurrence and
-    specializes (s -> q, t -> q^2) to h_q; the literal textbook
-    recurrence readings are diagnosed in the notes."""
-    t0 = time.perf_counter()
-    hq_memo: dict[int, LaurentPoly] = {}
-    hbar_memo: dict[int, BiPoly] = {}
-    failures: list[Failure] = []
+def _hbar_notes(max_n: int) -> list[str]:
+    """Informational: where the literal recurrence readings first break."""
     names = hb.HBAR_NAMES
-    for n in range(0, max_n + 1):
-        enum = hb.hbar_st_enum(n)
-        rec = hb.hbar_st(n, hbar_memo)
-        if enum != rec:
-            failures.append((str(n), enum.text(names), rec.text(names)))
-        spec = rec.specialize(2, 1)
-        if spec != hb.h_q(n, hq_memo):
-            failures.append((str(n), hb.h_q(n, hq_memo).text(), spec.text()))
+    memo: dict[int, BiPoly] = {}
 
-    # informational: where the literal recurrence readings first break
+    def hbar(n: int) -> BiPoly:
+        return hb.hbar_st(n, memo)
+
     notes = []
     s_var = BiPoly.monomial(1, 0, 1)
     first_odd = None
     first_even_s2 = None
     for m in range(1, max_n // 2 + 1):
-        if first_odd is None and hb.hbar_st(2 * m - 1, hbar_memo) != hb.hbar_st(m - 1, hbar_memo):
+        if first_odd is None and hbar(2 * m - 1) != hbar(m - 1):
             first_odd = m
-        if first_even_s2 is None and hb.hbar_st(2 * m, hbar_memo) != (
-            hb.hbar_st(m, hbar_memo) + s_var * s_var * hb.hbar_st(m - 1, hbar_memo)
-        ):
+        if first_even_s2 is None and hbar(2 * m) != hbar(m) + s_var * s_var * hbar(m - 1):
             first_even_s2 = m
         if first_odd is not None and first_even_s2 is not None:
             break
@@ -250,34 +224,33 @@ def verify_hbar(max_n: int = 4096) -> VerifyReport:
         m = first_odd
         notes.append(
             f"literal odd rule hbar(2n-1) = hbar(n-1) (no s factor) first fails at n={m}: "
-            f"hbar({2 * m - 1}) = {hb.hbar_st(2 * m - 1, hbar_memo).text(names)} but "
-            f"hbar({m - 1}) = {hb.hbar_st(m - 1, hbar_memo).text(names)}; "
+            f"hbar({2 * m - 1}) = {hbar(2 * m - 1).text(names)} but "
+            f"hbar({m - 1}) = {hbar(m - 1).text(names)}; "
             f"corrected rule hbar(2n-1) = s*hbar(n-1) verified on the whole range"
         )
     if first_even_s2 is not None:
         m = first_even_s2
         notes.append(
             f"literal even rule read as hbar(2n) = hbar(n) + s^2*hbar(n-1) first fails at n={m}: "
-            f"hbar({2 * m}) = {hb.hbar_st(2 * m, hbar_memo).text(names)}; "
+            f"hbar({2 * m}) = {hbar(2 * m).text(names)}; "
             f"reading the q^2 factor as t instead (hbar(2n) = hbar(n) + t*hbar(n-1)) "
             f"verified on the whole range"
         )
-    return VerifyReport("hbar", 0, max_n, max_n + 1, failures,
-                        time.perf_counter() - t0, notes)
+    return notes
 
 
-#: name -> (function, default bound, what the bound ranges over)
-REGISTRY = {
-    "qrat": (verify_qrat, 10_000, "n"),
-    "mainbij": (verify_mainbij, 4096, "n"),
-    "weightbij": (verify_weightbij, 16_384, "n"),
-    "mnent": (verify_mnent, 16_384, "n"),
-    "mnthm": (verify_mnthm, 16_384, "n"),
-    "mprime": (verify_mprime, 16_384, "n"),
-    "hrs": (verify_hrs, 4096, "n"),
-    "gg": (verify_gg, 50, "r,s"),
-    "hbar": (verify_hbar, 4096, "n"),
-}
+@_sweep(4096, lo=0, notes=_hbar_notes,
+        render=lambda v: f"({v[0].text(hb.HBAR_NAMES)}, {v[1].text()})")
+def verify_hbar(max_n):
+    """hbar_st by enumeration equals the corrected recurrence and
+    specializes (s -> q, t -> q^2) to h_q; the literal textbook
+    recurrence readings are diagnosed in the notes.  One check per n
+    compares (enumeration, h_q) with (recurrence, its specialization)."""
+    hq_memo: dict[int, LaurentPoly] = {}
+    hbar_memo: dict[int, BiPoly] = {}
+    for n in range(0, max_n + 1):
+        rec = hb.hbar_st(n, hbar_memo)
+        yield str(n), (hb.hbar_st_enum(n), hb.h_q(n, hq_memo)), (rec, rec.specialize(2, 1))
 
 
 def run_verify(name: str, max_n: int | None = None) -> list[VerifyReport]:

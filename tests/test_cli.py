@@ -245,3 +245,14 @@ def test_parser_builds_and_lists_all_subcommands():
     names = set(actions[0].choices)
     assert names == {"fusc", "fuscq", "cw", "cwq", "cwindex", "qrat",
                      "hyper", "fence", "matrix", "verify"}
+
+
+def test_cli_import_leaves_numpy_out():
+    """The package has no third-party dependency: a fresh interpreter
+    importing the CLI must not pull numpy in."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hyperq.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

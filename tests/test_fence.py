@@ -1,11 +1,14 @@
 """Fence posets, order ideals, rank generating functions, and the bridges
 back to expansion lattices and the q-enumeration."""
 
+import inspect
 import random
 from itertools import combinations
 
 import pytest
 
+import hyperq
+import hyperq.fence as fe
 from hyperq.fence import (
     FencePoset,
     fence,
@@ -26,12 +29,15 @@ from hyperq.fence import (
     weight_check,
 )
 from hyperq.hyperbinary import (
+    binary_expansion,
     covers,
     expansions,
     h_count,
     h_q,
+    leq,
     min_element,
     principal_prefix,
+    s_vector,
 )
 from hyperq.poly import ONE, Q, LaurentPoly
 from hyperq.stern import cw_q
@@ -180,6 +186,59 @@ def test_iso_check_examples():
         assert rep.passed and rep.size == 1
     for n in range(1, 600):
         assert iso_check(n).passed, n
+
+
+def test_iso_check_agrees_with_all_pairs_order():
+    """The all-pairs oracle behind iso_check's single pass: prefix-sum
+    domination equals containment of the matched ideals on every pair."""
+    memo = {}
+    for n in range(1, 513):
+        elems = expansions(n, memo)
+        masks = [sum(1 << i for i, v in enumerate(stilde(d)) if v) for d in elems]
+        for c, mc in zip(elems, masks):
+            for d, md in zip(elems, masks):
+                assert leq(c, d) == (mc & ~md == 0), (n, c, d)
+        assert iso_check(n).passed, n
+
+
+def test_iso_check_fails_when_a_tail_differs(monkeypatch):
+    top = binary_expansion(10)
+
+    def tampered(d):
+        sv = s_vector(d)
+        return sv[:-1] + (sv[-1] + 1,) if d == top else sv
+
+    monkeypatch.setattr(fe, "s_vector", tampered)
+    rep = iso_check(10)
+    assert not rep.passed and rep.size == 5
+    assert rep.detail == "prefix sums of (1, 0, 1, 0) leave the bottom's beyond position 3"
+
+
+def test_iso_check_fails_on_colliding_vectors(monkeypatch):
+    monkeypatch.setattr(fe, "expansions", lambda n: expansions(n) + expansions(n)[:1])
+    rep = iso_check(10)
+    assert not rep.passed and rep.size == 6
+    assert rep.detail == "reduced prefix vectors collide"
+
+
+def test_iso_check_fails_when_an_ideal_is_missed(monkeypatch):
+    monkeypatch.setattr(fe, "expansions", lambda n: expansions(n)[:-1])
+    rep = iso_check(10)
+    assert not rep.passed and rep.size == 4
+    assert rep.detail == "image is not the set of ideals"
+
+
+def test_iso_check_rejects_non_binary_offsets(monkeypatch):
+    monkeypatch.setattr(fe, "min_element", binary_expansion)
+    with pytest.raises(ArithmeticError, match="not 0/1"):
+        iso_check(10)
+    with pytest.raises(ArithmeticError, match="not 0/1"):
+        stilde((0, 2, 1, 0))
+
+
+def test_package_keeps_the_fence_module():
+    assert inspect.ismodule(fe) and fe is hyperq.fence
+    assert hyperq.fence.fence(10).size == 3
 
 
 # ------------------------------------------------------------- weight bridge

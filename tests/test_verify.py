@@ -2,6 +2,9 @@
 
 import pytest
 
+import hyperq.hyperbinary as hb
+import hyperq.verify as vf
+from hyperq.poly import BiPoly, LaurentPoly
 from hyperq.verify import REGISTRY, VerifyReport, run_verify
 
 
@@ -102,3 +105,17 @@ def test_hrs_checked_counts_enums_and_closed_forms():
     # two comparisons per n, plus one when a closed form applies
     assert rep.checked >= 2 * 17
     assert rep.lo == 0 and rep.hi == 16
+
+
+def test_runner_counts_and_renders_failures(monkeypatch):
+    monkeypatch.setattr(vf, "h_q_fence", lambda n: LaurentPoly({0: 1}))
+    (rep,) = run_verify("weightbij", 3)
+    assert rep.checked == 3 and not rep.passed
+    assert rep.failures[0] == ("1", "1", "q")
+    assert len(rep.failures) == 3
+
+    # hbar: one check per n, both sides rendered as pairs
+    monkeypatch.setattr(hb, "hbar_st_enum", lambda n: BiPoly.zero())
+    (rep,) = run_verify("hbar", 1)
+    assert rep.checked == 2
+    assert rep.failures == [("0", "(0, 1)", "(1, 1)"), ("1", "(0, q)", "(s, q)")]
