@@ -5,7 +5,8 @@ JSON object with ``--json``.  ``--out PATH`` writes the payload to a
 file instead of stdout.  Exit codes: 0 success, 1 a verification sweep
 reported failures, 2 usage or malformed input, 3 input outside a
 command's supported domain (for example ``qrat --via graph`` on a
-rational that is not greater than one).
+rational that is not greater than one), 4 the ``--out`` file could not
+be written (for example, its directory does not exist).
 """
 
 from __future__ import annotations
@@ -269,8 +270,12 @@ def main(argv: list[str] | None = None) -> int:
 
     out = json.dumps(payload, indent=2) if args.json else text
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out + "\n")
+        except OSError as exc:
+            print(f"hyperq: {exc}", file=sys.stderr)
+            return 4
     else:
         print(out)
     return exit_code

@@ -126,21 +126,23 @@ def ideal_count(n: int) -> int:
 # the order isomorphism with D(n)
 
 
-def _reduce(d: Digits, s0: tuple[int, ...], r: int) -> tuple[tuple[int, ...], bool]:
-    """The first r coordinates of s(d) - s0, which must be 0/1, and
-    whether s(d) equals s0 on every later coordinate."""
+def _reduce(d: Digits, s0: tuple[int, ...], r: int) -> tuple[tuple[int, ...] | None, bool]:
+    """The first r coordinates of s(d) - s0, or None when they are not
+    all 0/1, and whether s(d) equals s0 on every later coordinate."""
     sd = s_vector(d)
     head = tuple(a - b for a, b in zip(sd[:r], s0))
-    if any(v not in (0, 1) for v in head):
-        raise ArithmeticError(f"reduced prefix sums not 0/1 for {d}")
-    return head, sd[r:] == s0[r:]
+    binary = all(v in (0, 1) for v in head)
+    return (head if binary else None), sd[r:] == s0[r:]
 
 
 def stilde(d: Digits) -> tuple[int, ...]:
     """The first r coordinates of s(d) - s(bottom); always a 0/1 vector
     and the indicator of the ideal matched with d."""
     n = digits_value(d)
-    return _reduce(d, s_vector(min_element(n)), len(principal_prefix(n)))[0]
+    head = _reduce(d, s_vector(min_element(n)), len(principal_prefix(n)))[0]
+    if head is None:
+        raise ArithmeticError(f"reduced prefix sums not 0/1 for {d}")
+    return head
 
 
 @dataclass(frozen=True)
@@ -172,6 +174,8 @@ def iso_check(n: int) -> IsoReport:
     masks = set()
     for d in elems:
         head, tail_ok = _reduce(d, s0, r)
+        if head is None:
+            return IsoReport(n, h, False, f"{d}: reduced prefix sums not 0/1")
         if not tail_ok:
             return IsoReport(n, h, False,
                              f"prefix sums of {d} leave the bottom's beyond position {r}")

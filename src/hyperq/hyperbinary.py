@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import BiPoly, LaurentPoly, ONE, ZERO
+from .poly import BiPoly, LaurentPoly, ONE, ZERO, qint, qpow
+from .stern import fusc
 
 Digits = tuple[int, ...]
 
@@ -109,8 +110,11 @@ def _expansions(n: int, memo: dict[int, tuple[Digits, ...]]) -> tuple[Digits, ..
 
 
 def h_count(n: int) -> int:
-    """How many hyperbinary expansions n has (by enumeration)."""
-    return len(expansions(n))
+    """How many hyperbinary expansions n has: fusc(n + 1), without
+    listing them, in O(log n) steps."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return fusc(n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +283,11 @@ def h_q_closed_form(n: int) -> LaurentPoly:
     b = binary_expansion(n)
     zeros = [i for i, dig in enumerate(b) if dig == 0]
     if not zeros:
-        return LaurentPoly({len(b): 1})
+        return qpow(len(b))
     if len(zeros) == 1:
         r = zeros[0]
         s = len(b) - r - 1
-        return LaurentPoly({e: 1 for e in range(r + s, 2 * r + s + 1)})
+        return qint(r + 1).shift(r + s)
     raise ValueError(f"binary expansion of {n} has more than one zero")
 
 

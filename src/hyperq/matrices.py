@@ -17,9 +17,12 @@ bivariate companions
 satisfy M'(n) (1, 1)^T = (h_rs(n-1), h_rs(n))^T.
 
 ``m_range`` builds every M(n) up to a limit with one cheap
-multiplication each, using M(2n) = L M(n) and M(2n+1) = R M(n); both
-letters have monomial entries, so each step is a couple of shifts and
-adds, never a full polynomial product.
+multiplication each, using M(2n) = L M(n) and M(2n+1) = R M(n), and
+``m_prime_range`` does the same with L' and R'.  Every letter entry is
+zero or a monomial, and ``poly`` multiplies by those as a shift (a
+product with zero is zero, a sum with zero is the other operand), so
+each step is a couple of shifts and adds, never a full polynomial
+product.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Exact sparse polynomial arithmetic over the integers.
+"""Exact dense polynomial arithmetic over the integers.
 
 Three small value types used everywhere else in the package:
 
@@ -9,85 +9,195 @@ Three small value types used everywhere else in the package:
 * ``RatFunc``     -- formal quotients of two Laurent polynomials,
   compared by cross multiplication and never reduced.
 
-All arithmetic is exact integer arithmetic on sparse dicts; there is no
-floating point anywhere.  Instances are immutable by convention: every
-operation returns a fresh object and nothing mutates ``_terms``.
+The polynomials met here are short and have no gaps, so a
+``LaurentPoly`` is stored dense: q^lo times a tuple of coefficients
+whose first and last entries are nonzero (the empty tuple is zero).
+Shifting moves lo only and shares the tuple.  Products with a zero or
+one-term operand are shifts and scalings; other short or signed
+products are a schoolbook convolution, and long products with
+nonnegative coefficients go through Kronecker substitution: both
+tuples are packed into one integer with slots wide enough that no
+coefficient of the product carries, multiplied once, and unpacked.
+``BiPoly`` keeps a sparse {(e1, e2): coeff} dict with the same zero and
+monomial shortcuts.
+
+All arithmetic is exact integer arithmetic; there is no floating point
+anywhere.  Instances are immutable by convention: every operation
+returns a fresh object or one of its operands, and nothing mutates the
+stored terms.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
+#: Kronecker substitution pays for its packing once the product has
+#: about this many term pairs per output coefficient; measured against
+#: the convolution on tuples of 1- to 64-bit coefficients
+_KRONECKER_PAIRS = 6
 
-def _clean(terms: Mapping[int, int]) -> dict[int, int]:
-    """Drop zero coefficients so equality is plain dict equality."""
-    return {e: c for e, c in terms.items() if c != 0}
+
+def _render(terms, var) -> str:
+    """The fixed wire format shared by both polynomial types.
+
+    Terms in the given order joined by " + " (" - " and the absolute
+    value for negative coefficients), a coefficient of 1 elided except
+    on the constant term, the constant term as the bare coefficient.
+    ``var(key)`` renders the variables of one term, "" for a constant.
+    """
+    parts: list[str] = []
+    for key, c in terms:
+        v = var(key)
+        a = abs(c)
+        body = v if a == 1 and v else f"{a}{v}"
+        if parts:
+            parts.append((" + " if c > 0 else " - ") + body)
+        else:
+            parts.append(body if c > 0 else "-" + body)
+    return "".join(parts) or "0"
+
+
+def _q_var(e: int) -> str:
+    return "" if e == 0 else "q" if e == 1 else f"q^{e}"
+
+
+def _dense(lo: int, c: tuple[int, ...]) -> "LaurentPoly":
+    """q^lo * (c[0] + c[1] q + ...), with c already trimmed."""
+    p = object.__new__(LaurentPoly)
+    p._lo = lo
+    p._c = c
+    return p
+
+
+def _trimmed(lo: int, c: tuple[int, ...]) -> "LaurentPoly":
+    """Like ``_dense``, dropping zero coefficients at either end."""
+    i, j = 0, len(c)
+    while i < j and not c[i]:
+        i += 1
+    if i == j:
+        return ZERO
+    while not c[j - 1]:
+        j -= 1
+    return _dense(lo + i, c[i:j] if j - i < len(c) else c)
+
+
+def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Schoolbook product of two coefficient tuples."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)
+
+
+def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of two nonnegative coefficient tuples by one integer product.
+
+    A coefficient of the product is a sum of at most min(len) terms, each
+    below 2^(bits(max a) + bits(max b)), so a slot of that many bits plus
+    bits(min len) holds it without carrying into the next slot.  Packed
+    big endian, a[0] lands in the top slot and the product's coefficients
+    come out in order.
+    """
+    w = (max(a).bit_length() + max(b).bit_length()
+         + min(len(a), len(b)).bit_length() + 7) // 8
+    x = int.from_bytes(b"".join([c.to_bytes(w, "big") for c in a]), "big")
+    y = int.from_bytes(b"".join([c.to_bytes(w, "big") for c in b]), "big")
+    size = (len(a) + len(b) - 1) * w
+    buf = (x * y).to_bytes(size, "big")
+    return tuple([int.from_bytes(buf[i:i + w], "big") for i in range(0, size, w)])
 
 
 class LaurentPoly:
-    """A Laurent polynomial in one variable q, stored as {exponent: coeff}."""
+    """A Laurent polynomial in one variable q, stored as q^lo * (c_0, c_1, ...).
 
-    __slots__ = ("_terms",)
+    Built from a {exponent: coeff} mapping; zero coefficients are dropped.
+    """
+
+    __slots__ = ("_lo", "_c")
 
     def __init__(self, terms: Mapping[int, int] | None = None):
-        self._terms = _clean(terms or {})
+        nz = {e: c for e, c in (terms or {}).items() if c}
+        if nz:
+            lo = min(nz)
+            self._lo = lo
+            self._c = tuple([nz.get(e, 0) for e in range(lo, max(nz) + 1)])
+        else:
+            self._lo, self._c = 0, ()
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return ZERO
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return ONE
 
     @classmethod
     def monomial(cls, coeff: int = 1, exp: int = 0) -> "LaurentPoly":
-        return cls({exp: coeff})
+        return _dense(exp, (coeff,)) if coeff else ZERO
 
     # -- queries -------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._c
 
     def terms(self) -> list[tuple[int, int]]:
         """Sorted (exponent, coefficient) pairs."""
-        return sorted(self._terms.items())
+        return [(e, c) for e, c in enumerate(self._c, self._lo) if c]
 
     def coeff(self, exp: int) -> int:
-        return self._terms.get(exp, 0)
+        i = exp - self._lo
+        return self._c[i] if 0 <= i < len(self._c) else 0
 
     @property
     def min_exp(self) -> int:
-        if not self._terms:
+        if not self._c:
             raise ValueError("zero polynomial has no minimum exponent")
-        return min(self._terms)
+        return self._lo
 
     @property
     def max_exp(self) -> int:
-        if not self._terms:
+        if not self._c:
             raise ValueError("zero polynomial has no maximum exponent")
-        return max(self._terms)
+        return self._lo + len(self._c) - 1
 
     @property
     def eval_at_one(self) -> int:
         """The integer shadow q = 1."""
-        return sum(self._terms.values())
+        return sum(self._c)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+        a, b = self._c, other._c
+        if not b:
+            return self
+        if not a:
+            return other
+        alo, blo = self._lo, other._lo
+        if alo > blo:
+            alo, a, blo, b = blo, b, alo, a
+        off, na = blo - alo, len(a)
+        end = off + len(b)
+        if off >= na:  # no overlap: both ends are already nonzero
+            return _dense(alo, a + (0,) * (off - na) + b)
+        if end <= na:
+            c = a[:off] + tuple(map(int.__add__, a[off:end], b)) + a[end:]
+        else:
+            c = a[:off] + tuple(map(int.__add__, a[off:], b)) + b[na - off:]
+        return _trimmed(alo, c)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return _dense(self._lo, tuple(map(int.__neg__, self._c)))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -97,75 +207,76 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        a, b = self._c, other._c
+        if not a or not b:
+            return ZERO
+        lo = self._lo + other._lo
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            k = b[0]
+            return _dense(lo, a if k == 1 else tuple(map(k.__mul__, a)))
+        # the end coefficients multiply to nonzero ends: no trimming
+        if (len(a) * len(b) >= _KRONECKER_PAIRS * (len(a) + len(b))
+                and min(a) >= 0 and min(b) >= 0):
+            return _dense(lo, _kronecker(a, b))
+        return _dense(lo, _convolve(a, b))
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by q^k."""
-        return LaurentPoly({e + k: c for e, c in self._terms.items()})
+        return _dense(self._lo + k, self._c) if self._c else ZERO
 
     def reverse_var(self) -> "LaurentPoly":
         """Substitute q -> q^-1."""
-        return LaurentPoly({-e: c for e, c in self._terms.items()})
+        if not self._c:
+            return ZERO
+        return _dense(1 - self._lo - len(self._c), self._c[::-1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._lo == other._lo and self._c == other._c
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._c)
 
     # -- text ------------------------------------------------------------
-    # Fixed wire format: terms in increasing exponent order joined by
-    # " + " (" - " and the absolute value for negative coefficients), a
-    # coefficient of 1 elided except on the exponent-0 term, exponent 0 as
-    # the bare coefficient, exponent 1 as "q", anything else as "q^e".
+    # Fixed wire format (``_render``): increasing exponents, exponent 1 as
+    # "q", anything else but 0 as "q^e".
 
     def text(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for e, c in self.terms():
-            a = abs(c)
-            if e == 0:
-                body = str(a)
-            else:
-                var = "q" if e == 1 else f"q^{e}"
-                body = var if a == 1 else f"{a}{var}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append((" + " if c > 0 else " - ") + body)
-        return "".join(parts)
+        return _render(self.terms(), _q_var)
 
     def __str__(self) -> str:
         return self.text()
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self._terms!r})"
+        return f"LaurentPoly({dict(self.terms())!r})"
 
 
+ZERO = _dense(0, ())
+ONE = _dense(0, (1,))
 #: the variable q itself
-Q = LaurentPoly({1: 1})
-ONE = LaurentPoly({0: 1})
-ZERO = LaurentPoly()
+Q = _dense(1, (1,))
 
 
 def qint(a: int) -> LaurentPoly:
     """The q-integer [a]_q = 1 + q + ... + q^(a-1); [0]_q = 0."""
     if a < 0:
         raise ValueError("q-integer needs a >= 0")
-    return LaurentPoly({e: 1 for e in range(a)})
+    return _dense(0, (1,) * a) if a else ZERO
 
 
 def qpow(e: int) -> LaurentPoly:
     """The monomial q^e (e may be negative)."""
-    return LaurentPoly({e: 1})
+    return _dense(e, (1,))
+
+
+def _sparse(terms: dict[tuple[int, int], int]) -> "BiPoly":
+    """A BiPoly over ``terms``, which has no zero coefficient."""
+    p = object.__new__(BiPoly)
+    p._terms = terms
+    return p
 
 
 class BiPoly:
@@ -202,17 +313,36 @@ class BiPoly:
     def __add__(self, other: "BiPoly") -> "BiPoly":
         if not isinstance(other, BiPoly):
             return NotImplemented
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         out = dict(self._terms)
         for p, c in other._terms.items():
-            out[p] = out.get(p, 0) + c
-        return BiPoly(out)
+            s = out.get(p, 0) + c
+            if s:
+                out[p] = s
+            else:  # c is nonzero, so p was in out
+                del out[p]
+        return _sparse(out)
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         if not isinstance(other, BiPoly):
             return NotImplemented
+        x, y = (other, self) if len(self._terms) == 1 else (self, other)
+        a, b = x._terms, y._terms
+        if not a or not b:
+            return _sparse({})
+        if len(b) == 1:
+            ((b1, b2), k), = b.items()
+            if k == 1:
+                if b1 == b2 == 0:
+                    return x
+                return _sparse({(e1 + b1, e2 + b2): c for (e1, e2), c in a.items()})
+            return _sparse({(e1 + b1, e2 + b2): c * k for (e1, e2), c in a.items()})
         out: dict[tuple[int, int], int] = {}
-        for (a1, a2), c1 in self._terms.items():
-            for (b1, b2), c2 in other._terms.items():
+        for (a1, a2), c1 in a.items():
+            for (b1, b2), c2 in b.items():
                 p = (a1 + b1, a2 + b2)
                 out[p] = out.get(p, 0) + c1 * c2
         return BiPoly(out)
@@ -239,27 +369,10 @@ class BiPoly:
 
     def text(self, names: tuple[str, str] = ("r", "s")) -> str:
         """Terms in lexicographic (e1, e2) order, e.g. "s + r" or "1 + r s^2"."""
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for (e1, e2), c in self.terms():
-            a = abs(c)
-            factors = []
-            for name, e in zip(names, (e1, e2)):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            varstr = " ".join(factors)
-            if not varstr:
-                body = str(a)
-            else:
-                body = varstr if a == 1 else f"{a}{varstr}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append((" + " if c > 0 else " - ") + body)
-        return "".join(parts)
+        def var(exps: tuple[int, int]) -> str:
+            return " ".join(name if e == 1 else f"{name}^{e}"
+                            for name, e in zip(names, exps) if e)
+        return _render(self.terms(), var)
 
     def __str__(self) -> str:
         return self.text()
@@ -304,7 +417,7 @@ class RatFunc:
         if isinstance(x, LaurentPoly):
             return RatFunc(x, ONE)
         if isinstance(x, int):
-            return RatFunc(LaurentPoly({0: x}), ONE)
+            return RatFunc(LaurentPoly.monomial(x), ONE)
         raise TypeError(f"cannot treat {x!r} as a rational function")
 
     def __add__(self, other: "RatFunc | LaurentPoly | int") -> "RatFunc":

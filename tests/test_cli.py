@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from hyperq import fence as fe
+from hyperq import hyperbinary as hb
 from hyperq.cli import build_parser, main
 from hyperq.verify import REGISTRY
 
@@ -225,6 +227,35 @@ def test_out_plain_text(tmp_path):
     code, out, _ = run(["fusc", "19", "--out", str(target)])
     assert code == 0 and out == ""
     assert target.read_text(encoding="utf-8") == "7\n"
+
+
+def test_out_to_missing_directory_exits_four(tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(["fusc", "19", "--out", str(target)])
+    assert code == 4 and out == ""
+    assert err.startswith("hyperq: ") and "Traceback" not in err
+    assert not target.exists()
+
+
+# --------------------------------------------------------- failures, counts
+
+def test_verify_mainbij_fail_report_on_non_binary_offsets(monkeypatch):
+    """A tampered bottom element gives offsets outside 0/1: the sweep
+    prints a FAIL report and exits 1 instead of raising."""
+    monkeypatch.setattr(fe, "min_element", hb.binary_expansion)
+    code, out, err = run(["verify", "mainbij", "--max", "16"])
+    assert code == 1 and err == ""
+    assert out.startswith("FAIL mainbij range=1..16")
+    assert "reduced prefix sums not 0/1" in out
+
+
+def test_hyper_count_of_sixty_bits_without_enumerating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("hyper N must not list D(n)")
+    monkeypatch.setattr(hb, "expansions", refuse)
+    code, out, _ = run(["hyper", str(int("10" * 30, 2))])
+    assert code == 0
+    assert out == "2504730781961\n"
 
 
 # --------------------------------------------------------------- entry point

@@ -230,8 +230,9 @@ def test_iso_check_fails_when_an_ideal_is_missed(monkeypatch):
 
 def test_iso_check_rejects_non_binary_offsets(monkeypatch):
     monkeypatch.setattr(fe, "min_element", binary_expansion)
-    with pytest.raises(ArithmeticError, match="not 0/1"):
-        iso_check(10)
+    rep = iso_check(10)
+    assert not rep.passed
+    assert rep.detail == "(1, 0, 0, 2): reduced prefix sums not 0/1"
     with pytest.raises(ArithmeticError, match="not 0/1"):
         stilde((0, 2, 1, 0))
 

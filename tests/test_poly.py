@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hyperq.poly import ONE, Q, ZERO, BiPoly, LaurentPoly, RatFunc, qint, qpow
+from hyperq.poly import (ONE, Q, ZERO, BiPoly, LaurentPoly, RatFunc, _convolve, _kronecker,
+                         qint, qpow)
 
 
 # ---------------------------------------------------------------- LaurentPoly
@@ -220,3 +223,143 @@ def test_ratfunc_random_field_axioms():
             assert a * a.recip() == RatFunc(ONE, ONE)
         # canonical preserves value
         assert a.canonical() == a
+
+
+# ------------------------------------------- dense core vs. a dict reference
+# The reference is the sparse {exponent: coeff} arithmetic the dense core
+# replaced: schoolbook products and the renderer written out in full.
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=300, database=None)
+
+
+def _ref_clean(d):
+    return {e: c for e, c in d.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _ref_clean(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return _ref_clean(out)
+
+
+def _ref_text(d, var):
+    if not d:
+        return "0"
+    parts = []
+    for key, c in sorted(d.items()):
+        a = abs(c)
+        v = var(key)
+        body = str(a) if not v else (v if a == 1 else f"{a}{v}")
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append((" + " if c > 0 else " - ") + body)
+    return "".join(parts)
+
+
+def _ref_q(e):
+    return "" if e == 0 else ("q" if e == 1 else f"q^{e}")
+
+
+def _ref_rs(p):
+    factors = []
+    for name, e in zip(("r", "s"), p):
+        if e == 1:
+            factors.append(name)
+        elif e > 1:
+            factors.append(f"{name}^{e}")
+    return " ".join(factors)
+
+
+def _same(p: LaurentPoly, d: dict) -> bool:
+    """p holds exactly the nonzero terms of d, in every view of it."""
+    d = _ref_clean(d)
+    return (p.terms() == sorted(d.items()) and p.text() == _ref_text(d, _ref_q)
+            and p == LaurentPoly(d) and p.is_zero == (not d))
+
+
+_SMALL = st.integers(-3, 3)
+_WIDE = st.integers(-(2**80), 2**80)  # coefficients past 64 bits
+
+
+@st.composite
+def _terms(draw, nonneg=None):
+    """A {exponent: coeff} dict: zero, one term, or up to 60 terms from a
+    negative or positive offset, with gaps, signed or nonnegative."""
+    if nonneg is None:
+        nonneg = draw(st.booleans())
+    coeff = st.one_of(_SMALL, _WIDE)
+    if nonneg:
+        coeff = coeff.map(abs)
+    lo = draw(st.integers(-40, 40))
+    size = draw(st.sampled_from([0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 60]))
+    return {lo + i: draw(coeff) for i in range(size)}
+
+
+@PROPERTY
+@given(_terms(), st.integers(-50, 50))
+def test_dense_unary_ops_match_reference(d, k):
+    p = LaurentPoly(d)
+    assert _same(p, d)
+    assert _same(-p, {e: -c for e, c in d.items()})
+    assert _same(p.shift(k), {e + k: c for e, c in d.items()})
+    assert _same(p.reverse_var(), {-e: c for e, c in d.items()})
+    assert p.eval_at_one == sum(d.values())
+    assert all(p.coeff(e) == c for e, c in d.items())
+    if d and _ref_clean(d):
+        assert (p.min_exp, p.max_exp) == (min(_ref_clean(d)), max(_ref_clean(d)))
+
+
+@PROPERTY
+@given(_terms(), _terms())
+def test_dense_binary_ops_match_reference(da, db):
+    a, b = LaurentPoly(da), LaurentPoly(db)
+    assert _same(a + b, _ref_add(da, db))
+    assert _same(a - b, _ref_add(da, {e: -c for e, c in db.items()}))
+    assert _same(a * b, _ref_mul(da, db))
+    assert (a == b) == (_ref_clean(da) == _ref_clean(db))
+
+
+@PROPERTY
+@given(_terms(nonneg=True), _terms(nonneg=True))
+def test_long_nonnegative_products_match_reference(da, db):
+    a, b = LaurentPoly(da), LaurentPoly(db)
+    assert _same(a * b, _ref_mul(da, db))
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 2**70), min_size=1, max_size=80),
+       st.lists(st.integers(0, 2**70), min_size=1, max_size=80))
+@example([2**64 - 1] * 64, [2**64 - 1] * 64)  # every slot at its widest
+@example([1] * 80, [1] * 80)
+def test_kronecker_equals_convolution(a, b):
+    assert _kronecker(tuple(a), tuple(b)) == _convolve(tuple(a), tuple(b))
+
+
+@PROPERTY
+@given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), _SMALL, max_size=8),
+       st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), st.one_of(_SMALL, _WIDE),
+                       max_size=2))
+def test_bipoly_zero_and_monomial_paths_match_reference(da, db):
+    """The second operand has at most two terms, so zero and one-term
+    operands come up often on both sides."""
+    a, b = BiPoly(da), BiPoly(db)
+    da, db = _ref_clean(da), _ref_clean(db)
+    prod = {}
+    for (a1, a2), c1 in da.items():
+        for (b1, b2), c2 in db.items():
+            prod[(a1 + b1, a2 + b2)] = prod.get((a1 + b1, a2 + b2), 0) + c1 * c2
+    for got, want in ((a * b, prod), (b * a, prod), (a + b, _ref_add(da, db)),
+                      (b + a, _ref_add(da, db))):
+        assert got == BiPoly(want)
+        assert got.terms() == sorted(_ref_clean(want).items())
+        assert got.text() == _ref_text(_ref_clean(want), _ref_rs)
