@@ -13,11 +13,8 @@ The polynomials met here are short and have no gaps, so a
 ``LaurentPoly`` is stored dense: q^lo times a tuple of coefficients
 whose first and last entries are nonzero (the empty tuple is zero).
 Shifting moves lo only and shares the tuple.  Products with a zero or
-one-term operand are shifts and scalings; other short or signed
-products are a schoolbook convolution, and long products with
-nonnegative coefficients go through Kronecker substitution: both
-tuples are packed into one integer with slots wide enough that no
-coefficient of the product carries, multiplied once, and unpacked.
+one-term operand are shifts and scalings; other products are a
+schoolbook convolution.
 ``BiPoly`` keeps a sparse {(e1, e2): coeff} dict with the same zero and
 monomial shortcuts.
 
@@ -30,12 +27,6 @@ stored terms.
 from __future__ import annotations
 
 from typing import Mapping
-
-#: Kronecker substitution pays for its packing once the product has
-#: about this many term pairs per output coefficient; measured against
-#: the convolution on tuples of 1- to 64-bit coefficients
-_KRONECKER_PAIRS = 6
-
 
 def _render(terms, var) -> str:
     """The fixed wire format shared by both polynomial types.
@@ -91,24 +82,6 @@ def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
             for j, y in enumerate(b, i):
                 out[j] += x * y
     return tuple(out)
-
-
-def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Product of two nonnegative coefficient tuples by one integer product.
-
-    A coefficient of the product is a sum of at most min(len) terms, each
-    below 2^(bits(max a) + bits(max b)), so a slot of that many bits plus
-    bits(min len) holds it without carrying into the next slot.  Packed
-    big endian, a[0] lands in the top slot and the product's coefficients
-    come out in order.
-    """
-    w = (max(a).bit_length() + max(b).bit_length()
-         + min(len(a), len(b)).bit_length() + 7) // 8
-    x = int.from_bytes(b"".join([c.to_bytes(w, "big") for c in a]), "big")
-    y = int.from_bytes(b"".join([c.to_bytes(w, "big") for c in b]), "big")
-    size = (len(a) + len(b) - 1) * w
-    buf = (x * y).to_bytes(size, "big")
-    return tuple([int.from_bytes(buf[i:i + w], "big") for i in range(0, size, w)])
 
 
 class LaurentPoly:
@@ -186,14 +159,9 @@ class LaurentPoly:
         alo, blo = self._lo, other._lo
         if alo > blo:
             alo, a, blo, b = blo, b, alo, a
-        off, na = blo - alo, len(a)
-        end = off + len(b)
-        if off >= na:  # no overlap: both ends are already nonzero
-            return _dense(alo, a + (0,) * (off - na) + b)
-        if end <= na:
-            c = a[:off] + tuple(map(int.__add__, a[off:end], b)) + a[end:]
-        else:
-            c = a[:off] + tuple(map(int.__add__, a[off:], b)) + b[na - off:]
+        off = blo - alo
+        a += (0,) * (off + len(b) - len(a))  # pad a to cover b
+        c = a[:off] + tuple(map(int.__add__, a[off:], b)) + a[off + len(b):]
         return _trimmed(alo, c)
 
     def __neg__(self) -> "LaurentPoly":
@@ -217,9 +185,6 @@ class LaurentPoly:
             k = b[0]
             return _dense(lo, a if k == 1 else tuple(map(k.__mul__, a)))
         # the end coefficients multiply to nonzero ends: no trimming
-        if (len(a) * len(b) >= _KRONECKER_PAIRS * (len(a) + len(b))
-                and min(a) >= 0 and min(b) >= 0):
-            return _dense(lo, _kronecker(a, b))
         return _dense(lo, _convolve(a, b))
 
     def shift(self, k: int) -> "LaurentPoly":
@@ -334,11 +299,9 @@ class BiPoly:
         if not a or not b:
             return _sparse({})
         if len(b) == 1:
+            if b == {(0, 0): 1}:
+                return x
             ((b1, b2), k), = b.items()
-            if k == 1:
-                if b1 == b2 == 0:
-                    return x
-                return _sparse({(e1 + b1, e2 + b2): c for (e1, e2), c in a.items()})
             return _sparse({(e1 + b1, e2 + b2): c * k for (e1, e2), c in a.items()})
         out: dict[tuple[int, int], int] = {}
         for (a1, a2), c1 in a.items():

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperq.poly import (ONE, Q, ZERO, BiPoly, LaurentPoly, RatFunc, _convolve, _kronecker,
-                         qint, qpow)
+from hyperq.poly import ONE, Q, ZERO, BiPoly, LaurentPoly, RatFunc, qint, qpow
 
 
 # ---------------------------------------------------------------- LaurentPoly
@@ -292,13 +291,11 @@ _WIDE = st.integers(-(2**80), 2**80)  # coefficients past 64 bits
 
 
 @st.composite
-def _terms(draw, nonneg=None):
+def _terms(draw):
     """A {exponent: coeff} dict: zero, one term, or up to 60 terms from a
     negative or positive offset, with gaps, signed or nonnegative."""
-    if nonneg is None:
-        nonneg = draw(st.booleans())
     coeff = st.one_of(_SMALL, _WIDE)
-    if nonneg:
+    if draw(st.booleans()):
         coeff = coeff.map(abs)
     lo = draw(st.integers(-40, 40))
     size = draw(st.sampled_from([0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 60]))
@@ -330,25 +327,10 @@ def test_dense_binary_ops_match_reference(da, db):
 
 
 @PROPERTY
-@given(_terms(nonneg=True), _terms(nonneg=True))
-def test_long_nonnegative_products_match_reference(da, db):
-    a, b = LaurentPoly(da), LaurentPoly(db)
-    assert _same(a * b, _ref_mul(da, db))
-
-
-@PROPERTY
-@given(st.lists(st.integers(0, 2**70), min_size=1, max_size=80),
-       st.lists(st.integers(0, 2**70), min_size=1, max_size=80))
-@example([2**64 - 1] * 64, [2**64 - 1] * 64)  # every slot at its widest
-@example([1] * 80, [1] * 80)
-def test_kronecker_equals_convolution(a, b):
-    assert _kronecker(tuple(a), tuple(b)) == _convolve(tuple(a), tuple(b))
-
-
-@PROPERTY
 @given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), _SMALL, max_size=8),
        st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), st.one_of(_SMALL, _WIDE),
                        max_size=2))
+@example({(1, 2): 3, (0, 0): -1}, {(0, 0): 1})  # times one: the operand itself
 def test_bipoly_zero_and_monomial_paths_match_reference(da, db):
     """The second operand has at most two terms, so zero and one-term
     operands come up often on both sides."""
