@@ -5,8 +5,9 @@ JSON object with ``--json``.  ``--out PATH`` writes the payload to a
 file instead of stdout.  Exit codes: 0 success, 1 a verification sweep
 reported failures, 2 usage or malformed input, 3 input outside a
 command's supported domain (for example ``qrat --via graph`` on a
-rational that is not greater than one), 4 the ``--out`` file could not
-be written (for example, its directory does not exist).
+rational that is not greater than one) or too large for its answer to
+fit in memory, 4 the ``--out`` file could not be written (for example,
+its directory does not exist).
 """
 
 from __future__ import annotations
@@ -263,6 +264,9 @@ def main(argv: list[str] | None = None) -> int:
             exit_code = 0
     except qr.UnsupportedDomain as exc:
         print(f"hyperq: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("hyperq: input too large to compute in memory", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"hyperq: {exc}", file=sys.stderr)

@@ -24,16 +24,20 @@ Generating functions counted here:
     hbar_st(n) = sum s^p1 t^p2,   p1 = ones, p2 = twos
 
 Each has an enumeration form (the oracle) and a halving recurrence
-form; verification sweeps compare the two.  Memo dicts are caller
-owned, exactly as in stern.
+form; verification sweeps compare the two.  With f(-1) the empty sum,
+F(x) = f(x - 1) has the shape of fusc: F(2y) comes from F(y) and
+F(2y+1) from F(y+1) and F(y).  So each recurrence, and the list D(n)
+itself, is one rule for ``stern.halving`` at n + 1, and h_q(n) is
+fusc_q(n + 1).  Memo dicts are caller owned, exactly as in stern, one
+table per recurrence and keyed by n + 1: an h_q memo is a fusc_q memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import BiPoly, LaurentPoly, ONE, ZERO, qint, qpow
-from .stern import fusc
+from .poly import BiPoly, LaurentPoly, qint, qpow
+from .stern import fusc, fusc_q, halving
 
 Digits = tuple[int, ...]
 
@@ -82,31 +86,23 @@ def expansions(n: int, memo: dict[int, tuple[Digits, ...]] | None = None) -> tup
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if memo is None:
-        memo = {}
-    return _expansions(n, memo)
+    return halving(n + 1, _expansions_rule, (), ((),), memo)
 
 
-def _expansions(n: int, memo: dict[int, tuple[Digits, ...]]) -> tuple[Digits, ...]:
-    if n == 0:
-        return ((),)
-    got = memo.get(n)
-    if got is not None:
-        return got
-    k = n.bit_length()
-    half, odd = divmod(n, 2)
-    if odd:
-        out = [psi + (1,) for psi in _expansions(half, memo)]
-    else:
-        out = [psi + (0,) for psi in _expansions(half, memo)]
-        for chi in _expansions(half - 1, memo):
-            ext = chi + (2,)
-            # one leading zero of padding when half is a power of two
-            out.append((0,) * (k - len(ext)) + ext)
+def _expansions_rule(x: int, f: dict[int, tuple[Digits, ...]]) -> tuple[Digits, ...]:
+    # D(x - 1) from D(m) = f[m + 1]: D(2m+1) appends 1 to D(m), which
+    # keeps its order; D(2m) appends 0 to D(m) and 2 to D(m - 1)
+    half = x >> 1
+    if not x & 1:
+        return tuple([psi + (1,) for psi in f[half]])
+    k = (x - 1).bit_length()
+    out = [psi + (0,) for psi in f[half + 1]]
+    for chi in f[half]:
+        ext = chi + (2,)
+        # one leading zero of padding when half is a power of two
+        out.append((0,) * (k - len(ext)) + ext)
     out.sort(reverse=True)
-    val = tuple(out)
-    memo[n] = val
-    return val
+    return tuple(out)
 
 
 def h_count(n: int) -> int:
@@ -162,30 +158,16 @@ def h_q_enum(n: int) -> LaurentPoly:
 
 
 def h_q(n: int, memo: dict[int, LaurentPoly] | None = None) -> LaurentPoly:
-    """h_q(n) by the halving recurrence; h_q(-1) = 0 by convention."""
+    """h_q(n) = fusc_q(n + 1), the q-analogue of h_count; h_q(-1) = 0.
+    ``memo`` is a fusc_q memo."""
     if n < -1:
         raise ValueError("h_q is defined for n >= -1")
-    if memo is None:
-        memo = {}
-    return _h_q(n, memo)
+    return fusc_q(n + 1, memo)
 
 
-def _h_q(n: int, memo: dict[int, LaurentPoly]) -> LaurentPoly:
-    if n <= 0:
-        return ZERO if n < 0 else ONE
-    got = memo.get(n)
-    if got is not None:
-        return got
-    half, odd = divmod(n, 2)
-    if odd:
-        # n = 2m+1: every expansion is psi.1, one extra 1
-        val = _h_q(half, memo).shift(1)
-    else:
-        # n = 2m: psi.0 keeps the weight, chi.2 adds 2
-        val = _h_q(half, memo) + _h_q(half - 1, memo).shift(2)
-    memo[n] = val
-    return val
-
+# F(0) and F(1) of the bivariate recurrences, built once
+_BI_ZERO = BiPoly.zero()
+_BI_ONE = BiPoly.one()
 
 # bivariate in (r, s): r marks a digit 2, s marks a nonleading zero
 _R2 = BiPoly.monomial(1, 1, 0)
@@ -205,24 +187,14 @@ def h_rs(n: int, memo: dict[int, BiPoly] | None = None) -> BiPoly:
     """h_rs(n) by recurrence: appending 1 is free, 0 costs s, 2 costs r."""
     if n < -1:
         raise ValueError("h_rs is defined for n >= -1")
-    if memo is None:
-        memo = {}
-    return _h_rs(n, memo)
+    return halving(n + 1, _h_rs_rule, _BI_ZERO, _BI_ONE, memo)
 
 
-def _h_rs(n: int, memo: dict[int, BiPoly]) -> BiPoly:
-    if n <= 0:
-        return BiPoly.zero() if n < 0 else BiPoly.one()
-    got = memo.get(n)
-    if got is not None:
-        return got
-    half, odd = divmod(n, 2)
-    if odd:
-        val = _h_rs(half, memo)
-    else:
-        val = _S2 * _h_rs(half, memo) + _R2 * _h_rs(half - 1, memo)
-    memo[n] = val
-    return val
+def _h_rs_rule(x: int, f: dict[int, BiPoly]) -> BiPoly:
+    half = x >> 1
+    if x & 1:
+        return _S2 * f[half + 1] + _R2 * f[half]
+    return f[half]
 
 
 # bivariate in (s, t): s marks a digit 1, t marks a digit 2.  The
@@ -251,24 +223,14 @@ def hbar_st(n: int, memo: dict[int, BiPoly] | None = None) -> BiPoly:
     """
     if n < -1:
         raise ValueError("hbar_st is defined for n >= -1")
-    if memo is None:
-        memo = {}
-    return _hbar_st(n, memo)
+    return halving(n + 1, _hbar_st_rule, _BI_ZERO, _BI_ONE, memo)
 
 
-def _hbar_st(n: int, memo: dict[int, BiPoly]) -> BiPoly:
-    if n <= 0:
-        return BiPoly.zero() if n < 0 else BiPoly.one()
-    got = memo.get(n)
-    if got is not None:
-        return got
-    half, odd = divmod(n, 2)
-    if odd:
-        val = _S3 * _hbar_st(half, memo)
-    else:
-        val = _hbar_st(half, memo) + _T3 * _hbar_st(half - 1, memo)
-    memo[n] = val
-    return val
+def _hbar_st_rule(x: int, f: dict[int, BiPoly]) -> BiPoly:
+    half = x >> 1
+    if x & 1:
+        return f[half + 1] + _T3 * f[half]
+    return _S3 * f[half]
 
 
 def h_q_closed_form(n: int) -> LaurentPoly:

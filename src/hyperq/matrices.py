@@ -78,25 +78,34 @@ def word_of(n: int) -> str:
     return "".join("R" if bit == "1" else "L" for bit in reversed(bits))
 
 
+def _word_product(n: int, identity, left, right):
+    """The word of n read left to right in the letters ``left``, ``right``."""
+    m = identity
+    for ch in word_of(n):
+        m = m @ (right if ch == "R" else left)
+    return m
+
+
+def _range(limit: int, identity, left, right) -> list:
+    """[None, M(1), ..., M(limit)] in the given letters by the halving
+    identities M(2n) = left M(n), M(2n+1) = right M(n)."""
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    out = [None] * (limit + 1)
+    out[1] = identity
+    for n in range(2, limit + 1):
+        out[n] = (right if n % 2 else left) @ out[n // 2]
+    return out
+
+
 def m_of(n: int) -> Mat2:
     """M(n) as the left-to-right product of its word."""
-    m = Mat2.identity()
-    for ch in word_of(n):
-        m = m @ (R if ch == "R" else L)
-    return m
+    return _word_product(n, Mat2.identity(), L, R)
 
 
 def m_range(limit: int) -> list[Mat2 | None]:
     """[None, M(1), ..., M(limit)] by the halving identities."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    out: list[Mat2 | None] = [None] * (limit + 1)
-    out[1] = Mat2.identity()
-    for n in range(2, limit + 1):
-        prev = out[n // 2]
-        assert prev is not None
-        out[n] = (R if n % 2 else L) @ prev
-    return out
+    return _range(limit, Mat2.identity(), L, R)
 
 
 def entries_formula(n: int, memo: dict[int, LaurentPoly] | None = None) -> Mat2:
@@ -196,22 +205,11 @@ R_PRIME = BiMat2(_BR, _BS, BiPoly.zero(), BiPoly.one())
 
 def m_prime_of(n: int) -> BiMat2:
     """M'(n): the word of n read in L', R'."""
-    m = BiMat2.identity()
-    for ch in word_of(n):
-        m = m @ (R_PRIME if ch == "R" else L_PRIME)
-    return m
+    return _word_product(n, BiMat2.identity(), L_PRIME, R_PRIME)
 
 
 def m_prime_range(limit: int) -> list[BiMat2 | None]:
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    out: list[BiMat2 | None] = [None] * (limit + 1)
-    out[1] = BiMat2.identity()
-    for n in range(2, limit + 1):
-        prev = out[n // 2]
-        assert prev is not None
-        out[n] = (R_PRIME if n % 2 else L_PRIME) @ prev
-    return out
+    return _range(limit, BiMat2.identity(), L_PRIME, R_PRIME)
 
 
 def m_prime_check(n: int, m: BiMat2 | None = None,

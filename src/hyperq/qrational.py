@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .fence import FencePoset, rgf
 from .poly import LaurentPoly, ONE, RatFunc, qint, qpow
 
 
@@ -166,28 +167,12 @@ def left_delete(g: OrientedPath, count: int) -> OrientedPath:
 
 def closure_poly(g: OrientedPath) -> LaurentPoly:
     """Generating function sum q^|X| over closure sets X: no arc may
-    leave X.  Linear scan with the membership of the previous vertex as
-    the only state."""
+    leave X.  An arc u -> v says v is in X whenever u is, so the closure
+    sets are the order ideals of the fence that falls at each right arc
+    and rises at each left one, and ``fence.rgf`` counts them."""
     if g.vertices == 0:
         return ONE
-    # state 0: previous vertex out, state 1: in
-    out, inn = ONE, qpow(1)
-    for arc_right in g.arcs:
-        nxt_out, nxt_inn = LaurentPoly.zero(), LaurentPoly.zero()
-        for prev_in, weight in ((False, out), (True, inn)):
-            if weight.is_zero:
-                continue
-            for cur_in in (False, True):
-                if arc_right and prev_in and not cur_in:
-                    continue  # arc prev -> cur leaves X
-                if not arc_right and cur_in and not prev_in:
-                    continue  # arc cur -> prev leaves X
-                if cur_in:
-                    nxt_inn = nxt_inn + weight.shift(1)
-                else:
-                    nxt_out = nxt_out + weight
-        out, inn = nxt_out, nxt_inn
-    return out + inn
+    return rgf(FencePoset((0,) + tuple(0 if right else 1 for right in g.arcs)))
 
 
 def closure_poly_brute(g: OrientedPath) -> LaurentPoly:

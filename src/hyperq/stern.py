@@ -13,8 +13,9 @@ fusc_q(n)/fusc_q(n+1).
 
 Memo dicts are owned by the caller: verification sweeps pass one dict
 for the whole sweep and drop it afterwards, so repeated sweeps never
-share state and single calls stay allocation-light.  A dict memoizes
-one function only; never hand a fusc_q memo to h_q or vice versa.
+share state and single calls stay allocation-light.  There is one memo
+table per recurrence: fusc_q, cw_q and hyperbinary.h_q all use the
+fusc_q table, keyed by the argument of fusc_q.
 """
 
 from __future__ import annotations
@@ -61,28 +62,56 @@ def fusc_range(limit: int) -> list[int]:
     return out
 
 
+def halving(n: int, rule, zero, one, memo: dict | None = None):
+    """F(n) for F(0) = zero, F(1) = one and F(x) = rule(x, F) for x >= 2,
+    where rule reads F[x // 2] and, for odd x, F[x // 2 + 1].
+
+    Every halving recurrence in the package is one rule for this.  The
+    missing values F(n) needs, at most two per bit, are listed level by
+    level and built from the bottom up, each once, with no recursion
+    and so no depth limit.  ``memo`` doubles as F; without one, a level
+    is dropped once the level above it is built.
+    """
+    if n < 2:
+        return one if n else zero
+    f = {} if memo is None else memo
+    got = f.get(n)
+    if got is not None:
+        return got
+    f[1] = one
+    levels, level = [], [n]
+    while level:
+        levels.append(level)
+        below = []
+        # what a level reads is one run of at most two values; 3 reads
+        # the 2 beside it, which is built first
+        for y in range(level[0] >> 1, (level[-1] + 3) >> 1):
+            if y not in f and y not in level:
+                below.append(y)
+        level = below
+    built = ()
+    for level in reversed(levels):
+        for x in level:
+            f[x] = rule(x, f)
+        if memo is None:
+            for y in built:
+                del f[y]
+        built = level
+    return f[n]
+
+
+def _fusc_q_rule(x: int, f: dict[int, LaurentPoly]) -> LaurentPoly:
+    half = x >> 1
+    if x & 1:
+        return f[half + 1] + f[half].shift(2)
+    return f[half].shift(1)
+
+
 def fusc_q(n: int, memo: dict[int, LaurentPoly] | None = None) -> LaurentPoly:
     """The q-deformed diatomic sequence as a Laurent polynomial."""
     if n < 0:
         raise ValueError("fusc_q is defined for n >= 0")
-    if memo is None:
-        memo = {}
-    return _fusc_q(n, memo)
-
-
-def _fusc_q(n: int, memo: dict[int, LaurentPoly]) -> LaurentPoly:
-    if n <= 1:
-        return ZERO if n == 0 else ONE
-    got = memo.get(n)
-    if got is not None:
-        return got
-    half, odd = divmod(n, 2)
-    if odd:
-        val = _fusc_q(half + 1, memo) + _fusc_q(half, memo).shift(2)
-    else:
-        val = _fusc_q(half, memo).shift(1)
-    memo[n] = val
-    return val
+    return halving(n, _fusc_q_rule, ZERO, ONE, memo)
 
 
 def cw(n: int) -> Fraction:
@@ -98,4 +127,4 @@ def cw_q(n: int, memo: dict[int, LaurentPoly] | None = None) -> RatFunc:
         raise ValueError("cw_q is defined for n >= 0")
     if memo is None:
         memo = {}
-    return RatFunc(_fusc_q(n, memo), _fusc_q(n + 1, memo))
+    return RatFunc(fusc_q(n, memo), fusc_q(n + 1, memo))

@@ -76,12 +76,12 @@ class VerifyReport:
 
 
 def _text(v) -> str:
-    """One side of a check as text: a string as is, a tuple as
-    ``(a, b)``, anything else by its ``text()``."""
+    """One side of a check as text: a string as is, a pair of
+    polynomials as ``(a, b)``, anything else by its ``text()``."""
     if isinstance(v, str):
         return v
     if isinstance(v, tuple):
-        return "(" + ", ".join(_text(x) for x in v) + ")"
+        return "(" + ", ".join(x.text() for x in v) + ")"
     return v.text()
 
 

@@ -3,13 +3,16 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from hyperq import fence as fe
 from hyperq import hyperbinary as hb
+from hyperq import stern
 from hyperq.cli import build_parser, main
 from hyperq.verify import REGISTRY
 
@@ -256,6 +259,51 @@ def test_hyper_count_of_sixty_bits_without_enumerating(monkeypatch):
     code, out, _ = run(["hyper", str(int("10" * 30, 2))])
     assert code == 0
     assert out == "2504730781961\n"
+
+
+def _at_one(text):
+    """A polynomial in the CLI's text format evaluated at q = 1."""
+    total = 0
+    for term in text.replace(" - ", " + -").split(" + "):
+        sign = -1 if term.startswith("-") else 1
+        digits = term.lstrip("-").split("q")[0]
+        total += sign * int(digits or "1")
+    return total
+
+
+BIG_N = random.Random(1101).getrandbits(1100) | 1 << 1100  # 1101 bits
+
+
+@pytest.mark.parametrize("argv", [["fuscq"], ["cwq"], ["hyper", "--genfunc"]],
+                         ids=" ".join)
+def test_polynomials_of_a_1101_bit_n(argv):
+    """One stack frame per bit would pass the recursion limit here."""
+    code, out, err = run(argv + [str(BIG_N)])
+    assert code == 0 and err == ""
+    if argv == ["cwq"]:
+        num, den = out.strip()[1:-1].split(") / (")
+        assert Fraction(_at_one(num), _at_one(den)) == stern.cw(BIG_N)
+    else:
+        n = BIG_N + (argv[0] == "hyper")
+        assert _at_one(out.strip()) == stern.fusc(n)
+
+
+def test_input_too_large_for_memory_exits_three():
+    """qrat N builds [N]_q with N terms; under a 1 GB address-space cap
+    on the child the answer cannot fit."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperq.cli", "qrat", "200000000"],
+        capture_output=True, text=True, timeout=120, preexec_fn=cap,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "hyperq: input too large to compute in memory\n"
+    assert "Traceback" not in proc.stderr
 
 
 # --------------------------------------------------------------- entry point

@@ -126,6 +126,24 @@ def test_set_recursion_exact():
         assert set(expansions(2 * n, memo)) == even
 
 
+def test_expansions_past_the_recursion_limit():
+    n = 2**1100
+    ds = expansions(n)
+    assert len(ds) == fusc(n + 1) == 1101
+    assert ds[0] == binary_expansion(n)
+    assert ds[-1] == min_element(n)
+    assert all(digits_value(d) == n for d in ds)
+
+
+def test_recurrences_past_the_recursion_limit():
+    one_zero = 2**1101 - 1 - 2**500  # binary 1^600 0 1^500: a closed form
+    assert h_q(one_zero) == h_q_closed_form(one_zero)
+    n = 2**1100 + 2**300
+    hbar = hbar_st(n)
+    assert h_rs(n).eval_at_one == hbar.eval_at_one == fusc(n + 1)
+    assert hbar.specialize(2, 1) == h_q(n)
+
+
 # ------------------------------------------------------------------ statistics
 
 def test_stats_examples():

@@ -1,6 +1,8 @@
 """2x2 matrix products over Laurent polynomials and their entry formulas."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperq.hyperbinary import h_q, h_rs
 from hyperq.matrices import (
@@ -18,6 +20,7 @@ from hyperq.matrices import (
     m_prime_range,
     m_range,
     row_sum_check,
+    row_sums_formula,
     word_of,
 )
 from hyperq.poly import ONE, ZERO, BiPoly, LaurentPoly, qpow
@@ -164,3 +167,15 @@ def test_m_prime_sweep():
         assert m_prime_check(n, mps[n], memo), n
         top, bottom = mps[n].column_sums_vector()
         assert top == h_rs(n - 1, memo) and bottom == h_rs(n, memo)
+
+
+#: n of 100 to 600 bits, drawn bit length first
+BIG = st.integers(100, 600).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(BIG)
+def test_row_sums_of_large_n(n):
+    """The L/R product against the halving recurrence, far past the
+    sweep ranges."""
+    assert m_of(n).column_sums_vector() == row_sums_formula(n)

@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperq.poly import ONE, Q, LaurentPoly, RatFunc, qint
 from hyperq.qrational import (
@@ -231,3 +233,14 @@ def test_qdeform_via_graph_domain():
     for r, s in [(1, 1), (1, 2), (3, 3), (2, 6), (0, 1)]:
         with pytest.raises(UnsupportedDomain):
             qdeform_via_graph(r, s)
+
+
+#: n of 100 to 600 bits, drawn bit length first
+BIG = st.integers(100, 600).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(BIG)
+def test_cw_index_inverts_cw_on_large_n(n):
+    c = cw(n)
+    assert cw_index(c.numerator, c.denominator) == n

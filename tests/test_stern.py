@@ -6,7 +6,7 @@ import pytest
 
 from hyperq.hyperbinary import h_count, h_q
 from hyperq.poly import LaurentPoly, RatFunc
-from hyperq.stern import cw, cw_q, fusc, fusc_q, fusc_range
+from hyperq.stern import cw, cw_q, fusc, fusc_q, fusc_range, halving
 
 
 def _poly(*exps_coeffs: tuple[int, int]) -> LaurentPoly:
@@ -137,3 +137,30 @@ def test_cw_q_specializes_to_cw_at_one():
     for n in range(1, 256):
         v = cw_q(n).canonical()
         assert Fraction(v.num.eval_at_one, v.den.eval_at_one) == cw(n)
+
+
+def test_halving_builds_each_value_once_below_and_never_at_zero_or_one():
+    """fusc itself through the evaluator: the rule is called once per
+    value it needs, only at x >= 2, and a memo answers later calls."""
+    seen = []
+
+    def rule(x, f):
+        seen.append(x)
+        return f[x // 2] + f[x // 2 + 1] if x % 2 else f[x // 2]
+
+    memo = {}
+    for n in range(0, 600):
+        assert halving(n, rule, 0, 1, memo) == fusc(n)
+    assert sorted(seen) == list(range(2, 600))
+    seen.clear()
+    assert halving(599, rule, 0, 1, memo) == fusc(599) and seen == []
+    n = 2**1500 + 2**700 + 12345
+    assert halving(n, rule, 0, 1) == fusc(n)
+    assert min(seen) >= 2 and len(seen) == len(set(seen)) <= 2 * n.bit_length()
+
+
+def test_fusc_q_past_the_recursion_limit():
+    n = 2**1100 + 2**551 + 3
+    assert fusc_q(n).eval_at_one == fusc(n)
+    v = cw_q(n)
+    assert Fraction(v.num.eval_at_one, v.den.eval_at_one) == cw(n)
