@@ -27,6 +27,7 @@ from .hyperbinary import (
     covers,
     digits_text,
     digits_value,
+    enum_polys,
     expansions,
     h_count,
     h_q,

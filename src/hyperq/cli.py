@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--count", action="store_true", help="number of expansions (default)")
     g.add_argument("--genfunc", action="store_true", help="generating polynomial h_q(n)")
     g.add_argument("--stats", action="store_true",
-                   help="per expansion statistics (ones, twos, trailing zeros, weight)")
+                   help="per expansion statistics (ones, twos, zeros right of the "
+                   "leftmost nonzero digit, weight)")
     g.add_argument("--dot", action="store_true",
                    help="DOT source for the lattice of expansions")
     p.add_argument("n", type=_nonneg)
@@ -217,12 +218,8 @@ def _cmd_fence(args) -> tuple[str, dict]:
 
 def _cmd_matrix(args) -> tuple[str, dict]:
     n = args.n
-    if args.prime:
-        m = mx.m_prime_of(n)
-        texts = [e.text() for e in m.entries()]
-    else:
-        m = mx.m_of(n)
-        texts = [e.text() for e in m.entries()]
+    m = mx.m_prime_of(n) if args.prime else mx.m_of(n)
+    texts = [e.text() for e in m.entries()]
     text = f"{texts[0]} | {texts[1]}\n{texts[2]} | {texts[3]}"
     return (text,
             {"n": n, "prime": bool(args.prime),

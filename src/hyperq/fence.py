@@ -21,11 +21,13 @@ a quotient of two rank generating functions are exposed as checks.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .hyperbinary import (
     Digits,
     digits_value,
+    dot_source,
     expansions,
     h_q,
     min_element,
@@ -72,46 +74,37 @@ def is_ideal(f: FencePoset, mask: int) -> bool:
     return True
 
 
-def ideals(f: FencePoset) -> tuple[int, ...]:
-    """All order ideals as bitsets, sorted by (cardinality, bitset value).
-
-    Built by a left-to-right scan: the constraint between x_i and
-    x_{i+1} only involves adjacent elements, so partial choices are
-    extended one element at a time.
-    """
-    states: list[int] = [0]
-    if f.size:
-        states = [0, 1]
+def _scan(f: FencePoset, out, inn, merge, grow):
+    """The left-to-right scan over the fence that ``ideals`` and ``rgf``
+    share.  The constraint between x_{i-1} and x_i only involves
+    adjacent elements, so partial ideals of x_1..x_i are kept in two
+    classes: ``out`` without x_i and ``inn`` with it.  ``merge`` joins
+    two classes and ``grow(v, i)`` adds x_i to every member of one.
+    The result merges the final two classes; the empty fence has only
+    the empty ideal, ``out``."""
+    if f.size == 0:
+        return out
     for i in range(2, f.size + 1):
-        rising = f.bits[i - 1] == 1
-        nxt = []
-        for m in states:
-            prev_in = (m >> (i - 2)) & 1
-            for cur_in in (0, 1):
-                if rising and cur_in and not prev_in:
-                    continue  # x_i > x_{i-1}: x_i in forces x_{i-1} in
-                if not rising and prev_in and not cur_in:
-                    continue  # x_i < x_{i-1}: x_{i-1} in forces x_i in
-                nxt.append(m | (cur_in << (i - 1)))
-        states = nxt
+        if f.bits[i - 1]:  # x_i > x_{i-1}: x_i in forces x_{i-1} in
+            out, inn = merge(out, inn), grow(inn, i)
+        else:  # x_i < x_{i-1}: x_{i-1} in forces x_i in
+            inn = grow(merge(out, inn), i)
+    return merge(out, inn)
+
+
+def ideals(f: FencePoset) -> tuple[int, ...]:
+    """All order ideals as bitsets, sorted by (cardinality, bitset value),
+    listed by the fence scan."""
+    states = _scan(f, [0], [1], operator.add,
+                   lambda masks, i: [m | 1 << (i - 1) for m in masks])
     states.sort(key=lambda m: (bin(m).count("1"), m))
     return tuple(states)
 
 
 def rgf(f: FencePoset) -> LaurentPoly:
     """Rank generating function sum q^|I| over ideals, by the same
-    adjacent-pair dynamic programming without listing the ideals."""
-    if f.size == 0:
-        return ONE
-    out, inn = ONE, qpow(1)
-    for i in range(2, f.size + 1):
-        rising = f.bits[i - 1] == 1
-        if rising:
-            nxt_out, nxt_inn = out + inn, inn.shift(1)
-        else:
-            nxt_out, nxt_inn = out, (out + inn).shift(1)
-        out, inn = nxt_out, nxt_inn
-    return out + inn
+    fence scan without listing the ideals."""
+    return _scan(f, ONE, qpow(1), operator.add, lambda p, i: p.shift(1))
 
 
 def rgf_of(n: int) -> LaurentPoly:
@@ -231,13 +224,8 @@ def qcw_fence_check(n: int, memo: dict[int, LaurentPoly] | None = None) -> bool:
 def fence_dot(n: int) -> str:
     """Hasse diagram of the fence in DOT form, edges lower -> upper."""
     f = fence(n)
-    lines = [f"digraph fence_{n} {{", "  rankdir=BT;"]
-    for i in range(1, f.size + 1):
-        lines.append(f'  "x{i}";')
-    for lo, hi in f.cover_pairs():
-        lines.append(f'  "x{lo}" -> "x{hi}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return dot_source(f"fence_{n}", (f"x{i}" for i in range(1, f.size + 1)),
+                      ((f"x{lo}", f"x{hi}") for lo, hi in f.cover_pairs()))
 
 
 def ideal_members(mask: int, size: int) -> list[int]:
@@ -253,16 +241,8 @@ def ideals_dot(n: int) -> str:
     the ideal with one more element."""
     f = fence(n)
     masks = ideals(f)
-    lines = [f"digraph ideals_{n} {{", "  rankdir=BT;"]
-    for m in masks:
-        lines.append(f'  "{ideal_label(m, f.size)}";')
+    labels = {m: ideal_label(m, f.size) for m in masks}
     # edges grouped by the smaller ideal keep the output stable
-    for m in masks:
-        for other in masks:
-            diff = other & ~m
-            if m & ~other == 0 and diff and diff & (diff - 1) == 0:
-                lines.append(
-                    f'  "{ideal_label(m, f.size)}" -> "{ideal_label(other, f.size)}";'
-                )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = ((labels[m], labels[other]) for m in masks for other in masks
+             if m & ~other == 0 and (other ^ m).bit_count() == 1)
+    return dot_source(f"ideals_{n}", labels.values(), edges)

@@ -34,6 +34,8 @@ table per recurrence and keyed by n + 1: an h_q memo is a fusc_q memo.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .poly import BiPoly, LaurentPoly, qint, qpow
@@ -123,38 +125,44 @@ class HyperStats:
 
     ell = p1 + 2*p2 is the weight tracked by h_q; z counts the zeros
     strictly to the right of the leftmost nonzero digit (leading zeros
-    are free); t is an alias for p2 kept because the two play different
-    roles in the two bivariate refinements.
+    are free).
     """
 
     ell: int
     p1: int
     p2: int
-    t: int
     z: int
 
 
+def _profile(d: Digits) -> tuple[int, int, int]:
+    """(ones, twos, zeros right of the leftmost nonzero digit) of d."""
+    lead = 0
+    while lead < len(d) and d[lead] == 0:
+        lead += 1
+    return d.count(1), d.count(2), d.count(0) - lead
+
+
 def stats(d: Digits) -> HyperStats:
-    p1 = sum(1 for dig in d if dig == 1)
-    p2 = sum(1 for dig in d if dig == 2)
-    z = 0
-    seen_nonzero = False
-    for dig in d:
-        if dig == 0:
-            if seen_nonzero:
-                z += 1
-        else:
-            seen_nonzero = True
-    return HyperStats(ell=p1 + 2 * p2, p1=p1, p2=p2, t=p2, z=z)
+    p1, p2, z = _profile(d)
+    return HyperStats(ell=p1 + 2 * p2, p1=p1, p2=p2, z=z)
+
+
+def enum_polys(n: int) -> tuple[LaurentPoly, BiPoly, BiPoly]:
+    """(h_q(n), h_rs(n), hbar_st(n)) straight from the enumeration: D(n)
+    is listed once and all three are read off the count of profiles."""
+    hq: Counter[int] = Counter()
+    hrs: Counter[tuple[int, int]] = Counter()
+    hbar: Counter[tuple[int, int]] = Counter()
+    for (ones, twos, z), c in Counter(map(_profile, expansions(n))).items():
+        hq[ones + 2 * twos] += c
+        hrs[twos, z] += c
+        hbar[twos, ones] += c
+    return LaurentPoly(hq), BiPoly(hrs), BiPoly(hbar)
 
 
 def h_q_enum(n: int) -> LaurentPoly:
     """h_q(n) = sum of q^ell over D(n), straight from the enumeration."""
-    out: dict[int, int] = {}
-    for d in expansions(n):
-        e = stats(d).ell
-        out[e] = out.get(e, 0) + 1
-    return LaurentPoly(out)
+    return enum_polys(n)[0]
 
 
 def h_q(n: int, memo: dict[int, LaurentPoly] | None = None) -> LaurentPoly:
@@ -175,12 +183,7 @@ _S2 = BiPoly.monomial(1, 0, 1)
 
 
 def h_rs_enum(n: int) -> BiPoly:
-    out: dict[tuple[int, int], int] = {}
-    for d in expansions(n):
-        st = stats(d)
-        p = (st.t, st.z)
-        out[p] = out.get(p, 0) + 1
-    return BiPoly(out)
+    return enum_polys(n)[1]
 
 
 def h_rs(n: int, memo: dict[int, BiPoly] | None = None) -> BiPoly:
@@ -207,12 +210,7 @@ HBAR_NAMES = ("t", "s")
 
 
 def hbar_st_enum(n: int) -> BiPoly:
-    out: dict[tuple[int, int], int] = {}
-    for d in expansions(n):
-        st = stats(d)
-        p = (st.p2, st.p1)
-        out[p] = out.get(p, 0) + 1
-    return BiPoly(out)
+    return enum_polys(n)[2]
 
 
 def hbar_st(n: int, memo: dict[int, BiPoly] | None = None) -> BiPoly:
@@ -282,15 +280,18 @@ def s_vector(d: Digits) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_same_n(c: Digits, d: Digits) -> None:
-    if len(c) != len(d) or digits_value(c) != digits_value(d):
+def _s_pair(c: Digits, d: Digits) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(s(c), s(d)), once the two strings are checked to expand the same
+    n: equal lengths and equal last prefix sums."""
+    sc, sd = s_vector(c), s_vector(d)
+    if len(sc) != len(sd) or sc[-1:] != sd[-1:]:
         raise ValueError("digit strings do not expand the same n")
+    return sc, sd
 
 
 def leq(c: Digits, d: Digits) -> bool:
     """Lattice order: prefix-sum domination in every coordinate."""
-    _check_same_n(c, d)
-    return all(a <= b for a, b in zip(s_vector(c), s_vector(d)))
+    return all(a <= b for a, b in zip(*_s_pair(c, d)))
 
 
 def covers(d: Digits) -> tuple[Digits, ...]:
@@ -345,8 +346,7 @@ def join(c: Digits, d: Digits) -> Digits:
 
 
 def _lattice_op(c: Digits, d: Digits, pick) -> Digits:
-    _check_same_n(c, d)
-    sm = tuple(pick(a, b) for a, b in zip(s_vector(c), s_vector(d)))
+    sm = tuple(pick(a, b) for a, b in zip(*_s_pair(c, d)))
     out = []
     prev = 0
     for s in sm:
@@ -381,17 +381,21 @@ def join_irreducibles(n: int) -> tuple[Digits, ...]:
 # exports
 
 
-def lattice_dot(n: int) -> str:
-    """Hasse diagram of D(n) in DOT form, edges from covered to covering."""
-    lines = [f"digraph hyperbinary_{n} {{", "  rankdir=BT;"]
-    elems = expansions(n)
-    for d in elems:
-        lines.append(f'  "{digits_text(d)}";')
-    for d in elems:
-        for c in covers(d):
-            lines.append(f'  "{digits_text(c)}" -> "{digits_text(d)}";')
+def dot_source(name: str, nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> str:
+    """A bottom-to-top DOT digraph with the given node labels and
+    (lower, upper) label pairs as edges, in the order given."""
+    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines += [f'  "{v}";' for v in nodes]
+    lines += [f'  "{a}" -> "{b}";' for a, b in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def lattice_dot(n: int) -> str:
+    """Hasse diagram of D(n) in DOT form, edges from covered to covering."""
+    elems = expansions(n)
+    return dot_source(f"hyperbinary_{n}", map(digits_text, elems),
+                      ((digits_text(c), digits_text(d)) for d in elems for c in covers(d)))
 
 
 def stats_rows(n: int) -> list[dict]:
@@ -405,7 +409,7 @@ def stats_rows(n: int) -> list[dict]:
                 "ell": st.ell,
                 "p1": st.p1,
                 "p2": st.p2,
-                "t": st.t,
+                "t": st.p2,
                 "z": st.z,
                 "s_vector": list(s_vector(d)),
             }

@@ -173,20 +173,13 @@ def verify_mprime(max_n):
 def verify_hrs(max_n):
     """Enumeration equals recurrence for h_q and h_rs, and the closed
     forms match enumeration on every applicable n in range.  D(n) is
-    listed once per n and tallied for both polynomials at once."""
+    listed and tallied once per n, by ``enum_polys``."""
     hq_memo: dict[int, LaurentPoly] = {}
     hrs_memo: dict[int, BiPoly] = {}
     for n in range(0, max_n + 1):
-        hq_coeffs: dict[int, int] = {}
-        hrs_coeffs: dict[tuple[int, int], int] = {}
-        for d in hb.expansions(n):
-            st = hb.stats(d)
-            hq_coeffs[st.ell] = hq_coeffs.get(st.ell, 0) + 1
-            p = (st.t, st.z)
-            hrs_coeffs[p] = hrs_coeffs.get(p, 0) + 1
-        hq_enum = LaurentPoly(hq_coeffs)
+        hq_enum, hrs_enum, _ = hb.enum_polys(n)
         yield str(n), hq_enum, hb.h_q(n, hq_memo)
-        yield str(n), BiPoly(hrs_coeffs), hb.h_rs(n, hrs_memo)
+        yield str(n), hrs_enum, hb.h_rs(n, hrs_memo)
         if hb.h_q_closed_form_applies(n):
             yield str(n), hq_enum, hb.h_q_closed_form(n)
 

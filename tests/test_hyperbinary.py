@@ -149,16 +149,23 @@ def test_recurrences_past_the_recursion_limit():
 def test_stats_examples():
     st = stats((0, 2, 0, 0, 1, 0))  # an expansion of 34
     assert digits_value((0, 2, 0, 0, 1, 0)) == 34
-    assert st.t == 1 and st.z == 3
+    assert st.p2 == 1 and st.z == 3
 
     st = stats((1, 0, 1, 0))
-    assert (st.ell, st.p1, st.p2, st.t, st.z) == (2, 2, 0, 0, 2)
+    assert (st.ell, st.p1, st.p2, st.z) == (2, 2, 0, 2)
 
     st = stats(())
-    assert (st.ell, st.p1, st.p2, st.t, st.z) == (0, 0, 0, 0, 0)
+    assert (st.ell, st.p1, st.p2, st.z) == (0, 0, 0, 0)
 
     st = stats((0, 1, 2, 2))
-    assert (st.ell, st.p1, st.p2, st.t, st.z) == (5, 1, 2, 2, 0)
+    assert (st.ell, st.p1, st.p2, st.z) == (5, 1, 2, 0)
+
+    # leading zeros are free, however many there are
+    st = stats((0, 0, 1, 0))
+    assert (st.ell, st.p1, st.p2, st.z) == (1, 1, 0, 1)
+
+    st = stats((0, 0))
+    assert (st.ell, st.p1, st.p2, st.z) == (0, 0, 0, 0)
 
 
 def test_stats_identities_everywhere():
@@ -167,7 +174,6 @@ def test_stats_identities_everywhere():
         for d in expansions(n, memo):
             st = stats(d)
             assert st.ell == st.p1 + 2 * st.p2
-            assert st.t == st.p2
             assert st.ell == sum(d)
             assert st.p1 == sum(1 for x in d if x == 1)
 

@@ -244,3 +244,32 @@ BIG = st.integers(100, 600).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b)
 def test_cw_index_inverts_cw_on_large_n(n):
     c = cw(n)
     assert cw_index(c.numerator, c.denominator) == n
+
+
+#: canonical continued fractions of 20 to 60 terms with partial
+#: quotients 1 to 12, the last at least 2, so r/s > 1
+LONG_CF = st.builds(
+    lambda body, last: body + [last],
+    st.lists(st.integers(1, 12), min_size=19, max_size=59),
+    st.integers(2, 12),
+)
+
+
+def _canonical_pair(cf: list[int]) -> tuple[int, int]:
+    """(r, s) with r/s = [a_1; a_2, ..., a_m], checked to be canonical."""
+    x = _cf_value(cf)
+    assert cf_expand(x.numerator, x.denominator) == cf
+    return x.numerator, x.denominator
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(LONG_CF)
+def test_shift_identity_on_long_continued_fractions(cf):
+    assert qdeform_shift_check(*_canonical_pair(cf))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(LONG_CF)
+def test_qdeform_via_graph_agrees_with_cf_on_long_continued_fractions(cf):
+    r, s = _canonical_pair(cf)
+    assert qdeform_via_graph(r, s) == qdeform(r, s)
