@@ -7,13 +7,15 @@ reported failures, 2 usage or malformed input, 3 input outside a
 command's supported domain (for example ``qrat --via graph`` on a
 rational that is not greater than one) or too large for its answer to
 fit in memory, 4 the ``--out`` file could not be written (for example,
-its directory does not exist).
+its directory does not exist), 5 standard output was closed before all
+of the output was written (for example, piped into ``head -1``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import hyperbinary as hb
@@ -278,7 +280,16 @@ def main(argv: list[str] | None = None) -> int:
             print(f"hyperq: {exc}", file=sys.stderr)
             return 4
     else:
-        print(out)
+        try:
+            print(out)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone: point stdout at devnull so the flush at
+            # interpreter exit does not raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 5
     return exit_code
 
 

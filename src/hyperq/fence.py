@@ -7,11 +7,17 @@ before the rightmost zero) defines a fence on elements x_1, ..., x_r:
     b_i = 1  =>  x_i > x_{i-1}
 
 The lattice of order ideals of this fence is order isomorphic to the
-lattice of hyperbinary expansions of n; the isomorphism sends an
-expansion d to the ideal whose indicator vector is the first r entries
-of s(d) - s(bottom).  ``iso_check`` verifies all of this exhaustively
-for one n in a single pass over D(n); see its docstring for why that
-pass decides the order on every pair.
+lattice of hyperbinary expansions of n.  With o the indicator of an
+ideal I (o_0 = 0, o_i = 0 for i > r), let e(I) be the digit string with
+e_i = o_i - 2 o_{i-1}.  Since s_i = 2 s_{i-1} + d_i, the prefix sums of
+bottom + e(I) exceed those of the bottom by exactly o, so the
+isomorphism is the image identity
+
+    D(n) = {bottom + e(I) : I an ideal},
+
+with d -> I one to one, and s(c) <= s(d) exactly when the ideal of c
+is contained in that of d.  ``iso_check`` decides the identity with one
+set comparison of digit strings packed in base 256; see its docstring.
 
 ``rgf`` is the rank generating function sum q^|I| over ideals; the
 weight identity h_q(n) = q^(r+s) * rgf(1/q), with s the number of ones
@@ -146,22 +152,76 @@ class IsoReport:
     detail: str | None = None
 
 
+#: the bytes of the digits a hyperbinary expansion may use
+_HYPERBINARY_DIGITS = bytes((0, 1, 2))
+
+
+def _image(f: FencePoset, bottom: Digits) -> set[bytes]:
+    """bottom + e(I) for every ideal I of f, each packed as k bytes.
+
+    Adding x_i to an ideal adds 1 to digit i and -2 to digit i + 1,
+    which adds 254 * 256^(k-i-1) to the base-256 value of the string.
+    The bottom is longer than the fence, so digit i + 1 exists; a
+    shorter one makes the shift count negative, a ValueError.  The
+    values come from the fence scan, one addition per ideal and step;
+    ``to_bytes`` raises OverflowError on a value outside 0..256^k - 1.
+    """
+    k = len(bottom)
+    v0 = int.from_bytes(bytes(bottom), "big")
+
+    def lift(values, i):
+        unit = 254 << 8 * (k - i - 1)
+        return [v + unit for v in values]
+
+    values = _scan(f, [v0], lift([v0], 1) if f.size else [], operator.add, lift)
+    return {v.to_bytes(k, "big") for v in values}
+
+
 def iso_check(n: int) -> IsoReport:
     """Exhaustively confirm D(n) and the ideal lattice are the same order.
 
-    With s0 = s(bottom) and r the fence size, one pass over D(n) checks
-    that every s(d) equals s0 beyond coordinate r and exceeds it by a
-    0/1 vector on the first r, the indicator of an ideal.  Then
-    s(c) <= s(d) holds exactly when the indicator of c is contained in
-    that of d, so once the indicators are distinct and are all the
-    ideals, d -> indicator is an order isomorphism: the same verdict as
-    comparing domination with containment on every pair, and a failure
-    whenever a tail differs.
+    The isomorphism is the image identity D(n) = {bottom + e(I)} over
+    the ideals I of the fence (module docstring): d -> I is then one to
+    one and onto, and s(c) <= s(d) exactly when the ideal of c is
+    contained in that of d.  This is the same verdict as comparing
+    domination with containment on every pair.
+
+    The identity is checked as one comparison of sets of bytes.  Each d
+    is packed as bytes(d), its digits in base 256, and each ideal as
+    bottom + e(I) from ``_image``.  Every d is checked to use only the
+    digits 0, 1, 2, and the bottom, bottom + e(empty ideal), is one of
+    them, so bottom + e(I) has digits in -2..3.  Two strings of
+    one length whose digits differ by less than 256 in every position
+    have equal base-256 values only when they are equal, so equal byte
+    sets, with no two d packing alike, mean the identity holds.
+
+    Any other outcome, including digits that do not fit a byte, runs
+    ``_walk``, the per-element prefix-sum check, which names the first
+    failure.
     """
     elems = expansions(n)
     f = fence(n)
+    bottom = min_element(n)
+    try:
+        packed = set(map(bytes, elems))
+        if (len(packed) == len(elems) and packed == _image(f, bottom)
+                and not b"".join(packed).translate(None, _HYPERBINARY_DIGITS)):
+            return IsoReport(n, len(elems), True)
+    except (ValueError, OverflowError):
+        pass
+    return _walk(n, elems, f, bottom)
+
+
+def _walk(n: int, elems: tuple[Digits, ...], f: FencePoset, bottom: Digits) -> IsoReport:
+    """The per-element check behind a failed ``iso_check``.  Each s(d)
+    must equal s(bottom) beyond coordinate r and exceed it by a 0/1
+    vector, the indicator of an ideal, on the first r; the indicators
+    must be distinct and be all the ideals.  Reports the first failure
+    in that order.  When all of this holds, the set comparison failed
+    because some string is not over 0, 1, 2 or is no longer than the
+    fence, so the report still fails."""
     r = f.size
-    s0 = s_vector(min_element(n))
+    s0 = s_vector(bottom)
     h = len(elems)
 
     masks = set()
@@ -177,7 +237,7 @@ def iso_check(n: int) -> IsoReport:
         return IsoReport(n, h, False, "reduced prefix vectors collide")
     if masks != set(ideals(f)):
         return IsoReport(n, h, False, "image is not the set of ideals")
-    return IsoReport(n, h, True)
+    return IsoReport(n, h, False, "expansions are not strings over 0, 1, 2 longer than the fence")
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +302,8 @@ def ideals_dot(n: int) -> str:
     f = fence(n)
     masks = ideals(f)
     labels = {m: ideal_label(m, f.size) for m in masks}
-    # edges grouped by the smaller ideal keep the output stable
-    edges = ((labels[m], labels[other]) for m in masks for other in masks
-             if m & ~other == 0 and (other ^ m).bit_count() == 1)
+    # edges grouped by the smaller ideal, then by the added element,
+    # keep the output stable
+    edges = ((labels[m], labels[m | 1 << i]) for m in masks for i in range(f.size)
+             if not (m >> i) & 1 and (m | 1 << i) in labels)
     return dot_source(f"ideals_{n}", labels.values(), edges)

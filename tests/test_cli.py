@@ -317,6 +317,21 @@ def test_module_entry_point_subprocess():
     assert proc.stdout == "7\n"
 
 
+def test_closed_stdout_exits_five_without_traceback():
+    """A reader that stops after the first line, as ``| head -1`` does,
+    while the listing (about 660 kB) is still being written."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hyperq.cli", "hyper", "--list", "2796202"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first == "1010101010101010101010\n"
+    assert proc.returncode == 5
+    assert err == ""
+
+
 def test_parser_builds_and_lists_all_subcommands():
     parser = build_parser()
     actions = [a for a in parser._actions

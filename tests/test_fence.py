@@ -6,6 +6,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hyperq
 import hyperq.fence as fe
@@ -31,13 +33,13 @@ from hyperq.fence import (
 from hyperq.hyperbinary import (
     binary_expansion,
     covers,
+    dot_source,
     expansions,
     h_count,
     h_q,
     leq,
     min_element,
     principal_prefix,
-    s_vector,
 )
 from hyperq.poly import ONE, Q, LaurentPoly
 from hyperq.stern import cw_q
@@ -203,15 +205,11 @@ def test_iso_check_agrees_with_all_pairs_order():
 
 def test_iso_check_fails_when_a_tail_differs(monkeypatch):
     top = binary_expansion(10)
-
-    def tampered(d):
-        sv = s_vector(d)
-        return sv[:-1] + (sv[-1] + 1,) if d == top else sv
-
-    monkeypatch.setattr(fe, "s_vector", tampered)
+    monkeypatch.setattr(fe, "expansions", lambda n: tuple(
+        (1, 0, 1, 1) if d == top else d for d in expansions(n)))
     rep = iso_check(10)
     assert not rep.passed and rep.size == 5
-    assert rep.detail == "prefix sums of (1, 0, 1, 0) leave the bottom's beyond position 3"
+    assert rep.detail == "prefix sums of (1, 0, 1, 1) leave the bottom's beyond position 3"
 
 
 def test_iso_check_fails_on_colliding_vectors(monkeypatch):
@@ -235,6 +233,51 @@ def test_iso_check_rejects_non_binary_offsets(monkeypatch):
     assert rep.detail == "(1, 0, 0, 2): reduced prefix sums not 0/1"
     with pytest.raises(ArithmeticError, match="not 0/1"):
         stilde((0, 2, 1, 0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(st.integers(2**12, 2**22 - 1))
+def test_iso_check_passes_beyond_the_sweep(n):
+    """The packed set comparison on 13- to 22-bit n, past verify's bound."""
+    assume(h_count(n) <= 20000)
+    rep = iso_check(n)
+    assert rep.passed and rep.size == h_count(n)
+
+
+@pytest.mark.parametrize("n", [10, 75, 22, 1000, 2**11 - 3])
+def test_iso_check_fails_on_every_wrong_bottom(monkeypatch, n):
+    elems = expansions(n)
+    for d in elems:
+        if d == min_element(n):
+            continue
+        monkeypatch.setattr(fe, "min_element", lambda m, d=d: d)
+        rep = iso_check(n)
+        assert not rep.passed and rep.size == len(elems), d
+        assert (rep.detail.endswith(": reduced prefix sums not 0/1")
+                or rep.detail.startswith("prefix sums of ")), (d, rep.detail)
+
+
+def test_iso_check_fails_on_a_string_with_a_negative_digit(monkeypatch):
+    # (-1, 3, 2, 2) still sums to 10, but its base-256 value is negative
+    monkeypatch.setattr(fe, "expansions", lambda n: expansions(n) + ((-1, 3, 2, 2),))
+    rep = iso_check(10)
+    assert not rep.passed and rep.size == 6
+    assert rep.detail == "(-1, 3, 2, 2): reduced prefix sums not 0/1"
+
+
+@pytest.mark.parametrize("shift", [(0, 0, 1, 0), (0, 0, 0, 254)])
+def test_iso_check_fails_on_digits_beyond_two(monkeypatch, shift):
+    """Adding one string to every element and to the bottom leaves all
+    prefix-sum offsets as they were, but the digits are no longer 0, 1, 2
+    (digit 3, or a digit that does not fit a byte)."""
+    def moved(d):
+        return tuple(a + b for a, b in zip(d, shift))
+
+    monkeypatch.setattr(fe, "expansions", lambda n: tuple(map(moved, expansions(n))))
+    monkeypatch.setattr(fe, "min_element", lambda n: moved(min_element(n)))
+    rep = iso_check(10)
+    assert not rep.passed and rep.size == 5
+    assert rep.detail == "expansions are not strings over 0, 1, 2 longer than the fence"
 
 
 def test_package_keeps_the_fence_module():
@@ -298,6 +341,21 @@ def test_ideals_dot_golden():
     assert '"{x1,x2}" -> "{x1,x2,x3}"' in src
     assert '"{x2,x3}" -> "{x1,x2,x3}"' in src
     assert src.count("->") == 5
+
+
+def _ideals_dot_all_pairs(n):
+    """ideals_dot by testing every pair of ideals for a cover."""
+    f = fence(n)
+    masks = ideals(f)
+    labels = {m: ideal_label(m, f.size) for m in masks}
+    edges = ((labels[m], labels[other]) for m in masks for other in masks
+             if m & ~other == 0 and (other ^ m).bit_count() == 1)
+    return dot_source(f"ideals_{n}", labels.values(), edges)
+
+
+def test_ideals_dot_equals_the_all_pairs_oracle():
+    for n in range(1025):
+        assert ideals_dot(n) == _ideals_dot_all_pairs(n), n
 
 
 def test_ideals_dot_edges_are_covers():
