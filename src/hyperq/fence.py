@@ -177,7 +177,7 @@ def _image(f: FencePoset, bottom: Digits) -> set[bytes]:
     return {v.to_bytes(k, "big") for v in values}
 
 
-def iso_check(n: int) -> IsoReport:
+def iso_check(n: int, elems: tuple[Digits, ...] | None = None) -> IsoReport:
     """Exhaustively confirm D(n) and the ideal lattice are the same order.
 
     The isomorphism is the image identity D(n) = {bottom + e(I)} over
@@ -198,8 +198,13 @@ def iso_check(n: int) -> IsoReport:
     Any other outcome, including digits that do not fit a byte, runs
     ``_walk``, the per-element prefix-sum check, which names the first
     failure.
+
+    ``elems`` is D(n) when the caller already has it, say from
+    ``expansions_upto``; when omitted, ``expansions(n)`` lists it.  The
+    check takes the tuple as given, so a wrong listing fails.
     """
-    elems = expansions(n)
+    if elems is None:
+        elems = expansions(n)
     f = fence(n)
     bottom = min_element(n)
     try:

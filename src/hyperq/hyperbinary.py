@@ -35,7 +35,7 @@ table per recurrence and keyed by n + 1: an h_q memo is a fusc_q memo.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .poly import BiPoly, LaurentPoly, qint, qpow
@@ -84,11 +84,37 @@ def expansions(n: int, memo: dict[int, tuple[Digits, ...]] | None = None) -> tup
     """All hyperbinary expansions of n, lexicographically decreasing.
 
     The first entry is always the binary expansion, the last the bottom
-    element of the lattice.
+    element of the lattice.  ``memo`` maps m + 1 to D(m); without one,
+    D(n) is built from scratch.  To list D(n) for every n of a range in
+    increasing order, ``expansions_upto`` shares the work between
+    neighbours and holds only O(log n) of the lists.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     return halving(n + 1, _expansions_rule, (), ((),), memo)
+
+
+def expansions_upto(limit: int, start: int = 0) -> Iterator[tuple[Digits, ...]]:
+    """D(start), D(start + 1), ..., D(limit), each the tuple
+    ``expansions(n)`` returns.
+
+    One private memo is passed to ``expansions`` for the whole stream.
+    After each n it keeps only the entries on the halving chain of the
+    next argument, x - 1, x, x + 1 for x = n + 2, (n + 2) >> 1, ..., 1,
+    which is everything D(n + 1) reads.  So between two values the
+    stream holds at most 3 * (limit + 2).bit_length() lists, and it
+    builds about two new ones per n where ``expansions(n)`` alone
+    rebuilds its whole chain.
+    """
+    memo: dict[int, tuple[Digits, ...]] = {}
+    for n in range(start, limit + 1):
+        yield expansions(n, memo)
+        chain = set()
+        x = n + 2
+        while x:
+            chain.update((x - 1, x, x + 1))
+            x >>= 1
+        memo = {x: d for x, d in memo.items() if x in chain}
 
 
 def _expansions_rule(x: int, f: dict[int, tuple[Digits, ...]]) -> tuple[Digits, ...]:
@@ -147,13 +173,19 @@ def stats(d: Digits) -> HyperStats:
     return HyperStats(ell=p1 + 2 * p2, p1=p1, p2=p2, z=z)
 
 
-def enum_polys(n: int) -> tuple[LaurentPoly, BiPoly, BiPoly]:
+def enum_polys(n: int, elems: tuple[Digits, ...] | None = None
+               ) -> tuple[LaurentPoly, BiPoly, BiPoly]:
     """(h_q(n), h_rs(n), hbar_st(n)) straight from the enumeration: D(n)
-    is listed once and all three are read off the count of profiles."""
+    is listed once and all three are read off the count of profiles.
+
+    ``elems`` is D(n) when the caller already has it, say from
+    ``expansions_upto``; when omitted, ``expansions(n)`` lists it."""
+    if elems is None:
+        elems = expansions(n)
     hq: Counter[int] = Counter()
     hrs: Counter[tuple[int, int]] = Counter()
     hbar: Counter[tuple[int, int]] = Counter()
-    for (ones, twos, z), c in Counter(map(_profile, expansions(n))).items():
+    for (ones, twos, z), c in Counter(map(_profile, elems)).items():
         hq[ones + 2 * twos] += c
         hrs[twos, z] += c
         hbar[twos, ones] += c
@@ -209,8 +241,11 @@ _T3 = BiPoly.monomial(1, 1, 0)
 HBAR_NAMES = ("t", "s")
 
 
-def hbar_st_enum(n: int) -> BiPoly:
-    return enum_polys(n)[2]
+def hbar_st_enum(n: int, elems: tuple[Digits, ...] | None = None) -> BiPoly:
+    """hbar_st(n) = sum of s^p1 t^p2 over D(n), straight from the
+    enumeration; ``elems`` is an already listed D(n), as in
+    ``enum_polys``."""
+    return enum_polys(n, elems)[2]
 
 
 def hbar_st(n: int, memo: dict[int, BiPoly] | None = None) -> BiPoly:

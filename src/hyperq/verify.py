@@ -7,7 +7,10 @@ and returns a ``VerifyReport``.  Everything is exact arithmetic; a
 failure records where it happened plus expected/actual renderings.
 Sweeps are single threaded and iterate in increasing order, so reports
 are deterministic; each owns private memo dicts, one per memoized
-function.
+function.  mainbij, hrs and hbar read D(n), the hyperbinary expansions
+of n, from one ``hyperbinary.expansions_upto`` stream per sweep, which
+builds each D(n) from its halving neighbours and keeps only the chain
+the next n reads.
 
 ``hbar`` deserves a word: the literal halving recurrence usually quoted
 for the (ones, twos) generating function drops a factor in the odd case
@@ -128,8 +131,8 @@ def verify_qrat(max_n):
 @_sweep(4096)
 def verify_mainbij(max_n):
     """D(n) is order isomorphic to the ideal lattice of the fence."""
-    for n in range(1, max_n + 1):
-        rep = iso_check(n)
+    for n, elems in enumerate(hb.expansions_upto(max_n, 1), 1):
+        rep = iso_check(n, elems)
         yield str(n), "order isomorphism", "order isomorphism" if rep.passed else rep.detail
 
 
@@ -172,12 +175,13 @@ def verify_mprime(max_n):
 @_sweep(4096, lo=0)
 def verify_hrs(max_n):
     """Enumeration equals recurrence for h_q and h_rs, and the closed
-    forms match enumeration on every applicable n in range.  D(n) is
-    listed and tallied once per n, by ``enum_polys``."""
+    forms match enumeration on every applicable n in range.  D(n) comes
+    from one ``expansions_upto`` stream for the sweep and is tallied
+    once per n, by ``enum_polys``."""
     hq_memo: dict[int, LaurentPoly] = {}
     hrs_memo: dict[int, BiPoly] = {}
-    for n in range(0, max_n + 1):
-        hq_enum, hrs_enum, _ = hb.enum_polys(n)
+    for n, elems in enumerate(hb.expansions_upto(max_n)):
+        hq_enum, hrs_enum, _ = hb.enum_polys(n, elems)
         yield str(n), hq_enum, hb.h_q(n, hq_memo)
         yield str(n), hrs_enum, hb.h_rs(n, hrs_memo)
         if hb.h_q_closed_form_applies(n):
@@ -238,12 +242,13 @@ def verify_hbar(max_n):
     """hbar_st by enumeration equals the corrected recurrence and
     specializes (s -> q, t -> q^2) to h_q; the literal textbook
     recurrence readings are diagnosed in the notes.  One check per n
-    compares (enumeration, h_q) with (recurrence, its specialization)."""
+    compares (enumeration, h_q) with (recurrence, its specialization).
+    D(n) comes from one ``expansions_upto`` stream for the sweep."""
     hq_memo: dict[int, LaurentPoly] = {}
     hbar_memo: dict[int, BiPoly] = {}
-    for n in range(0, max_n + 1):
+    for n, elems in enumerate(hb.expansions_upto(max_n)):
         rec = hb.hbar_st(n, hbar_memo)
-        yield str(n), (hb.hbar_st_enum(n), hb.h_q(n, hq_memo)), (rec, rec.specialize(2, 1))
+        yield str(n), (hb.hbar_st_enum(n, elems), hb.h_q(n, hq_memo)), (rec, rec.specialize(2, 1))
 
 
 def run_verify(name: str, max_n: int | None = None) -> list[VerifyReport]:

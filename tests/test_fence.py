@@ -226,6 +226,17 @@ def test_iso_check_fails_when_an_ideal_is_missed(monkeypatch):
     assert rep.detail == "image is not the set of ideals"
 
 
+def test_iso_check_reads_a_given_listing():
+    elems = expansions(10)
+    rep = iso_check(10, elems[:-1])
+    assert not rep.passed and rep.size == 4
+    assert rep.detail == "image is not the set of ideals"
+    rep = iso_check(10, elems + elems[:1])
+    assert not rep.passed and rep.size == 6
+    assert rep.detail == "reduced prefix vectors collide"
+    assert iso_check(10, elems) == iso_check(10)
+
+
 def test_iso_check_rejects_non_binary_offsets(monkeypatch):
     monkeypatch.setattr(fe, "min_element", binary_expansion)
     rep = iso_check(10)

@@ -1,17 +1,21 @@
 """Hyperbinary expansions, statistics, generating polynomials, lattice order."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
+import hyperq.hyperbinary as hb
 from hyperq.hyperbinary import (
     HBAR_NAMES,
     binary_expansion,
     covers,
     digits_text,
     digits_value,
+    enum_polys,
     expansions,
+    expansions_upto,
     h_count,
     h_q,
     h_q_closed_form,
@@ -124,6 +128,48 @@ def test_set_recursion_exact():
             for chi in expansions(n - 1, memo)
         }
         assert set(expansions(2 * n, memo)) == even
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 2048])
+def test_expansions_upto_lists_every_n_in_order(limit):
+    assert list(expansions_upto(limit)) == [expansions(n) for n in range(limit + 1)]
+    assert list(expansions_upto(limit, 1)) == [expansions(n) for n in range(1, limit + 1)]
+
+
+def test_expansions_upto_builds_about_two_lists_per_n(monkeypatch):
+    calls = 0
+    rule = hb._expansions_rule
+
+    def counted(x, f):
+        nonlocal calls
+        calls += 1
+        return rule(x, f)
+
+    monkeypatch.setattr(hb, "_expansions_rule", counted)
+    limit = 4096
+    for _ in expansions_upto(limit):
+        pass
+    # 8,158 here; listing each n on its own makes 75,840
+    assert calls <= 2 * (limit + 2)
+
+
+def test_expansions_upto_keeps_only_the_next_chain():
+    # about 0.03 MB; one memo kept for the whole range peaks near 37 MB
+    tracemalloc.start()
+    try:
+        for _ in expansions_upto(4096):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_enum_polys_reads_a_given_listing():
+    memo = {}
+    for n in range(0, 301):
+        assert enum_polys(n, expansions(n, memo)) == enum_polys(n)
+    assert hbar_st_enum(10, expansions(10)[:-1]) != hbar_st_enum(10)
 
 
 def test_expansions_past_the_recursion_limit():

@@ -115,7 +115,28 @@ def test_runner_counts_and_renders_failures(monkeypatch):
     assert len(rep.failures) == 3
 
     # hbar: one check per n, both sides rendered as pairs
-    monkeypatch.setattr(hb, "hbar_st_enum", lambda n: BiPoly.zero())
+    monkeypatch.setattr(hb, "hbar_st_enum", lambda n, *_: BiPoly.zero())
     (rep,) = run_verify("hbar", 1)
     assert rep.checked == 2
     assert rep.failures == [("0", "(0, 1)", "(1, 1)"), ("1", "(0, q)", "(s, q)")]
+
+
+@pytest.mark.parametrize("name", ["mainbij", "hrs", "hbar"])
+def test_lattice_sweeps_read_one_stream(monkeypatch, name):
+    """mainbij, hrs and hbar list D(n) once per sweep: a D(10) that loses
+    its bottom fails there, and the sweep builds about two lists per n."""
+    rule = hb._expansions_rule
+    calls = 0
+
+    def dropped(x, f):
+        nonlocal calls
+        calls += 1
+        out = rule(x, f)
+        return out[:-1] if x == 11 else out
+
+    monkeypatch.setattr(hb, "_expansions_rule", dropped)
+    (rep,) = run_verify(name, 64)
+    assert not rep.passed
+    assert rep.failures[0][0] == "10"
+    # listing each n on its own makes 450 rule calls up to 64
+    assert calls <= 2 * (64 + 2)
