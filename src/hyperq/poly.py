@@ -6,8 +6,8 @@ Three small value types used everywhere else in the package:
   exponents of either sign, integer coefficients).
 * ``BiPoly``      -- ordinary polynomials in two commuting variables
   with nonnegative exponents.
-* ``RatFunc``     -- formal quotients of two Laurent polynomials,
-  compared by cross multiplication and never reduced.
+* ``RatFunc``     -- a quotient of two Laurent polynomials: a value
+  compared by cross multiplication, never reduced, with no arithmetic.
 
 The polynomials met here are short and have no gaps, so a
 ``LaurentPoly`` is stored dense: q^lo times a tuple of coefficients
@@ -345,64 +345,28 @@ class BiPoly:
 
 
 class RatFunc:
-    """A formal quotient num/den of Laurent polynomials, never reduced.
+    """A quotient num/den of Laurent polynomials, stored as given.
 
-    Equality (``==``) means equality as rational functions, decided by
-    cross multiplication; the stored representation is whatever the
-    arithmetic produced.  ``canonical()`` clears negative exponents for
-    display only.
+    A value, not a field element: there is no arithmetic.  Equality
+    (``==``, against another RatFunc only) means equality as rational
+    functions, decided by cross multiplication; the pair is never
+    reduced.  ``canonical()`` clears negative exponents for display
+    only.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = ONE):
+    def __init__(self, num: LaurentPoly, den: LaurentPoly):
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         self.num = num
         self.den = den
 
     @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "RatFunc":
-        return cls(p, ONE)
-
-    @classmethod
     def zero(cls) -> "RatFunc":
         return cls(ZERO, ONE)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    @staticmethod
-    def _coerce(x: "RatFunc | LaurentPoly | int") -> "RatFunc":
-        if isinstance(x, RatFunc):
-            return x
-        if isinstance(x, LaurentPoly):
-            return RatFunc(x, ONE)
-        if isinstance(x, int):
-            return RatFunc(LaurentPoly.monomial(x), ONE)
-        raise TypeError(f"cannot treat {x!r} as a rational function")
-
-    def __add__(self, other: "RatFunc | LaurentPoly | int") -> "RatFunc":
-        o = self._coerce(other)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __mul__(self, other: "RatFunc | LaurentPoly | int") -> "RatFunc":
-        o = self._coerce(other)
-        return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def recip(self) -> "RatFunc":
-        if self.num.is_zero:
-            raise ZeroDivisionError("reciprocal of the zero function")
-        return RatFunc(self.den, self.num)
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (LaurentPoly, int)):
-            other = self._coerce(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.num * other.den == other.num * self.den

@@ -7,9 +7,15 @@ variable inverted at alternate depths:
 
     [a1, a2, a3, ...]_q = [a1]_q + q^a1 / ( [a2]_{1/q} + q^-a2 / ( ... ))
 
-evaluated bottom up over RatFunc, so the result arrives as an explicit
-quotient of polynomials without any reduction.  The value does not
-depend on which continued fraction representation of r/s is used.
+evaluated bottom up as one 2x2 step per partial quotient on a
+(numerator, denominator) pair of Laurent polynomials,
+
+    (P, Q) <- ([a]_q P + q^a Q, P)    ([a]_{1/q} and q^-a at even depth),
+
+so (P, Q) is the product of the matrices (([a]_q, q^a), (1, 0)), one
+per partial quotient, applied to (1, 0): the q-SL(2) product form.  The
+result is the explicit quotient P/Q, never reduced.  The value does
+not depend on which continued fraction representation of r/s is used.
 
 ``cw_index`` inverts the Calkin-Wilf enumeration: it turns the odd
 length continued fraction into the run-length blocks of a bit string,
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .fence import FencePoset, rgf
-from .poly import LaurentPoly, ONE, RatFunc, qint, qpow
+from .poly import LaurentPoly, ONE, ZERO, RatFunc, qint, qpow
 
 
 class UnsupportedDomain(ValueError):
@@ -97,29 +103,28 @@ def qdeform(r: int, s: int) -> RatFunc:
 def qdeform_cf(cf: list[int]) -> RatFunc:
     """Evaluate a continued fraction's q-deformation bottom up.
 
-    Depth i (1-based) contributes [a_i]_q and q^a_i at odd depth,
-    [a_i]_{1/q} and q^-a_i at even depth.
+    From (P, Q) = (1, 0), each partial quotient a_i, deepest first, is
+    one 2x2 step (P, Q) <- (B P + N Q, P), with B = [a_i]_q, N = q^a_i
+    at odd depth i (1-based) and B = [a_i]_{1/q}, N = q^-a_i at even
+    depth; the value is P/Q.
     """
     if not cf:
         raise ValueError("empty continued fraction")
-    val: RatFunc | None = None
+    p, q = ONE, ZERO
     for i in range(len(cf), 0, -1):
         a = cf[i - 1]
         if i % 2 == 1:
             bracket, numer = qint(a), qpow(a)
         else:
             bracket, numer = qint(a).reverse_var(), qpow(-a)
-        if val is None:
-            val = RatFunc.from_poly(bracket)
-        else:
-            val = bracket + numer * val.recip()
-    assert val is not None
-    return val
+        p, q = bracket * p + numer * q, p
+    return RatFunc(p, q)
 
 
 def qdeform_shift_check(r: int, s: int) -> bool:
     """[r/s + 1]_q = q [r/s]_q + 1, checked as rational functions."""
-    return qdeform(r + s, s) == qdeform(r, s) * qpow(1) + 1
+    v = qdeform(r, s)
+    return qdeform(r + s, s) == RatFunc(v.num.shift(1) + v.den, v.den)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +202,9 @@ def closure_poly_brute(g: OrientedPath) -> LaurentPoly:
 def qdeform_via_graph(r: int, s: int) -> RatFunc:
     """[r/s]_q for r/s > 1 as closure polynomial of the path over the
     closure polynomial of the path with the first block deleted."""
-    if s < 1 or r <= s:
+    if s < 1 or r < 0:
+        raise ValueError("need r >= 0 and s >= 1")
+    if r <= s:
         raise UnsupportedDomain("the closure-set route needs r/s > 1")
     g = gcd(r, s)
     cf = cf_expand(r // g, s // g)

@@ -32,7 +32,7 @@ from . import matrices as mx
 from . import qrational as qr
 from . import stern
 from .fence import h_q_fence, iso_check
-from .poly import BiPoly, LaurentPoly, qpow
+from .poly import BiPoly, LaurentPoly, RatFunc
 
 Failure = tuple[str, str, str]  # where, expected, actual
 
@@ -125,7 +125,8 @@ def verify_qrat(max_n):
     fr = stern.fusc_range(max_n + 1)
     fq_memo: dict[int, LaurentPoly] = {}
     for n in range(1, max_n + 1):
-        yield str(n), stern.cw_q(n, fq_memo) * qpow(1), qr.qdeform(fr[n], fr[n + 1])
+        v = stern.cw_q(n, fq_memo)
+        yield str(n), RatFunc(v.num.shift(1), v.den), qr.qdeform(fr[n], fr[n + 1])
 
 
 @_sweep(4096)

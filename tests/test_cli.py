@@ -169,6 +169,14 @@ def test_exit_code_three_outside_graph_domain():
         assert err.startswith("hyperq:")
 
 
+def test_bad_rational_exits_two_on_both_routes():
+    plain = run(["qrat", "5/0"])
+    graph = run(["qrat", "5/0", "--via", "graph"])
+    assert plain[0] == graph[0] == 2
+    assert plain[1] == graph[1] == ""
+    assert plain[2] == graph[2] == "hyperq: need r >= 0 and s >= 1\n"
+
+
 def test_unknown_subcommand_is_usage_error():
     code, out, err = run(["frobnicate", "1"])
     assert code == 2
