@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import hyperbinary as hb
@@ -65,6 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        # argparse takes "-1/3" for an option and reports R/S as missing;
+        # read every "-<digit>" token as a value, so the input checks name
+        # it (a private ArgumentParser attribute, present in 3.10-3.13)
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p.add_argument("--out", metavar="PATH", help="write the output to a file")
         return p

@@ -19,10 +19,12 @@ with d -> I one to one, and s(c) <= s(d) exactly when the ideal of c
 is contained in that of d.  ``iso_check`` decides the identity with one
 set comparison of digit strings packed in base 256; see its docstring.
 
-``rgf`` is the rank generating function sum q^|I| over ideals; the
+``rgf`` is the rank generating function sum q^|I| over ideals.  The
 weight identity h_q(n) = q^(r+s) * rgf(1/q), with s the number of ones
-in the binary expansion of n, and its corollary expressing cw_q(n) as
-a quotient of two rank generating functions are exposed as checks.
+in the binary expansion of n, is stated once, by ``weight_check``: it
+returns the identity's two sides, and ``verify weightbij`` runs it.
+``qcw_fence`` writes cw_q(n) as a quotient of two rank generating
+functions, the identity's corollary.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .hyperbinary import (
     s_vector,
 )
 from .poly import LaurentPoly, ONE, RatFunc, qpow
-from .stern import cw_q
 
 
 @dataclass(frozen=True)
@@ -70,14 +71,6 @@ def fence(n: int) -> FencePoset:
     if n < 0:
         raise ValueError("n must be >= 0")
     return FencePoset(principal_prefix(n))
-
-
-def is_ideal(f: FencePoset, mask: int) -> bool:
-    """Is the bitset (bit i-1 for x_i) downward closed?"""
-    for lo, hi in f.cover_pairs():
-        if (mask >> (hi - 1)) & 1 and not (mask >> (lo - 1)) & 1:
-            return False
-    return True
 
 
 def _scan(f: FencePoset, out, inn, merge, grow):
@@ -115,10 +108,6 @@ def rgf(f: FencePoset) -> LaurentPoly:
 
 def rgf_of(n: int) -> LaurentPoly:
     return rgf(fence(n))
-
-
-def ideal_count(n: int) -> int:
-    return rgf_of(n).eval_at_one
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +238,9 @@ def _walk(n: int, elems: tuple[Digits, ...], f: FencePoset, bottom: Digits) -> I
 # weight identities
 
 
-def ones_count(n: int) -> int:
-    return n.bit_count()
-
-
 def _weight(n: int) -> int:
     """r + s: the fence size plus the number of ones in binary n."""
-    return len(principal_prefix(n)) + ones_count(n)
+    return len(principal_prefix(n)) + n.bit_count()
 
 
 def h_q_fence(n: int) -> LaurentPoly:
@@ -263,10 +248,13 @@ def h_q_fence(n: int) -> LaurentPoly:
     return rgf_of(n).reverse_var().shift(_weight(n))
 
 
-def weight_check(n: int, memo: dict[int, LaurentPoly] | None = None) -> bool:
-    """h_q(n) = q^(r+s) * rgf(1/q) with r the fence size and s the
-    number of ones in the binary expansion of n."""
-    return h_q(n, memo) == h_q_fence(n)
+def weight_check(n: int, memo: dict[int, LaurentPoly] | None = None
+                 ) -> tuple[LaurentPoly, LaurentPoly]:
+    """The two sides of h_q(n) = q^(r+s) * rgf(1/q), with r the fence
+    size and s the number of ones in the binary expansion of n, as
+    (expected, actual) = (h_q_fence(n), h_q(n)); ``verify weightbij``
+    compares them.  ``memo`` is an h_q memo."""
+    return h_q_fence(n), h_q(n, memo)
 
 
 def qcw_fence(n: int) -> RatFunc:
@@ -276,10 +264,6 @@ def qcw_fence(n: int) -> RatFunc:
         raise ValueError("n must be >= 1")
     w = _weight(n)
     return RatFunc(h_q_fence(n - 1).shift(-w), h_q_fence(n).shift(-w))
-
-
-def qcw_fence_check(n: int, memo: dict[int, LaurentPoly] | None = None) -> bool:
-    return qcw_fence(n) == cw_q(n, memo)
 
 
 # ---------------------------------------------------------------------------

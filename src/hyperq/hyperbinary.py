@@ -54,7 +54,7 @@ def binary_expansion(n: int) -> Digits:
         raise ValueError("n must be >= 0")
     if n == 0:
         return ()
-    return tuple(int(b) for b in bin(n)[2:])
+    return tuple(map(int, bin(n)[2:]))
 
 
 def digits_value(d: Digits) -> int:
@@ -192,11 +192,6 @@ def enum_polys(n: int, elems: tuple[Digits, ...] | None = None
     return LaurentPoly(hq), BiPoly(hrs), BiPoly(hbar)
 
 
-def h_q_enum(n: int) -> LaurentPoly:
-    """h_q(n) = sum of q^ell over D(n), straight from the enumeration."""
-    return enum_polys(n)[0]
-
-
 def h_q(n: int, memo: dict[int, LaurentPoly] | None = None) -> LaurentPoly:
     """h_q(n) = fusc_q(n + 1), the q-analogue of h_count; h_q(-1) = 0.
     ``memo`` is a fusc_q memo."""
@@ -212,10 +207,6 @@ _BI_ONE = BiPoly.one()
 # bivariate in (r, s): r marks a digit 2, s marks a nonleading zero
 _R2 = BiPoly.monomial(1, 1, 0)
 _S2 = BiPoly.monomial(1, 0, 1)
-
-
-def h_rs_enum(n: int) -> BiPoly:
-    return enum_polys(n)[1]
 
 
 def h_rs(n: int, memo: dict[int, BiPoly] | None = None) -> BiPoly:
@@ -294,16 +285,6 @@ def h_q_closed_form_applies(n: int) -> bool:
 # the lattice order on D(n)
 
 
-def s_prefix(d: Digits, i: int) -> int:
-    """The value of the length-i prefix d_1 ... d_i (1-based i)."""
-    if not 1 <= i <= len(d):
-        raise IndexError(f"prefix index {i} out of range for length {len(d)}")
-    acc = 0
-    for dig in d[:i]:
-        acc = 2 * acc + dig
-    return acc
-
-
 def s_vector(d: Digits) -> tuple[int, ...]:
     """Prefix sums s_i = sum_{j<=i} d_j 2^(i-j); s_i(c) <= s_i(d) for all
     i is exactly the lattice order, and s_k recovers n."""
@@ -340,34 +321,31 @@ def covers(d: Digits) -> tuple[Digits, ...]:
     return tuple(out)
 
 
+def _prefix_length(b: Digits) -> int:
+    """The length of the principal prefix of the binary digits b: the
+    index of their rightmost 0, or 0 when there is none."""
+    for j in range(len(b) - 1, -1, -1):
+        if b[j] == 0:
+            return j
+    return 0
+
+
 def principal_prefix(n: int) -> Digits:
     """The binary digits strictly before the rightmost 0; () when the
     expansion is all ones (including n = 0)."""
     b = binary_expansion(n)
-    for j in range(len(b) - 1, -1, -1):
-        if b[j] == 0:
-            return b[:j]
-    return ()
-
-
-def max_element(n: int) -> Digits:
-    """The top of D(n): the binary expansion itself."""
-    return binary_expansion(n)
+    return b[:_prefix_length(b)]
 
 
 def min_element(n: int) -> Digits:
     """The bottom of D(n), in closed form."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     b = binary_expansion(n)
-    k = len(b)
-    p = principal_prefix(n)
-    if not p:
+    r = _prefix_length(b)
+    if not r:
         # all ones: D(n) is a single point
         return b
-    r = len(p)
-    mid = tuple(p[i] + 1 for i in range(1, r))
-    return (0,) + mid + (2,) + (1,) * (k - r - 1)
+    mid = tuple(dig + 1 for dig in b[1:r])
+    return (0,) + mid + (2,) + (1,) * (len(b) - r - 1)
 
 
 def meet(c: Digits, d: Digits) -> Digits:
@@ -399,7 +377,7 @@ def join_irreducibles(n: int) -> tuple[Digits, ...]:
     bottom elements of the two halves."""
     b = binary_expansion(n)
     k = len(b)
-    r = len(principal_prefix(n))
+    r = _prefix_length(b)
     out = []
     for i in range(1, r + 1):
         q = digits_value(b[:i])

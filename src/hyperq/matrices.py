@@ -14,7 +14,9 @@ bivariate companions
     L' = | 1  0 |           R' = | r  s |
          | r  s |                | 0  1 |
 
-satisfy M'(n) (1, 1)^T = (h_rs(n-1), h_rs(n))^T.
+satisfy M'(n) (1, 1)^T = (h_rs(n-1), h_rs(n))^T.  Each row-sum identity
+is stated once: ``row_sum_check`` and ``m_prime_check`` return its two
+sides, and ``verify mnthm`` and ``verify mprime`` run them.
 
 ``m_range`` builds every M(n) up to a limit with one cheap
 multiplication each, using M(2n) = L M(n) and M(2n+1) = R M(n), and
@@ -53,9 +55,6 @@ class Mat2:
             self.c * o.a + self.d * o.c,
             self.c * o.b + self.d * o.d,
         )
-
-    def det(self) -> LaurentPoly:
-        return self.a * self.d - self.b * self.c
 
     def column_sums_vector(self) -> tuple[LaurentPoly, LaurentPoly]:
         """The image of (1, 1)^T: row sums as a column vector."""
@@ -148,20 +147,14 @@ def row_sums_formula(n: int, memo: dict[int, LaurentPoly] | None = None
 
 
 def row_sum_check(n: int, m: Mat2 | None = None,
-                  memo: dict[int, LaurentPoly] | None = None) -> bool:
-    """M(n) (1,1)^T = (q^-k h_q(n-1), q^-k-1 h_q(n))^T."""
+                  memo: dict[int, LaurentPoly] | None = None) -> tuple[tuple, tuple]:
+    """The two sides of M(n) (1,1)^T = (q^-k h_q(n-1), q^-k-1 h_q(n))^T
+    as (expected, actual) = (``row_sums_formula(n)``, M(n) (1,1)^T);
+    ``verify mnthm`` compares them.  ``m`` is M(n) when the caller
+    already has it."""
     if m is None:
         m = m_of(n)
-    return m.column_sums_vector() == row_sums_formula(n, memo)
-
-
-def det_check(n: int, m: Mat2 | None = None) -> bool:
-    """det M(n) = q^(#R - #L) over the word of n."""
-    if m is None:
-        m = m_of(n)
-    word = word_of(n)
-    e = word.count("R") - word.count("L")
-    return m.det() == qpow(e)
+    return row_sums_formula(n, memo), m.column_sums_vector()
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +206,13 @@ def m_prime_range(limit: int) -> list[BiMat2 | None]:
 
 
 def m_prime_check(n: int, m: BiMat2 | None = None,
-                  memo: dict[int, BiPoly] | None = None) -> bool:
-    """M'(n) (1,1)^T = (h_rs(n-1), h_rs(n))^T."""
+                  memo: dict[int, BiPoly] | None = None) -> tuple[tuple, tuple]:
+    """The two sides of M'(n) (1,1)^T = (h_rs(n-1), h_rs(n))^T as
+    (expected, actual) = ((h_rs(n-1), h_rs(n)), M'(n) (1,1)^T);
+    ``verify mprime`` compares them.  ``m`` is M'(n) when the caller
+    already has it."""
     if memo is None:
         memo = {}
     if m is None:
         m = m_prime_of(n)
-    top, bottom = m.column_sums_vector()
-    return top == h_rs(n - 1, memo) and bottom == h_rs(n, memo)
+    return (h_rs(n - 1, memo), h_rs(n, memo)), m.column_sums_vector()

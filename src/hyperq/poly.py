@@ -101,20 +101,6 @@ class LaurentPoly:
         else:
             self._lo, self._c = 0, ()
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return ZERO
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return ONE
-
-    @classmethod
-    def monomial(cls, coeff: int = 1, exp: int = 0) -> "LaurentPoly":
-        return _dense(exp, (coeff,)) if coeff else ZERO
-
     # -- queries -------------------------------------------------------
 
     @property

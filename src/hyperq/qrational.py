@@ -121,12 +121,6 @@ def qdeform_cf(cf: list[int]) -> RatFunc:
     return RatFunc(p, q)
 
 
-def qdeform_shift_check(r: int, s: int) -> bool:
-    """[r/s + 1]_q = q [r/s]_q + 1, checked as rational functions."""
-    v = qdeform(r, s)
-    return qdeform(r + s, s) == RatFunc(v.num.shift(1) + v.den, v.den)
-
-
 # ---------------------------------------------------------------------------
 # the closure-set route (r/s > 1 only)
 
@@ -178,25 +172,6 @@ def closure_poly(g: OrientedPath) -> LaurentPoly:
     if g.vertices == 0:
         return ONE
     return rgf(FencePoset((0,) + tuple(0 if right else 1 for right in g.arcs)))
-
-
-def closure_poly_brute(g: OrientedPath) -> LaurentPoly:
-    """Same polynomial by testing all 2^V subsets; oracle for tests."""
-    if g.vertices > 20:
-        raise ValueError("brute force capped at 20 vertices")
-    coeffs: dict[int, int] = {}
-    for mask in range(1 << g.vertices):
-        ok = True
-        for i, arc_right in enumerate(g.arcs):
-            a, b = (mask >> i) & 1, (mask >> (i + 1)) & 1
-            src, dst = (a, b) if arc_right else (b, a)
-            if src and not dst:
-                ok = False
-                break
-        if ok:
-            size = bin(mask).count("1")
-            coeffs[size] = coeffs.get(size, 0) + 1
-    return LaurentPoly(coeffs)
 
 
 def qdeform_via_graph(r: int, s: int) -> RatFunc:

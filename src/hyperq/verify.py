@@ -5,12 +5,16 @@ its range; ``_sweep`` registers it and turns it into ``verify_<name>
 (bound)``, which times the checks, counts them, compares the two sides
 and returns a ``VerifyReport``.  Everything is exact arithmetic; a
 failure records where it happened plus expected/actual renderings.
-Sweeps are single threaded and iterate in increasing order, so reports
-are deterministic; each owns private memo dicts, one per memoized
-function.  mainbij, hrs and hbar read D(n), the hyperbinary expansions
-of n, from one ``hyperbinary.expansions_upto`` stream per sweep, which
-builds each D(n) from its halving neighbours and keeps only the chain
-the next n reads.
+weightbij, mnthm and mprime yield the two sides that the library's
+checks ``fence.weight_check``, ``matrices.row_sum_check`` and
+``matrices.m_prime_check`` return, so each of those identities is
+written down once, in the library.  Sweeps are single threaded and
+iterate in increasing order, so reports are deterministic; each owns
+private memo dicts, one per memoized function.  mainbij, hrs and hbar
+read D(n), the hyperbinary expansions of n, from one
+``hyperbinary.expansions_upto`` stream per sweep, which builds each
+D(n) from its halving neighbours and keeps only the chain the next n
+reads.
 
 ``hbar`` deserves a word: the literal halving recurrence usually quoted
 for the (ones, twos) generating function drops a factor in the odd case
@@ -31,7 +35,7 @@ from . import hyperbinary as hb
 from . import matrices as mx
 from . import qrational as qr
 from . import stern
-from .fence import h_q_fence, iso_check
+from .fence import iso_check, weight_check
 from .poly import BiPoly, LaurentPoly, RatFunc
 
 Failure = tuple[str, str, str]  # where, expected, actual
@@ -142,7 +146,7 @@ def verify_weightbij(max_n):
     """h_q(n) = q^(r+s) * rgf(1/q) for 1 <= n <= max_n."""
     hq_memo: dict[int, LaurentPoly] = {}
     for n in range(1, max_n + 1):
-        yield str(n), h_q_fence(n), hb.h_q(n, hq_memo)
+        yield str(n), *weight_check(n, hq_memo)
 
 
 @_sweep(16_384, lo=2, render=lambda m: " | ".join(e.text() for e in m.entries()))
@@ -160,7 +164,7 @@ def verify_mnthm(max_n):
     ms = mx.m_range(max_n)
     hq_memo: dict[int, LaurentPoly] = {}
     for n in range(1, max_n + 1):
-        yield str(n), mx.row_sums_formula(n, hq_memo), ms[n].column_sums_vector()
+        yield str(n), *mx.row_sum_check(n, ms[n], hq_memo)
 
 
 @_sweep(16_384)
@@ -169,8 +173,7 @@ def verify_mprime(max_n):
     mps = mx.m_prime_range(max_n)
     hrs_memo: dict[int, BiPoly] = {}
     for n in range(1, max_n + 1):
-        expected = (hb.h_rs(n - 1, hrs_memo), hb.h_rs(n, hrs_memo))
-        yield str(n), expected, mps[n].column_sums_vector()
+        yield str(n), *mx.m_prime_check(n, mps[n], hrs_memo)
 
 
 @_sweep(4096, lo=0)

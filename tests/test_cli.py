@@ -177,6 +177,21 @@ def test_bad_rational_exits_two_on_both_routes():
     assert plain[2] == graph[2] == "hyperq: need r >= 0 and s >= 1\n"
 
 
+@pytest.mark.parametrize("command,message", [
+    ("qrat", "hyperq: need r >= 0 and s >= 1\n"),
+    ("cwindex", "hyperq: need r >= 1 and s >= 1\n"),
+])
+def test_negative_rational_is_a_value_not_an_option(command, message):
+    """argparse must not take -1/3 for an option and report R/S missing:
+    the input check names the bad value, as it does for 3/-2."""
+    assert run([command, "3/-2"])[2] == message
+    code, out, err = run([command, "-1/3"])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err and "required" not in err
+    assert err == message
+
+
 def test_unknown_subcommand_is_usage_error():
     code, out, err = run(["frobnicate", "1"])
     assert code == 2

@@ -15,16 +15,12 @@ from hyperq.fence import (
     FencePoset,
     fence,
     fence_dot,
-    ideal_count,
     ideal_label,
     ideal_members,
     ideals,
     ideals_dot,
-    is_ideal,
     iso_check,
-    ones_count,
     qcw_fence,
-    qcw_fence_check,
     rgf,
     rgf_of,
     stilde,
@@ -83,15 +79,16 @@ def test_ideals_edge_cases():
     assert len(ideals(fence(75))) == 7
 
 
+def is_ideal(f: FencePoset, mask: int) -> bool:
+    """Is the bitset (bit i-1 for x_i) downward closed?"""
+    for lo, hi in f.cover_pairs():
+        if (mask >> (hi - 1)) & 1 and not (mask >> (lo - 1)) & 1:
+            return False
+    return True
+
+
 def _brute_ideals(f: FencePoset) -> set[int]:
-    out = set()
-    for mask in range(1 << f.size):
-        if all(
-            not ((mask >> (hi - 1)) & 1) or ((mask >> (lo - 1)) & 1)
-            for lo, hi in f.cover_pairs()
-        ):
-            out.add(mask)
-    return out
+    return {mask for mask in range(1 << f.size) if is_ideal(f, mask)}
 
 
 def test_ideals_dp_equals_brute_force():
@@ -117,7 +114,7 @@ def test_ideals_dp_equals_brute_force():
 
 def test_ideal_count_matches_expansion_count():
     for n in range(1, 1025):
-        assert ideal_count(n) == h_count(n)
+        assert rgf_of(n).eval_at_one == h_count(n)
 
 
 # ----------------------------------------------------------------------- rgf
@@ -300,16 +297,17 @@ def test_package_keeps_the_fence_module():
 
 def test_weight_check_worked_example():
     # r = 3 elements, s = 2 ones in the binary digits of 10
-    assert fence(10).size == 3 and ones_count(10) == 2
+    assert fence(10).size == 3 and (10).bit_count() == 2
     lhs = rgf_of(10).reverse_var().shift(5)
     assert lhs == h_q(10)
-    assert weight_check(10)
+    assert (lhs, h_q(10)) == weight_check(10)
 
 
 def test_weight_check_sweep_and_all_ones():
     memo = {}
     for n in range(1, 2049):
-        assert weight_check(n, memo), n
+        expected, actual = weight_check(n, memo)
+        assert expected == actual, n
     for k in range(1, 12):
         n = 2**k - 1
         assert h_q(n) == LaurentPoly({k: 1})  # q^k: the degenerate case
@@ -326,7 +324,7 @@ def test_qcw_fence_examples():
 def test_qcw_fence_sweep():
     memo = {}
     for n in range(1, 1025):
-        assert qcw_fence_check(n, memo), n
+        assert qcw_fence(n) == cw_q(n, memo), n
 
 
 # ----------------------------------------------------------------- DOT export

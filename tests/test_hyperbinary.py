@@ -20,21 +20,17 @@ from hyperq.hyperbinary import (
     h_q,
     h_q_closed_form,
     h_q_closed_form_applies,
-    h_q_enum,
     h_rs,
-    h_rs_enum,
     hbar_st,
     hbar_st_enum,
     join,
     join_irreducibles,
     lattice_dot,
     leq,
-    max_element,
     meet,
     min_element,
     parse_digits,
     principal_prefix,
-    s_prefix,
     s_vector,
     stats,
     stats_rows,
@@ -249,7 +245,7 @@ def test_h_q_examples():
 def test_h_q_enum_equals_recurrence():
     memo = {}
     for n in range(0, 1025):
-        assert h_q_enum(n) == h_q(n, memo)
+        assert enum_polys(n)[0] == h_q(n, memo)
         assert h_q(n, memo).eval_at_one == h_count(n)
 
 
@@ -257,10 +253,10 @@ def test_h_rs_examples_and_recurrence():
     assert h_rs(0) == BiPoly.one()
     assert h_rs(2).text() == "s + r"
     # brute force over the five expansions of 10
-    assert h_rs_enum(10) == BiPoly({(0, 2): 1, (1, 2): 1, (1, 1): 1, (2, 1): 1, (2, 0): 1})
+    assert enum_polys(10)[1] == BiPoly({(0, 2): 1, (1, 2): 1, (1, 1): 1, (2, 1): 1, (2, 0): 1})
     memo = {}
     for n in range(0, 1025):
-        assert h_rs_enum(n) == h_rs(n, memo)
+        assert enum_polys(n)[1] == h_rs(n, memo)
     # q-shadow: r -> q^2, s -> q gives nothing meaningful; but r=s=1 counts
     for n in range(0, 200):
         assert h_rs(n).eval_at_one == h_count(n)
@@ -282,7 +278,7 @@ def test_h_q_closed_forms():
     for k in range(1, 12):
         n = 2**k - 1
         assert h_q_closed_form_applies(n)
-        assert h_q_closed_form(n) == h_q_enum(n)
+        assert h_q_closed_form(n) == enum_polys(n)[0]
         assert h_q_closed_form(n) == LaurentPoly({k: 1})
     # one-zero shape 1^a 0 1^b: consecutive run of coefficients 1
     checked = 0
@@ -297,7 +293,7 @@ def test_h_q_closed_forms():
             expected = LaurentPoly({e: 1 for e in range(a + b, 2 * a + b + 1)})
             assert h_q_closed_form(n) == expected
             if n <= 1024:
-                assert h_q_closed_form(n) == h_q_enum(n)
+                assert h_q_closed_form(n) == enum_polys(n)[0]
             checked += 1
     assert checked > 0
     with pytest.raises(ValueError):
@@ -307,14 +303,11 @@ def test_h_q_closed_forms():
 # ------------------------------------------------------------- order structure
 
 def test_s_prefix_examples():
+    # s_i is the value of the prefix d_1 ... d_i
     d = (1, 0, 2, 1, 0)
-    assert s_prefix(d, 3) == 6
-    assert s_prefix(d, len(d)) == digits_value(d)
-    assert s_prefix((0, 1, 2, 2), 1) == 0
-    with pytest.raises(IndexError):
-        s_prefix(d, 0)
-    with pytest.raises(IndexError):
-        s_prefix(d, 6)
+    assert s_vector(d)[3 - 1] == 6
+    assert s_vector(d)[len(d) - 1] == digits_value(d)
+    assert s_vector((0, 1, 2, 2))[1 - 1] == 0
 
 
 def test_s_vector_recursion():
@@ -373,7 +366,7 @@ def test_leq_agrees_with_transitive_closure_of_covers():
 
 
 def test_extremes_examples():
-    assert max_element(10) == (1, 0, 1, 0)
+    assert binary_expansion(10) == (1, 0, 1, 0)
     assert min_element(10) == (0, 1, 2, 2)
     assert min_element(7) == (1, 1, 1)
     # closed form 0 (b2+1)(b3+1)(b4+1) 2 1^2 applied to 1001011
@@ -384,8 +377,7 @@ def test_extreme_elements_unique_bottom_and_top():
     memo = {}
     for n in range(1, 1025):
         elems = expansions(n, memo)
-        lo, hi = min_element(n), max_element(n)
-        assert hi == binary_expansion(n)
+        lo, hi = min_element(n), binary_expansion(n)
         assert lo in elems and hi in elems
         for d in elems:
             assert leq(lo, d) and leq(d, hi)

@@ -12,7 +12,6 @@ from hyperq.matrices import (
     Mat2,
     R,
     R_PRIME,
-    det_check,
     entries_formula,
     m_of,
     m_prime_check,
@@ -27,11 +26,21 @@ from hyperq.poly import ONE, ZERO, BiPoly, LaurentPoly, qpow
 from hyperq.stern import fusc
 
 
+def det(m: Mat2) -> LaurentPoly:
+    return m.a * m.d - m.b * m.c
+
+
+def det_check(n: int, m: Mat2) -> bool:
+    """det M(n) = q^(#R - #L) over the word of n."""
+    word = word_of(n)
+    return det(m) == qpow(word.count("R") - word.count("L"))
+
+
 def test_generators_pinned():
     assert L.entries() == (ONE, ZERO, ONE, qpow(-1))
     assert R.entries() == (qpow(1), ONE, ZERO, ONE)
-    assert L.det() == qpow(-1)
-    assert R.det() == qpow(1)
+    assert det(L) == qpow(-1)
+    assert det(R) == qpow(1)
 
 
 def test_word_of_examples():
@@ -93,11 +102,12 @@ def test_entries_formula_sweep_with_boundaries():
 
 
 def test_row_sum_identity():
-    assert row_sum_check(1)
-    assert row_sum_check(19)
+    expected, actual = row_sum_check(1)
+    assert expected == actual
     top, bottom = m_of(19).column_sums_vector()
     assert top == h_q(18).shift(-4)
     assert bottom == h_q(19).shift(-5)
+    assert ((top, bottom), (top, bottom)) == row_sum_check(19)
 
 
 def test_row_sum_identity_large_sweep():
@@ -136,7 +146,7 @@ def test_determinant_tracks_word_signature():
     for n in range(1, 4097):
         assert det_check(n, ms[n]), n
     word = word_of(19)
-    assert m_of(19).det() == qpow(word.count("R") - word.count("L"))
+    assert det(m_of(19)) == qpow(word.count("R") - word.count("L"))
 
 
 # ------------------------------------------------------------ two-variable side
@@ -153,20 +163,22 @@ def test_prime_generators_pinned():
 def test_m_prime_examples():
     assert m_prime_of(1) == BiMat2.identity()
     assert m_prime_of(2) == L_PRIME
-    assert m_prime_check(1)
+    assert ((BiPoly.one(), BiPoly.one()),) * 2 == m_prime_check(1)
     top, bottom = m_prime_of(2).column_sums_vector()
     assert top == BiPoly.one()
     assert bottom == BiPoly({(1, 0): 1, (0, 1): 1})  # r + s
-    assert m_prime_check(2)
+    expected, actual = m_prime_check(2)
+    assert expected == actual == (top, bottom)
 
 
 def test_m_prime_sweep():
     mps = m_prime_range(2048)
     memo = {}
     for n in range(1, 2049):
-        assert m_prime_check(n, mps[n], memo), n
-        top, bottom = mps[n].column_sums_vector()
-        assert top == h_rs(n - 1, memo) and bottom == h_rs(n, memo)
+        expected, actual = m_prime_check(n, mps[n], memo)
+        assert expected == actual, n
+        assert expected == (h_rs(n - 1, memo), h_rs(n, memo))
+        assert actual == mps[n].column_sums_vector()
 
 
 #: n of 100 to 600 bits, drawn bit length first

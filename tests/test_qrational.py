@@ -18,15 +18,38 @@ from hyperq.qrational import (
     cf_odd,
     closure_graph,
     closure_poly,
-    closure_poly_brute,
     cw_index,
     left_delete,
     qdeform,
     qdeform_cf,
-    qdeform_shift_check,
     qdeform_via_graph,
 )
 from hyperq.stern import cw, cw_q
+
+
+def qdeform_shift_check(r: int, s: int) -> bool:
+    """[r/s + 1]_q = q [r/s]_q + 1, checked as rational functions."""
+    v = qdeform(r, s)
+    return qdeform(r + s, s) == RatFunc(v.num.shift(1) + v.den, v.den)
+
+
+def closure_poly_brute(g: OrientedPath) -> LaurentPoly:
+    """``closure_poly`` by testing all 2^V subsets."""
+    if g.vertices > 20:
+        raise ValueError("brute force capped at 20 vertices")
+    coeffs: dict[int, int] = {}
+    for mask in range(1 << g.vertices):
+        ok = True
+        for i, arc_right in enumerate(g.arcs):
+            a, b = (mask >> i) & 1, (mask >> (i + 1)) & 1
+            src, dst = (a, b) if arc_right else (b, a)
+            if src and not dst:
+                ok = False
+                break
+        if ok:
+            size = bin(mask).count("1")
+            coeffs[size] = coeffs.get(size, 0) + 1
+    return LaurentPoly(coeffs)
 
 
 def _cf_value(cf: list[int]) -> Fraction:

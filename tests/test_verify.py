@@ -2,8 +2,9 @@
 
 import pytest
 
+import hyperq.fence as fe
 import hyperq.hyperbinary as hb
-import hyperq.verify as vf
+import hyperq.matrices as mx
 from hyperq.poly import BiPoly, LaurentPoly
 from hyperq.verify import REGISTRY, VerifyReport, run_verify
 
@@ -108,7 +109,7 @@ def test_hrs_checked_counts_enums_and_closed_forms():
 
 
 def test_runner_counts_and_renders_failures(monkeypatch):
-    monkeypatch.setattr(vf, "h_q_fence", lambda n: LaurentPoly({0: 1}))
+    monkeypatch.setattr(fe, "h_q_fence", lambda n: LaurentPoly({0: 1}))
     (rep,) = run_verify("weightbij", 3)
     assert rep.checked == 3 and not rep.passed
     assert rep.failures[0] == ("1", "1", "q")
@@ -119,6 +120,24 @@ def test_runner_counts_and_renders_failures(monkeypatch):
     (rep,) = run_verify("hbar", 1)
     assert rep.checked == 2
     assert rep.failures == [("0", "(0, 1)", "(1, 1)"), ("1", "(0, q)", "(s, q)")]
+
+
+@pytest.mark.parametrize("name,target,identity,failures", [
+    ("mnthm", "m_range", mx.Mat2.identity(),
+     [("2", "(1, q^-1 + 1)", "(1, 1)"), ("3", "(1 + q, 1)", "(1, 1)"),
+      ("4", "(1, q^-2 + q^-1 + 1)", "(1, 1)")]),
+    ("mprime", "m_prime_range", mx.BiMat2.identity(),
+     [("2", "(1, s + r)", "(1, 1)"), ("3", "(s + r, 1)", "(1, 1)"),
+      ("4", "(1, s^2 + r + r s)", "(1, 1)")]),
+])
+def test_matrix_sweeps_render_the_checks_sides(monkeypatch, name, target, identity, failures):
+    """mnthm and mprime compare the two sides that ``row_sum_check`` and
+    ``m_prime_check`` return: with every matrix replaced by the identity,
+    the actual side is (1, 1) and the expected side is unchanged."""
+    monkeypatch.setattr(mx, target, lambda limit: [None] + [identity] * limit)
+    (rep,) = run_verify(name, 4)
+    assert rep.checked == 4
+    assert rep.failures == failures
 
 
 @pytest.mark.parametrize("name", ["mainbij", "hrs", "hbar"])
