@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 from .poly import BiPoly, LaurentPoly, qint, qpow
 from .stern import fusc, fusc_q, halving
@@ -145,21 +144,6 @@ def h_count(n: int) -> int:
 # statistics and generating functions
 
 
-@dataclass(frozen=True)
-class HyperStats:
-    """Digit statistics of one expansion.
-
-    ell = p1 + 2*p2 is the weight tracked by h_q; z counts the zeros
-    strictly to the right of the leftmost nonzero digit (leading zeros
-    are free).
-    """
-
-    ell: int
-    p1: int
-    p2: int
-    z: int
-
-
 def _profile(d: Digits) -> tuple[int, int, int]:
     """(ones, twos, zeros right of the leftmost nonzero digit) of d."""
     lead = 0
@@ -168,9 +152,13 @@ def _profile(d: Digits) -> tuple[int, int, int]:
     return d.count(1), d.count(2), d.count(0) - lead
 
 
-def stats(d: Digits) -> HyperStats:
+def stats(d: Digits) -> dict[str, int]:
+    """Digit statistics of one expansion, in ``hyper --stats`` column
+    order: ell = p1 + 2*p2 is the weight tracked by h_q, t = p2, and z
+    counts the zeros strictly to the right of the leftmost nonzero digit
+    (leading zeros are free)."""
     p1, p2, z = _profile(d)
-    return HyperStats(ell=p1 + 2 * p2, p1=p1, p2=p2, z=z)
+    return {"ell": p1 + 2 * p2, "p1": p1, "p2": p2, "t": p2, "z": z}
 
 
 def enum_polys(n: int, elems: tuple[Digits, ...] | None = None
@@ -413,18 +401,5 @@ def lattice_dot(n: int) -> str:
 
 def stats_rows(n: int) -> list[dict]:
     """One JSON-ready row per expansion."""
-    rows = []
-    for d in expansions(n):
-        st = stats(d)
-        rows.append(
-            {
-                "digits": digits_text(d),
-                "ell": st.ell,
-                "p1": st.p1,
-                "p2": st.p2,
-                "t": st.p2,
-                "z": st.z,
-                "s_vector": list(s_vector(d)),
-            }
-        )
-    return rows
+    return [{"digits": digits_text(d), **stats(d), "s_vector": list(s_vector(d))}
+            for d in expansions(n)]

@@ -5,12 +5,13 @@ its range; ``_sweep`` registers it and turns it into ``verify_<name>
 (bound)``, which times the checks, counts them, compares the two sides
 and returns a ``VerifyReport``.  Everything is exact arithmetic; a
 failure records where it happened plus expected/actual renderings.
-weightbij, mnthm and mprime yield the two sides that the library's
-checks ``fence.weight_check``, ``matrices.row_sum_check`` and
-``matrices.m_prime_check`` return, so each of those identities is
-written down once, in the library.  Sweeps are single threaded and
-iterate in increasing order, so reports are deterministic; each owns
-private memo dicts, one per memoized function.  mainbij, hrs and hbar
+mainbij, weightbij, mnthm and mprime yield the two sides that the
+library's checks ``fence.iso_check``, ``fence.weight_check``,
+``matrices.row_sum_check`` and ``matrices.m_prime_check`` return, so
+each of those identities is written down once, in the library.
+Sweeps are single threaded and iterate in increasing order, so reports
+are deterministic; each owns private memo dicts, one per memoized
+function.  mainbij, hrs and hbar
 read D(n), the hyperbinary expansions of n, from one
 ``hyperbinary.expansions_upto`` stream per sweep, which builds each
 D(n) from its halving neighbours and keeps only the chain the next n
@@ -137,8 +138,7 @@ def verify_qrat(max_n):
 def verify_mainbij(max_n):
     """D(n) is order isomorphic to the ideal lattice of the fence."""
     for n, elems in enumerate(hb.expansions_upto(max_n, 1), 1):
-        rep = iso_check(n, elems)
-        yield str(n), "order isomorphism", "order isomorphism" if rep.passed else rep.detail
+        yield str(n), *iso_check(n, elems)
 
 
 @_sweep(16_384)

@@ -239,7 +239,7 @@ def test_11_enumeration_matches_recurrences_and_closed_forms():
             continue
         enum = LaurentPoly({})
         for d in hb.expansions(n, memo):
-            enum = enum + qpow(hb.stats(d).ell)
+            enum = enum + qpow(hb.stats(d)["ell"])
         if hb.h_q_closed_form(n) != enum:
             ok = False
     _finish(11, "enumeration vs recurrences and closed forms", ok, t0)

@@ -1,6 +1,7 @@
 """Command line interface: text goldens, JSON schemas, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -119,6 +120,20 @@ def test_json_stats_schema():
     assert set(rows[0]) == {"digits", "ell", "p1", "p2", "t", "z", "s_vector"}
     assert rows[0] == {"digits": "1010", "ell": 2, "p1": 2, "p2": 0,
                        "t": 0, "z": 2, "s_vector": [1, 2, 5, 10]}
+
+
+def test_stats_output_digest():
+    """``hyper --stats`` text and JSON over a fixed set of n, pinned by
+    the sha256 of the concatenated stdout."""
+    ns = [*range(70), 12345678, 987654]
+    outs = []
+    for json_flag in ([], ["--json"]):
+        for n in ns:
+            code, out, _ = run(["hyper", "--stats", *json_flag, str(n)])
+            assert code == 0, n
+            outs.append(out)
+    digest = hashlib.sha256("".join(outs).encode()).hexdigest()
+    assert digest == "ff4dafd5a7bb5a2be0c83e0afe0f1861e496ae2b43cedd3f8a215b6687ae60f6"
 
 
 def test_json_dot_matches_text_mode():

@@ -191,23 +191,16 @@ def test_recurrences_past_the_recursion_limit():
 def test_stats_examples():
     st = stats((0, 2, 0, 0, 1, 0))  # an expansion of 34
     assert digits_value((0, 2, 0, 0, 1, 0)) == 34
-    assert st.p2 == 1 and st.z == 3
+    assert st["p2"] == st["t"] == 1 and st["z"] == 3
 
-    st = stats((1, 0, 1, 0))
-    assert (st.ell, st.p1, st.p2, st.z) == (2, 2, 0, 2)
-
-    st = stats(())
-    assert (st.ell, st.p1, st.p2, st.z) == (0, 0, 0, 0)
-
-    st = stats((0, 1, 2, 2))
-    assert (st.ell, st.p1, st.p2, st.z) == (5, 1, 2, 0)
-
+    assert stats((1, 0, 1, 0)) == {"ell": 2, "p1": 2, "p2": 0, "t": 0, "z": 2}
+    assert stats(()) == {"ell": 0, "p1": 0, "p2": 0, "t": 0, "z": 0}
+    assert stats((0, 1, 2, 2)) == {"ell": 5, "p1": 1, "p2": 2, "t": 2, "z": 0}
     # leading zeros are free, however many there are
-    st = stats((0, 0, 1, 0))
-    assert (st.ell, st.p1, st.p2, st.z) == (1, 1, 0, 1)
-
-    st = stats((0, 0))
-    assert (st.ell, st.p1, st.p2, st.z) == (0, 0, 0, 0)
+    assert stats((0, 0, 1, 0)) == {"ell": 1, "p1": 1, "p2": 0, "t": 0, "z": 1}
+    assert stats((0, 0)) == {"ell": 0, "p1": 0, "p2": 0, "t": 0, "z": 0}
+    # the keys come in ``hyper --stats`` column order
+    assert list(stats((1, 0))) == ["ell", "p1", "p2", "t", "z"]
 
 
 def test_stats_identities_everywhere():
@@ -215,9 +208,10 @@ def test_stats_identities_everywhere():
     for n in range(0, 400):
         for d in expansions(n, memo):
             st = stats(d)
-            assert st.ell == st.p1 + 2 * st.p2
-            assert st.ell == sum(d)
-            assert st.p1 == sum(1 for x in d if x == 1)
+            assert st["ell"] == st["p1"] + 2 * st["p2"]
+            assert st["ell"] == sum(d)
+            assert st["p1"] == sum(1 for x in d if x == 1)
+            assert st["t"] == st["p2"]
 
 
 def test_stats_rows_export():
