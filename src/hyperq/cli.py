@@ -6,25 +6,29 @@ file instead of stdout.  Exit codes: 0 success, 1 a verification sweep
 reported failures, 2 usage or malformed input, 3 input outside a
 command's supported domain (for example ``qrat --via graph`` on a
 rational that is not greater than one) or too large for its answer to
-fit in memory, 4 the ``--out`` file could not be written (for example,
-its directory does not exist), 5 standard output was closed before all
-of the output was written (for example, piped into ``head -1``).
+fit in memory, 4 the output could not be written (the ``--out`` file's
+directory does not exist, or standard output is a full device), 5
+standard output was closed before all of the output was written (for
+example, piped into ``head -1``) or was not open at all.
+
+A cold start pays only for what the subcommand runs: building the
+parser imports nothing beyond the modules below, each handler imports
+its own library module, and ``json`` is imported only under ``--json``;
+``hyperq fusc 19`` loads ``stern`` and ``poly`` and nothing else.
+Integers have no digit limit while ``main`` runs, so an answer or an
+argument of any length converts to and from text.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 
-from . import hyperbinary as hb
-from . import matrices as mx
-from . import qrational as qr
-from . import stern
-from .fence import fence, fence_dot, ideal_members, ideals, ideals_dot, rgf
-from .verify import REGISTRY, run_verify
+#: the ``verify`` sweeps, ``sorted(verify.REGISTRY)``, spelled out so
+#: that building the parser does not import ``verify``
+VERIFY_NAMES = ("gg", "hbar", "hrs", "mainbij", "mnent", "mnthm", "mprime", "qrat", "weightbij")
 
 
 def _parse_rational(text: str) -> tuple[int, int]:
@@ -126,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=_pos)
 
     p = add("verify", "sweep one identity family (or all) over a range")
-    p.add_argument("name", choices=sorted(REGISTRY) + ["all"])
+    p.add_argument("name", choices=VERIFY_NAMES + ("all",))
     p.add_argument("--max", type=_pos, default=None, dest="max_n",
                    help="override the sweep's upper bound")
 
@@ -134,33 +138,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fusc(args) -> tuple[str, dict]:
+    from . import stern
     v = stern.fusc(args.n)
     return str(v), {"n": args.n, "fusc": v}
 
 
 def _cmd_fuscq(args) -> tuple[str, dict]:
+    from . import stern
     p = stern.fusc_q(args.n)
     return p.text(), {"n": args.n, "fusc_q": p.text()}
 
 
 def _cmd_cw(args) -> tuple[str, dict]:
+    from . import stern
     f = stern.cw(args.n)
     return (f"{f.numerator}/{f.denominator}",
             {"n": args.n, "num": f.numerator, "den": f.denominator})
 
 
 def _cmd_cwq(args) -> tuple[str, dict]:
+    from . import stern
     v = stern.cw_q(args.n).canonical()
     return v.text(), {"n": args.n, "num": v.num.text(), "den": v.den.text()}
 
 
 def _cmd_cwindex(args) -> tuple[str, dict]:
+    from . import qrational as qr
     r, s = args.rational
     n = qr.cw_index(r, s)
     return str(n), {"r": r, "s": s, "n": n}
 
 
 def _cmd_qrat(args) -> tuple[str, dict]:
+    from . import qrational as qr
     r, s = args.rational
     if args.via == "graph":
         v = qr.qdeform_via_graph(r, s).canonical()
@@ -171,6 +181,7 @@ def _cmd_qrat(args) -> tuple[str, dict]:
 
 
 def _cmd_hyper(args) -> tuple[str, dict]:
+    from . import hyperbinary as hb
     n = args.n
     if args.list:
         elems = hb.expansions(n)
@@ -199,6 +210,7 @@ def _cmd_hyper(args) -> tuple[str, dict]:
 
 
 def _cmd_fence(args) -> tuple[str, dict]:
+    from .fence import fence, fence_dot, ideal_members, ideals, ideals_dot, rgf
     n = args.n
     f = fence(n)
     if args.ideals:
@@ -224,6 +236,7 @@ def _cmd_fence(args) -> tuple[str, dict]:
 
 
 def _cmd_matrix(args) -> tuple[str, dict]:
+    from . import matrices as mx
     n = args.n
     m = mx.m_prime_of(n) if args.prime else mx.m_of(n)
     texts = [e.text() for e in m.entries()]
@@ -234,6 +247,7 @@ def _cmd_matrix(args) -> tuple[str, dict]:
 
 
 def _cmd_verify(args) -> tuple[str, dict, bool]:
+    from .verify import run_verify
     reports = run_verify(args.name, args.max_n)
     lines: list[str] = []
     for rep in reports:
@@ -257,6 +271,20 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.  Python's limit on the
+    digits of an int converted to or from text is lifted while it runs
+    and restored afterwards, so in-process callers see no change."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -266,35 +294,40 @@ def main(argv: list[str] | None = None) -> int:
         else:
             text, payload = _HANDLERS[args.command](args)
             exit_code = 0
-    except qr.UnsupportedDomain as exc:
-        print(f"hyperq: {exc}", file=sys.stderr)
-        return 3
     except MemoryError:
         print("hyperq: input too large to compute in memory", file=sys.stderr)
         return 3
     except ValueError as exc:
+        # qrational.UnsupportedDomain carries exit code 3
         print(f"hyperq: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
-    out = json.dumps(payload, indent=2) if args.json else text
+    if args.json:
+        import json
+        text = json.dumps(payload, indent=2)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(out + "\n")
+                fh.write(text + "\n")
         except OSError as exc:
             print(f"hyperq: {exc}", file=sys.stderr)
             return 4
-    else:
-        try:
-            print(out)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader has gone: point stdout at devnull so the flush at
-            # interpreter exit does not raise again
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        return exit_code
+    if sys.stdout is None:  # started with standard output closed
+        return 5
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # point stdout at devnull so the flush at interpreter exit does
+        # not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):  # the reader has gone
             return 5
+        print(f"hyperq: {exc}", file=sys.stderr)
+        return 4
     return exit_code
 
 

@@ -31,7 +31,6 @@ functions, the identity's corollary.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .hyperbinary import (
     Digits,
@@ -46,11 +45,25 @@ from .hyperbinary import (
 from .poly import LaurentPoly, ONE, RatFunc, qpow
 
 
-@dataclass(frozen=True)
 class FencePoset:
-    """The zigzag poset built from a 0/1 prefix; element i is x_i."""
+    """The zigzag poset built from a 0/1 prefix; element i is x_i.  A
+    value, immutable by convention."""
 
-    bits: tuple[int, ...]
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: tuple[int, ...]):
+        self.bits = bits
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.bits,))
+
+    def __repr__(self) -> str:
+        return f"FencePoset(bits={self.bits!r})"
 
     @property
     def size(self) -> int:

@@ -29,20 +29,29 @@ product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .hyperbinary import binary_expansion, h_q, h_rs
 from .poly import BiPoly, LaurentPoly, ONE, ZERO, qpow
 
 
-@dataclass(frozen=True)
 class Mat2:
-    """A 2x2 matrix of Laurent polynomials, row major."""
+    """A 2x2 matrix of Laurent polynomials, row major.  A value,
+    immutable by convention."""
 
-    a: LaurentPoly
-    b: LaurentPoly
-    c: LaurentPoly
-    d: LaurentPoly
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly):
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries() == other.entries()
+
+    def __hash__(self) -> int:
+        return hash(self.entries())
+
+    def __repr__(self) -> str:
+        return f"Mat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     @classmethod
     def identity(cls) -> "Mat2":
@@ -161,14 +170,25 @@ def row_sum_check(n: int, m: Mat2 | None = None,
 # bivariate companion
 
 
-@dataclass(frozen=True)
 class BiMat2:
-    """A 2x2 matrix of bivariate polynomials, row major."""
+    """A 2x2 matrix of bivariate polynomials, row major.  A value,
+    immutable by convention."""
 
-    a: BiPoly
-    b: BiPoly
-    c: BiPoly
-    d: BiPoly
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: BiPoly, b: BiPoly, c: BiPoly, d: BiPoly):
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries() == other.entries()
+
+    def __hash__(self) -> int:
+        return hash(self.entries())
+
+    def __repr__(self) -> str:
+        return f"BiMat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     @classmethod
     def identity(cls) -> "BiMat2":

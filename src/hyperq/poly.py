@@ -26,7 +26,7 @@ stored terms.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 def _render(terms, var) -> str:
     """The fixed wire format shared by both polynomial types.

@@ -28,7 +28,6 @@ vertices, and forms the quotient of closure-set generating functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .fence import FencePoset, rgf
@@ -36,7 +35,10 @@ from .poly import LaurentPoly, ONE, ZERO, RatFunc, qint, qpow
 
 
 class UnsupportedDomain(ValueError):
-    """An input outside the domain a construction is stated for."""
+    """An input outside the domain a construction is stated for; the
+    CLI exits with ``exit_code``."""
+
+    exit_code = 3
 
 
 # ---------------------------------------------------------------------------
@@ -125,23 +127,35 @@ def qdeform_cf(cf: list[int]) -> RatFunc:
 # the closure-set route (r/s > 1 only)
 
 
-@dataclass(frozen=True)
 class OrientedPath:
     """A path graph u_1 - u_2 - ... - u_k with each edge oriented.
 
     arcs[i] describes the edge between u_{i+1} and u_{i+2}: True means
     it points right (u_{i+1} -> u_{i+2}), False left.  k = len(arcs)+1
-    vertices; the empty graph is modelled by vertices = 0.
+    vertices; the empty graph is modelled by vertices = 0.  A value,
+    immutable by convention.
     """
 
-    vertices: int
-    arcs: tuple[bool, ...]
+    __slots__ = ("vertices", "arcs")
 
-    def __post_init__(self):
-        if self.vertices < 0 or (self.vertices == 0 and self.arcs) or (
-            self.vertices > 0 and len(self.arcs) != self.vertices - 1
+    def __init__(self, vertices: int, arcs: tuple[bool, ...]):
+        if vertices < 0 or (vertices == 0 and arcs) or (
+            vertices > 0 and len(arcs) != vertices - 1
         ):
             raise ValueError("arc count must be vertices - 1")
+        self.vertices = vertices
+        self.arcs = arcs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.arcs) == (other.vertices, other.arcs)
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.arcs))
+
+    def __repr__(self) -> str:
+        return f"OrientedPath(vertices={self.vertices!r}, arcs={self.arcs!r})"
 
 
 def closure_graph(cf: list[int]) -> OrientedPath:

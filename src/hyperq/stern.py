@@ -20,8 +20,6 @@ fusc_q table, keyed by the argument of fusc_q.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .poly import ONE, ZERO, LaurentPoly, RatFunc
 
 
@@ -116,6 +114,8 @@ def fusc_q(n: int, memo: dict[int, LaurentPoly] | None = None) -> LaurentPoly:
 
 def cw(n: int) -> Fraction:
     """The n-th vertex of the Calkin-Wilf enumeration, fusc(n)/fusc(n+1)."""
+    from fractions import Fraction  # only cw uses it; kept off every cold start
+
     if n < 0:
         raise ValueError("cw is defined for n >= 0")
     return Fraction(*_fusc_pair(n))

@@ -28,7 +28,6 @@ first disagrees with enumeration.  Those notes are not failures.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import wraps
 from math import gcd
 
@@ -42,15 +41,27 @@ from .poly import BiPoly, LaurentPoly, RatFunc
 Failure = tuple[str, str, str]  # where, expected, actual
 
 
-@dataclass
 class VerifyReport:
-    theorem: str
-    lo: int
-    hi: int
-    checked: int
-    failures: list[Failure]
-    elapsed_s: float
-    notes: list[str] = field(default_factory=list)
+    """One sweep's outcome: its range lo..hi, how many checks ran, the
+    failures as rendered (where, expected, actual), the time taken and
+    informational notes."""
+
+    __slots__ = ("theorem", "lo", "hi", "checked", "failures", "elapsed_s", "notes")
+
+    def __init__(self, theorem: str, lo: int, hi: int, checked: int,
+                 failures: list[Failure], elapsed_s: float, notes: list[str] | None = None):
+        self.theorem = theorem
+        self.lo = lo
+        self.hi = hi
+        self.checked = checked
+        self.failures = failures
+        self.elapsed_s = elapsed_s
+        self.notes = [] if notes is None else notes
+
+    def __eq__(self, other: object) -> bool:  # and so, being mutable, no hash
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     @property
     def passed(self) -> bool:

@@ -4,7 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +16,7 @@ import pytest
 from hyperq import fence as fe
 from hyperq import hyperbinary as hb
 from hyperq import stern
-from hyperq.cli import build_parser, main
+from hyperq.cli import VERIFY_NAMES, build_parser, main
 from hyperq.verify import REGISTRY
 
 
@@ -368,6 +370,89 @@ def test_closed_stdout_exits_five_without_traceback():
     assert first == "1010101010101010101010\n"
     assert proc.returncode == 5
     assert err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_exits_four_without_traceback():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperq.cli", "fusc", "19"],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("hyperq: ") and "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="no sh")
+def test_missing_stdout_exits_five_without_traceback():
+    """Started with file descriptor 1 closed, so ``sys.stdout`` is None."""
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m hyperq.cli fusc 19 >&-', sys.executable],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 5
+    assert proc.stderr == ""
+
+
+# ------------------------------------------------------ integer digit limit
+
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                       reason="this Python has no int digit limit")
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift the limit for the test's own conversions of long numbers;
+    ``main`` runs outside it, under the interpreter's limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_cwindex_answer_past_the_digit_limit(json_mode):
+    """cw(n) = 20000/1 for an n of about 6,000 digits."""
+    code, out, err = run(["cwindex", "20000/1"] + (["--json"] if json_mode else []))
+    assert code == 0 and err == ""
+    with no_digit_limit():
+        n = json.loads(out)["n"] if json_mode else int(out)
+    assert n.bit_length() == 20000
+    assert stern.fusc(n) == 20000 and stern.fusc(n + 1) == 1
+
+
+@needs_digit_limit
+def test_fusc_argument_past_the_digit_limit():
+    arg = "7" * 4400
+    code, out, err = run(["fusc", arg])
+    assert code == 0 and err == ""
+    with no_digit_limit():
+        assert out == f"{stern.fusc(int(arg))}\n"
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("argv", [["fusc", "19"], ["fusc", "x"], ["qrat", "1/2", "--via", "graph"]],
+                         ids=["answer", "usage error", "domain error"])
+def test_main_restores_the_digit_limit(argv):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        run(argv)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# --------------------------------------------------------------- the parser
+
+def test_verify_names_are_the_registry():
+    """The parser lists the sweeps without importing ``verify``; a new
+    sweep must be added to the static list too."""
+    assert VERIFY_NAMES == tuple(sorted(REGISTRY))
 
 
 def test_parser_builds_and_lists_all_subcommands():

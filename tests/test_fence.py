@@ -56,6 +56,15 @@ def test_fence_examples():
     assert fence(0).size == 0
 
 
+def test_fence_poset_is_a_value():
+    """Equal bits, equal posets and equal hashes; never equal to the
+    bare tuple."""
+    assert fence(10) == FencePoset((1, 0, 1)) and fence(10) != fence(11)
+    assert hash(fence(10)) == hash(FencePoset((1, 0, 1)))
+    assert fence(10) != (1, 0, 1)
+    assert repr(fence(10)) == "FencePoset(bits=(1, 0, 1))"
+
+
 def test_fence_size_is_principal_prefix_length():
     for n in range(1, 2000):
         assert fence(n).size == len(principal_prefix(n))

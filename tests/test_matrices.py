@@ -63,6 +63,20 @@ def test_m_of_examples():
     assert m19.d == LaurentPoly({-2: 1})
 
 
+def test_matrices_are_values():
+    """Entrywise equality within one type; a Mat2 never equals a BiMat2
+    or its entry tuple, and entries that cannot hash make the matrix
+    unhashable."""
+    assert m_of(19) == m_of(19) and m_of(19) != m_of(18)
+    assert m_prime_of(19) == m_prime_of(19) and m_prime_of(19) != m_prime_of(18)
+    assert BiMat2.identity() != Mat2.identity()
+    assert Mat2.identity() != Mat2.identity().entries()
+    assert repr(R) == ("Mat2(a=LaurentPoly({1: 1}), b=LaurentPoly({0: 1}), "
+                       "c=LaurentPoly({}), d=LaurentPoly({0: 1}))")
+    with pytest.raises(TypeError):
+        hash(L)
+
+
 def test_m_range_agrees_with_word_products():
     ms = m_range(1024)
     for n in range(1, 1025):

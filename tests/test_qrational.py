@@ -200,6 +200,13 @@ def test_oriented_path_validation():
     with pytest.raises(ValueError):
         OrientedPath(-1, ())
 
+def test_oriented_path_is_a_value():
+    g = OrientedPath(3, (False, True))
+    assert g == OrientedPath(3, (False, True)) and g != OrientedPath(3, (True, True))
+    assert hash(g) == hash(OrientedPath(3, (False, True)))
+    assert g != (3, (False, True))
+    assert repr(g) == "OrientedPath(vertices=3, arcs=(False, True))"
+
 
 def test_closure_graph_of_22():
     g = closure_graph([2, 2])

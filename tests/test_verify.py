@@ -80,6 +80,17 @@ def test_report_lines_failure_truncation():
     assert lines[-1] == "  note: context"
 
 
+def test_report_equality_and_default_notes():
+    """Field by field, with notes defaulting to a fresh empty list;
+    reports are mutable and so not hashable."""
+    a = VerifyReport("demo", 1, 2, 2, [], 0.5)
+    assert a.notes == [] and a.notes is not VerifyReport("demo", 1, 2, 2, [], 0.5).notes
+    assert a == VerifyReport("demo", 1, 2, 2, [], 0.5, notes=[])
+    assert a != VerifyReport("demo", 1, 2, 2, [], 0.5, notes=["x"])
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_hbar_notes_diagnose_literal_readings():
     (rep,) = run_verify("hbar", 32)
     assert rep.passed
