@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from itertools import repeat
 
 from .poly import BiPoly, LaurentPoly, qint, qpow
 from .stern import fusc, fusc_q, halving
@@ -144,40 +145,62 @@ def h_count(n: int) -> int:
 # statistics and generating functions
 
 
-def _profile(d: Digits) -> tuple[int, int, int]:
-    """(ones, twos, zeros right of the leftmost nonzero digit) of d."""
-    lead = 0
-    while lead < len(d) and d[lead] == 0:
-        lead += 1
-    return d.count(1), d.count(2), d.count(0) - lead
-
-
 def stats(d: Digits) -> dict[str, int]:
     """Digit statistics of one expansion, in ``hyper --stats`` column
     order: ell = p1 + 2*p2 is the weight tracked by h_q, t = p2, and z
     counts the zeros strictly to the right of the leftmost nonzero digit
     (leading zeros are free)."""
-    p1, p2, z = _profile(d)
-    return {"ell": p1 + 2 * p2, "p1": p1, "p2": p2, "t": p2, "z": z}
+    p1, p2 = d.count(1), d.count(2)
+    lead = 0
+    while lead < len(d) and d[lead] == 0:
+        lead += 1
+    return {"ell": p1 + 2 * p2, "p1": p1, "p2": p2, "t": p2, "z": d.count(0) - lead}
+
+
+# The enumeration tallies.  Each reads every string of the listing it is
+# handed through map/zip passes that run in C and feed one Counter, so
+# the polynomial is read off the counts without a Python call per
+# string.  ``elems`` is D(n) when the caller already has it, say from
+# ``expansions_upto``; when omitted, ``expansions(n)`` lists it.
+
+
+def h_q_enum(n: int, elems: tuple[Digits, ...] | None = None) -> LaurentPoly:
+    """h_q(n) = sum of q^ell over D(n), with ell the digit sum: one
+    ``sum`` pass."""
+    if elems is None:
+        elems = expansions(n)
+    return LaurentPoly(Counter(map(sum, elems)))
+
+
+def h_rs_enum(n: int, elems: tuple[Digits, ...] | None = None) -> BiPoly:
+    """h_rs(n) = sum of r^t s^z over D(n): a pass counting twos zipped
+    with one taking z as the zero count of the string, as bytes, with
+    its leading zeros stripped."""
+    if elems is None:
+        elems = expansions(n)
+    twos = map(tuple.count, elems, repeat(2))
+    zeros = map(bytes.count, map(bytes.lstrip, map(bytes, elems), repeat(b"\0")), repeat(0))
+    return BiPoly(Counter(zip(twos, zeros)))
+
+
+def hbar_st_enum(n: int, elems: tuple[Digits, ...] | None = None) -> BiPoly:
+    """hbar_st(n) = sum of s^p1 t^p2 over D(n): a pass counting twos
+    zipped with one counting ones."""
+    if elems is None:
+        elems = expansions(n)
+    twos = map(tuple.count, elems, repeat(2))
+    ones = map(tuple.count, elems, repeat(1))
+    return BiPoly(Counter(zip(twos, ones)))
 
 
 def enum_polys(n: int, elems: tuple[Digits, ...] | None = None
                ) -> tuple[LaurentPoly, BiPoly, BiPoly]:
-    """(h_q(n), h_rs(n), hbar_st(n)) straight from the enumeration: D(n)
-    is listed once and all three are read off the count of profiles.
-
-    ``elems`` is D(n) when the caller already has it, say from
-    ``expansions_upto``; when omitted, ``expansions(n)`` lists it."""
+    """(h_q(n), h_rs(n), hbar_st(n)) straight from the enumeration:
+    D(n) is listed at most once and each of ``h_q_enum``, ``h_rs_enum``
+    and ``hbar_st_enum`` runs its own passes over it."""
     if elems is None:
         elems = expansions(n)
-    hq: Counter[int] = Counter()
-    hrs: Counter[tuple[int, int]] = Counter()
-    hbar: Counter[tuple[int, int]] = Counter()
-    for (ones, twos, z), c in Counter(map(_profile, elems)).items():
-        hq[ones + 2 * twos] += c
-        hrs[twos, z] += c
-        hbar[twos, ones] += c
-    return LaurentPoly(hq), BiPoly(hrs), BiPoly(hbar)
+    return h_q_enum(n, elems), h_rs_enum(n, elems), hbar_st_enum(n, elems)
 
 
 def h_q(n: int, memo: dict[int, LaurentPoly] | None = None) -> LaurentPoly:
@@ -218,13 +241,6 @@ _S3 = BiPoly.monomial(1, 0, 1)
 _T3 = BiPoly.monomial(1, 1, 0)
 
 HBAR_NAMES = ("t", "s")
-
-
-def hbar_st_enum(n: int, elems: tuple[Digits, ...] | None = None) -> BiPoly:
-    """hbar_st(n) = sum of s^p1 t^p2 over D(n), straight from the
-    enumeration; ``elems`` is an already listed D(n), as in
-    ``enum_polys``."""
-    return enum_polys(n, elems)[2]
 
 
 def hbar_st(n: int, memo: dict[int, BiPoly] | None = None) -> BiPoly:

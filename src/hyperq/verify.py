@@ -15,7 +15,10 @@ function.  mainbij, hrs and hbar
 read D(n), the hyperbinary expansions of n, from one
 ``hyperbinary.expansions_upto`` stream per sweep, which builds each
 D(n) from its halving neighbours and keeps only the chain the next n
-reads.
+reads.  hrs and hbar tally each D(n) for only the polynomials they
+compare: hrs runs the ``h_q_enum`` and ``h_rs_enum`` passes (digit
+sums; twos zipped with nonleading zeros), hbar the ``hbar_st_enum``
+pass (twos zipped with ones).
 
 ``hbar`` deserves a word: the literal halving recurrence usually quoted
 for the (ones, twos) generating function drops a factor in the odd case
@@ -191,14 +194,16 @@ def verify_mprime(max_n):
 def verify_hrs(max_n):
     """Enumeration equals recurrence for h_q and h_rs, and the closed
     forms match enumeration on every applicable n in range.  D(n) comes
-    from one ``expansions_upto`` stream for the sweep and is tallied
-    once per n, by ``enum_polys``."""
+    from one ``expansions_upto`` stream for the sweep; per n the
+    ``h_q_enum`` pass sums each string's digits and the ``h_rs_enum``
+    pass pairs its twos with its nonleading zeros, and hbar_st is not
+    tallied."""
     hq_memo: dict[int, LaurentPoly] = {}
     hrs_memo: dict[int, BiPoly] = {}
     for n, elems in enumerate(hb.expansions_upto(max_n)):
-        hq_enum, hrs_enum, _ = hb.enum_polys(n, elems)
+        hq_enum = hb.h_q_enum(n, elems)
         yield str(n), hq_enum, hb.h_q(n, hq_memo)
-        yield str(n), hrs_enum, hb.h_rs(n, hrs_memo)
+        yield str(n), hb.h_rs_enum(n, elems), hb.h_rs(n, hrs_memo)
         if hb.h_q_closed_form_applies(n):
             yield str(n), hq_enum, hb.h_q_closed_form(n)
 
@@ -258,7 +263,9 @@ def verify_hbar(max_n):
     specializes (s -> q, t -> q^2) to h_q; the literal textbook
     recurrence readings are diagnosed in the notes.  One check per n
     compares (enumeration, h_q) with (recurrence, its specialization).
-    D(n) comes from one ``expansions_upto`` stream for the sweep."""
+    D(n) comes from one ``expansions_upto`` stream for the sweep, and
+    its tally is the ``hbar_st_enum`` pass alone (twos zipped with
+    ones); h_q comes from the recurrence."""
     hq_memo: dict[int, LaurentPoly] = {}
     hbar_memo: dict[int, BiPoly] = {}
     for n, elems in enumerate(hb.expansions_upto(max_n)):

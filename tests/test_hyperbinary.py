@@ -168,6 +168,45 @@ def test_enum_polys_reads_a_given_listing():
     assert hbar_st_enum(10, expansions(10)[:-1]) != hbar_st_enum(10)
 
 
+def _stats_fold(elems):
+    """(h_q, h_rs, hbar_st) of a listing, one ``stats`` call per string."""
+    hq, hrs, hbar = LaurentPoly(), BiPoly.zero(), BiPoly.zero()
+    for d in elems:
+        st = stats(d)
+        hq = hq + LaurentPoly({st["ell"]: 1})
+        hrs = hrs + BiPoly.monomial(1, st["t"], st["z"])
+        hbar = hbar + BiPoly.monomial(1, st["p2"], st["p1"])
+    return hq, hrs, hbar
+
+
+def test_tallies_equal_a_fold_of_stats():
+    memo = {}
+    for n in range(0, 601):
+        elems = expansions(n, memo)
+        assert enum_polys(n, elems) == _stats_fold(elems), n
+
+
+@pytest.mark.parametrize("elems", [
+    ((),),
+    ((0, 0, 1, 0),),
+    ((0, 0),),
+    ((0, 2, 0, 0, 1, 0), (0, 1, 2, 2), (0, 1)),
+    ((1, 0, 1, 0), (0, 0, 0), (0, 2, 1, 0, 0), (), (2,)),
+])
+def test_tallies_equal_a_fold_of_stats_on_any_listing(elems):
+    """Leading zeros are free however many there are, as in ``stats``;
+    the tallies read the strings, not the n they are handed."""
+    assert enum_polys(0, elems) == _stats_fold(elems)
+
+
+def test_every_tally_reads_every_string():
+    full = expansions(10)
+    whole = enum_polys(10, full)
+    for i in range(len(full)):
+        short = enum_polys(10, full[:i] + full[i + 1:])
+        assert all(a != b for a, b in zip(short, whole)), full[i]
+
+
 def test_expansions_past_the_recursion_limit():
     n = 2**1100
     ds = expansions(n)

@@ -133,6 +133,25 @@ def test_runner_counts_and_renders_failures(monkeypatch):
     assert rep.failures == [("0", "(0, 1)", "(1, 1)"), ("1", "(0, q)", "(s, q)")]
 
 
+def test_hrs_compares_its_tallies_with_the_recurrences(monkeypatch):
+    """hrs reads its enumeration side through the module's tallies, so a
+    wrong tally fails against the recurrence (and, for h_q, the closed
+    form) instead of the recurrence being compared with itself."""
+    monkeypatch.setattr(hb, "h_rs_enum", lambda n, *_: BiPoly.zero())
+    (rep,) = run_verify("hrs", 2)
+    assert rep.checked == 9 and not rep.passed
+    assert rep.failures == [("0", "0", "1"), ("1", "0", "1"), ("2", "0", "s + r")]
+
+    monkeypatch.undo()
+    monkeypatch.setattr(hb, "h_q_enum", lambda n, *_: LaurentPoly())
+    (rep,) = run_verify("hrs", 2)
+    assert rep.checked == 9
+    # per n: the recurrence, then the closed form (0, 1 and 2 all have one)
+    assert rep.failures == [("0", "0", "1"), ("0", "0", "1"),
+                            ("1", "0", "q"), ("1", "0", "q"),
+                            ("2", "0", "q + q^2"), ("2", "0", "q + q^2")]
+
+
 @pytest.mark.parametrize("name,target,identity,failures", [
     ("mnthm", "m_range", mx.Mat2.identity(),
      [("2", "(1, q^-1 + 1)", "(1, 1)"), ("3", "(1 + q, 1)", "(1, 1)"),
