@@ -20,10 +20,11 @@ is contained in that of d.  ``iso_check`` decides the identity with one
 set comparison of digit strings packed in base 256 and, like
 ``weight_check``, returns its two sides, which ``verify mainbij`` runs.
 
-``rgf`` is the rank generating function sum q^|I| over ideals.  The
-weight identity h_q(n) = q^(r+s) * rgf(1/q), with s the number of ones
-in the binary expansion of n, is stated once, by ``weight_check``: it
-returns the identity's two sides, and ``verify weightbij`` runs it.
+``rgf`` is the rank generating function sum q^|I| over ideals, by the
+same fence scan on packed integers (``poly.unpack``).  The weight
+identity h_q(n) = q^(r+s) * rgf(1/q), with s the number of ones in the
+binary expansion of n, is stated once, by ``weight_check``: it returns
+the identity's two sides, and ``verify weightbij`` runs it.
 ``qcw_fence`` writes cw_q(n) as a quotient of two rank generating
 functions, the identity's corollary.
 """
@@ -42,7 +43,7 @@ from .hyperbinary import (
     principal_prefix,
     s_vector,
 )
-from .poly import LaurentPoly, ONE, RatFunc, qpow
+from .poly import LaurentPoly, RatFunc, slot_width, unpack
 
 
 class FencePoset:
@@ -116,8 +117,16 @@ def ideals(f: FencePoset) -> tuple[int, ...]:
 
 def rgf(f: FencePoset) -> LaurentPoly:
     """Rank generating function sum q^|I| over ideals, by the same
-    fence scan without listing the ideals."""
-    return _scan(f, ONE, qpow(1), operator.add, lambda p, i: p.shift(1))
+    fence scan without listing the ideals.
+
+    The scan runs twice on integers.  The first pass counts the ideals,
+    the value at q = 1, which fixes the slot width w (``slot_width``).
+    The second carries each class's polynomial evaluated at q = 256^w,
+    so adding x_i is a shift by one slot, and ``unpack`` reads the
+    coefficients off the final value."""
+    w = slot_width(_scan(f, 1, 1, operator.add, lambda v, i: v))
+    step = 8 * w
+    return unpack(_scan(f, 1, 1 << step, operator.add, lambda v, i: v << step), w)
 
 
 # ---------------------------------------------------------------------------

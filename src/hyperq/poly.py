@@ -14,7 +14,11 @@ The polynomials met here are short and have no gaps, so a
 whose first and last entries are nonzero (the empty tuple is zero).
 Shifting moves lo only and shares the tuple.  Products with a zero or
 one-term operand are shifts and scalings; other products are a
-schoolbook convolution.
+schoolbook convolution.  Recurrences whose polynomials have
+nonnegative coefficients can instead run on packed integers, each
+polynomial evaluated at q = 256^w with w bytes per coefficient
+(``slot_width``), and build one ``LaurentPoly`` at the end
+(``unpack``).
 ``BiPoly`` keeps a sparse {(e1, e2): coeff} dict with the same zero and
 monomial shortcuts.
 
@@ -26,7 +30,9 @@ stored terms.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping
+from itertools import repeat
 
 def _render(terms, var) -> str:
     """The fixed wire format shared by both polynomial types.
@@ -221,6 +227,44 @@ def qint(a: int) -> LaurentPoly:
 def qpow(e: int) -> LaurentPoly:
     """The monomial q^e (e may be negative)."""
     return _dense(e, (1,))
+
+
+def slot_width(bound: int) -> int:
+    """The fewest bytes w with 256^w > bound, at least one.
+
+    A polynomial with nonnegative coefficients and value at most
+    ``bound`` at q = 1 has every coefficient below 256^w, so its value at
+    q = 256^w keeps each coefficient in its own w-byte slot, and so does
+    every sum and product whose value at q = 1 stays within ``bound``.
+    """
+    return max(1, (bound.bit_length() + 7) >> 3)
+
+
+#: memoryview formats of the slot widths that are native integer types
+_NATIVE_SLOTS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def unpack(v: int, w: int, lo: int = 0) -> LaurentPoly:
+    """q^lo * (c_0 + c_1 q + ...) from v = c_0 + c_1 256^w + ..., each
+    0 <= c_i < 256^w: the packed value turned back into a trimmed
+    ``LaurentPoly``.  The coefficients come from one ``to_bytes`` read
+    as fixed-width slots, a native memoryview cast when w is 1, 2, 4 or
+    8 and ``int.from_bytes`` slices otherwise."""
+    if not v:
+        return ZERO
+    bits = 8 * w
+    low = ((v & -v).bit_length() - 1) // bits  # zero slots at the bottom
+    v >>= low * bits
+    size = -(-v.bit_length() // bits) * w
+    fmt = _NATIVE_SLOTS.get(w)
+    if fmt:
+        c = tuple(memoryview(v.to_bytes(size, sys.byteorder)).cast(fmt))
+    else:
+        b = v.to_bytes(size, "little")
+        c = tuple(map(int.from_bytes,
+                      map(b.__getitem__, map(slice, range(0, size, w), range(w, size + w, w))),
+                      repeat("little")))
+    return _dense(lo + low, c)
 
 
 def _sparse(terms: dict[tuple[int, int], int]) -> "BiPoly":

@@ -8,12 +8,14 @@ variable inverted at alternate depths:
     [a1, a2, a3, ...]_q = [a1]_q + q^a1 / ( [a2]_{1/q} + q^-a2 / ( ... ))
 
 evaluated bottom up as one 2x2 step per partial quotient on a
-(numerator, denominator) pair of Laurent polynomials,
+(numerator, denominator) pair,
 
     (P, Q) <- ([a]_q P + q^a Q, P)    ([a]_{1/q} and q^-a at even depth),
 
 so (P, Q) is the product of the matrices (([a]_q, q^a), (1, 0)), one
-per partial quotient, applied to (1, 0): the q-SL(2) product form.  The
+per partial quotient, applied to (1, 0): the q-SL(2) product form.  P
+and Q have nonnegative coefficients, so the steps run on the pair
+evaluated at q = 256^w, one integer each (``poly.unpack``).  The
 result is the explicit quotient P/Q, never reduced.  The value does
 not depend on which continued fraction representation of r/s is used.
 
@@ -30,8 +32,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .fence import FencePoset, rgf
-from .poly import LaurentPoly, ONE, ZERO, RatFunc, qint, qpow
+from .poly import LaurentPoly, ONE, RatFunc, slot_width, unpack
 
 
 class UnsupportedDomain(ValueError):
@@ -109,18 +110,36 @@ def qdeform_cf(cf: list[int]) -> RatFunc:
     one 2x2 step (P, Q) <- (B P + N Q, P), with B = [a_i]_q, N = q^a_i
     at odd depth i (1-based) and B = [a_i]_{1/q}, N = q^-a_i at even
     depth; the value is P/Q.
+
+    Every P and Q has nonnegative coefficients, at most its value at
+    q = 1, and those values are the integer continuants, so a first
+    pass (P, Q) <- (a P + Q, P) on integers finds the largest and fixes
+    the slot width w.  The second pass writes P and Q as one common
+    power q^lo times polynomials in q, and carries those two as their
+    values at q = 256^w.  [a]_q is the repunit of a slots and
+    [a]_{1/q} = q^-(a-1) [a]_q, so an even step lowers lo by a and
+    shifts the rest up: (P, Q) <- (q^-a (q [a]_q P + Q), q^-a q^a P).
     """
     if not cf:
         raise ValueError("empty continued fraction")
-    p, q = ONE, ZERO
+    top = p = 1
+    q = 0
+    for a in reversed(cf):
+        p, q = a * p + q, p
+        top = max(top, p)
+    w = slot_width(top)
+    step = 8 * w
+    unit = b"\1" + bytes(w - 1)
+    p, q, lo = 1, 0, 0
     for i in range(len(cf), 0, -1):
         a = cf[i - 1]
+        ones = int.from_bytes(unit * a, "little")
         if i % 2 == 1:
-            bracket, numer = qint(a), qpow(a)
+            p, q = ones * p + (q << step * a), p
         else:
-            bracket, numer = qint(a).reverse_var(), qpow(-a)
-        p, q = bracket * p + numer * q, p
-    return RatFunc(p, q)
+            p, q = (ones * p << step) + q, p << step * a
+            lo -= a
+    return RatFunc(unpack(p, w, lo), unpack(q, w, lo))
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +204,7 @@ def closure_poly(g: OrientedPath) -> LaurentPoly:
     and rises at each left one, and ``fence.rgf`` counts them."""
     if g.vertices == 0:
         return ONE
+    from .fence import FencePoset, rgf  # only this route needs the fence
     return rgf(FencePoset((0,) + tuple(0 if right else 1 for right in g.arcs)))
 
 

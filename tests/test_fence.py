@@ -3,7 +3,7 @@ back to expansion lattices and the q-enumeration."""
 
 import inspect
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -145,6 +145,67 @@ def test_rgf_shape_properties():
         assert p.min_exp == 0
         assert p.max_exp == r  # the full fence is always an ideal
         assert p.eval_at_one == h_count(n)
+
+
+def rgf_reference(f: FencePoset) -> LaurentPoly:
+    """``rgf`` by the fence scan on ``LaurentPoly`` values: ``out`` and
+    ``inn`` are the rank polynomials of the partial ideals of x_1..x_i
+    without and with x_i."""
+    if f.size == 0:
+        return ONE
+    out, inn = ONE, Q
+    for b in f.bits[1:]:
+        if b:  # x_i > x_{i-1}
+            out, inn = out + inn, inn.shift(1)
+        else:  # x_i < x_{i-1}
+            inn = (out + inn).shift(1)
+    return out + inn
+
+
+def _same_poly(p: LaurentPoly, want: LaurentPoly) -> bool:
+    """The same stored form, not merely an equal value."""
+    return (p._lo, p._c) == (want._lo, want._c)
+
+
+def test_rgf_reference_counts_the_brute_force_ideals():
+    for bits in product((0, 1), repeat=7):
+        f = FencePoset((1,) + bits)
+        sizes = [bin(m).count("1") for m in _brute_ideals(f)]
+        assert rgf_reference(f) == LaurentPoly({k: sizes.count(k) for k in set(sizes)})
+
+
+def test_packed_rgf_on_every_fence_up_to_ten_elements():
+    for r in range(11):
+        for bits in product((0, 1), repeat=r):
+            f = FencePoset(bits)
+            assert _same_poly(rgf(f), rgf_reference(f)), bits
+
+
+def test_packed_rgf_on_random_fences_up_to_300_elements():
+    rng = random.Random(2024)
+    for _ in range(60):
+        r = rng.randint(11, 300)
+        bias = rng.random()  # long runs (chains) as well as zigzags
+        f = FencePoset(tuple(int(rng.random() < bias) for _ in range(r)))
+        assert _same_poly(rgf(f), rgf_reference(f)), f.bits
+
+
+@pytest.mark.parametrize("size, count, w", [(254, 255, 1), (255, 256, 2)])
+def test_rgf_slot_width_follows_the_ideal_count(monkeypatch, size, count, w):
+    """A chain of r elements has r + 1 ideals, one of each size: the
+    width comes from that count, 255 in one byte and 256 in two."""
+    seen = []
+    width = fe.slot_width
+
+    def spy(bound):
+        seen.append((bound, width(bound)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(fe, "slot_width", spy)
+    f = FencePoset((1,) * size)
+    p = rgf(f)
+    assert seen == [(count, w)]
+    assert (p._lo, p._c) == (0, (1,) * count)
 
 
 # -------------------------------------------------------------------- stilde

@@ -46,6 +46,22 @@ def test_fusc_loads_only_stern_and_poly():
     assert loaded == "['hyperq.cli', 'hyperq.poly', 'hyperq.stern']"
 
 
+@pytest.mark.parametrize("argv, loaded", [
+    (["qrat", "7/3"], "['hyperq.cli', 'hyperq.poly', 'hyperq.qrational']"),
+    (["cwindex", "7/3"], "['hyperq.cli', 'hyperq.poly', 'hyperq.qrational']"),
+    (["qrat", "7/3", "--via", "graph"],
+     "['hyperq.cli', 'hyperq.fence', 'hyperq.hyperbinary', 'hyperq.poly', "
+     "'hyperq.qrational', 'hyperq.stern']"),
+])
+def test_only_the_closure_route_loads_fence(argv, loaded):
+    """``qrational`` imports ``fence`` (and through it ``hyperbinary``)
+    inside ``closure_poly``, which only ``qrat --via graph`` runs."""
+    assert fresh("import sys\n"
+                 "from hyperq.cli import main\n"
+                 f"assert main({argv!r}) == 0\n"
+                 "print(sorted(m for m in sys.modules if m.startswith('hyperq.')))") == loaded
+
+
 @pytest.mark.parametrize("module", sorted(ROOT_NAMES))
 def test_root_names_are_the_module_attributes(module):
     mod = importlib.import_module(f"hyperq.{module}")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperq.poly import ONE, Q, ZERO, BiPoly, LaurentPoly, RatFunc, qint, qpow
+from hyperq.poly import ONE, Q, ZERO, BiPoly, LaurentPoly, RatFunc, qint, qpow, slot_width, unpack
 
 
 # ---------------------------------------------------------------- LaurentPoly
@@ -330,3 +330,48 @@ def test_bipoly_zero_and_monomial_paths_match_reference(da, db):
         assert got == BiPoly(want)
         assert got.terms() == sorted(_ref_clean(want).items())
         assert got.text() == _ref_text(_ref_clean(want), _ref_rs)
+
+
+# ------------------------------------------------------------ packed slots
+
+def _pack(coeffs: list[int], w: int) -> int:
+    """sum c_i 256^(w i): the polynomial evaluated at q = 256^w."""
+    return sum(c << 8 * w * i for i, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("w", range(1, 18))
+def test_slot_width_boundary(w):
+    """256^w - 1 still fits w bytes; 256^w needs one more."""
+    assert slot_width(256**w - 1) == w
+    assert slot_width(256**w) == w + 1
+    assert slot_width(256**w + 1) == w + 1
+
+
+def test_slot_width_of_small_values_is_one_byte():
+    assert [slot_width(v) for v in (0, 1, 2, 255)] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("w", range(1, 18))
+def test_unpack_keeps_full_slots(w):
+    """A coefficient of exactly 256^w - 1 stays in its slot, next to
+    zero, one and full neighbours, at every slot width (native casts and
+    byte slices alike)."""
+    top = 256**w - 1
+    coeffs = [top, 0, 1, top, top, 0, 0, 2, top]
+    p = unpack(_pack(coeffs, w), w, -3)
+    want = LaurentPoly({e: c for e, c in enumerate(coeffs, -3)})
+    assert (p._lo, p._c) == (want._lo, want._c)
+    assert unpack(top, w, 5) == LaurentPoly({5: top})
+
+
+@PROPERTY
+@given(st.integers(1, 12), st.integers(-30, 30),
+       st.lists(st.integers(0, 3), max_size=40), st.data())
+def test_unpack_matches_reference(w, lo, kinds, data):
+    """Zero, one, full and random slots, with zero runs at either end,
+    which ``unpack`` trims."""
+    top = 256**w - 1
+    coeffs = [(0, 1, top, data.draw(st.integers(0, top)))[k] for k in kinds]
+    p = unpack(_pack(coeffs, w), w, lo)
+    want = LaurentPoly({e: c for e, c in enumerate(coeffs, lo)})
+    assert (p._lo, p._c) == (want._lo, want._c)

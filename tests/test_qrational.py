@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperq.poly import ONE, Q, LaurentPoly, RatFunc, qint
+import hyperq.qrational as qr
+from hyperq.poly import ONE, Q, ZERO, LaurentPoly, RatFunc, qint, qpow
 from hyperq.qrational import (
     OrientedPath,
     UnsupportedDomain,
@@ -187,6 +188,76 @@ def test_qdeform_matches_q_enumeration_terms():
         c = cw(n)
         v = cw_q(n, fr_memo)
         assert qdeform(c.numerator, c.denominator) == RatFunc(v.num.shift(1), v.den)
+
+
+def qdeform_cf_reference(cf: list[int]) -> RatFunc:
+    """``qdeform_cf`` as ``LaurentPoly`` arithmetic: (P, Q) <- (B P + N Q, P)
+    with B = [a]_q, N = q^a at odd depth and B = [a]_{1/q}, N = q^-a at
+    even depth, deepest term first."""
+    p, q = ONE, ZERO
+    for i in range(len(cf), 0, -1):
+        a = cf[i - 1]
+        if i % 2 == 1:
+            bracket, numer = qint(a), qpow(a)
+        else:
+            bracket, numer = qint(a).reverse_var(), qpow(-a)
+        p, q = bracket * p + numer * q, p
+    return RatFunc(p, q)
+
+
+def _same_pair(got: RatFunc, want: RatFunc) -> bool:
+    """The same stored numerator and denominator, which the CLI prints,
+    not merely an equal quotient."""
+    return ((got.num._lo, got.num._c, got.den._lo, got.den._c)
+            == (want.num._lo, want.num._c, want.den._lo, want.den._c))
+
+
+def test_packed_qdeform_cf_edge_shapes():
+    cfs = [[0], [1], [2], [255], [256], [1000],
+           [0, 1], [0, 2], [0, 1, 3], [0, 7, 1, 4],   # a_1 = 0
+           [1, 1], [2, 3, 1], [0, 5, 1], [4, 1, 1],   # a trailing 1
+           [2, 0, 3], [0, 0, 2], [3, 2, 0, 1, 5]]     # zero terms inside
+    cfs += [[a] for a in range(12)] + [[1, a] for a in range(1, 12)]
+    for cf in cfs:
+        assert _same_pair(qdeform_cf(cf), qdeform_cf_reference(cf)), cf
+
+
+def test_packed_qdeform_cf_zero_denominator():
+    """[1, 0] is 1 + 1/0: both routes refuse it alike."""
+    for f in (qdeform_cf, qdeform_cf_reference):
+        with pytest.raises(ZeroDivisionError):
+            f([1, 0])
+
+
+def test_packed_qdeform_cf_with_large_partial_quotients():
+    rng = random.Random(31)
+    for _ in range(20):
+        cf = [rng.randint(0, 1000)] + [rng.randint(1, 1000) for _ in range(rng.randint(0, 3))]
+        assert _same_pair(qdeform_cf(cf), qdeform_cf_reference(cf)), cf
+
+
+def test_packed_qdeform_cf_on_400_term_expansions():
+    rng = random.Random(47)
+    for top in (1, 2, 3, 6):
+        cf = [rng.randint(0, top)] + [rng.randint(1, top) for _ in range(399)]
+        assert _same_pair(qdeform_cf(cf), qdeform_cf_reference(cf)), top
+
+
+@pytest.mark.parametrize("a, w", [(255, 1), (256, 2), (65535, 2), (65536, 3)])
+def test_qdeform_cf_slot_width_follows_the_largest_continuant(monkeypatch, a, w):
+    """[a] has the continuants 1 and a: 256^w - 1 stays in w bytes and
+    256^w takes w + 1."""
+    seen = []
+    width = qr.slot_width
+
+    def spy(bound):
+        seen.append((bound, width(bound)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(qr, "slot_width", spy)
+    v = qdeform_cf([a])
+    assert seen == [(a, w)]
+    assert _same_pair(v, RatFunc(qint(a), ONE))
 
 
 # ---------------------------------------------------------------- closure model
