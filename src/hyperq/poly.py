@@ -240,27 +240,29 @@ def slot_width(bound: int) -> int:
     return max(1, (bound.bit_length() + 7) >> 3)
 
 
-#: memoryview formats of the slot widths that are native integer types
-_NATIVE_SLOTS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+#: memoryview formats of the slot widths that are native integer types;
+#: a cast reads the slots of a little-endian ``to_bytes`` in order only
+#: on a little-endian host, so elsewhere every width takes the slices
+_NATIVE_SLOTS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 
 
 def unpack(v: int, w: int, lo: int = 0) -> LaurentPoly:
     """q^lo * (c_0 + c_1 q + ...) from v = c_0 + c_1 256^w + ..., each
     0 <= c_i < 256^w: the packed value turned back into a trimmed
-    ``LaurentPoly``.  The coefficients come from one ``to_bytes`` read
-    as fixed-width slots, a native memoryview cast when w is 1, 2, 4 or
-    8 and ``int.from_bytes`` slices otherwise."""
+    ``LaurentPoly``.  The coefficients come from one little-endian
+    ``to_bytes`` read as fixed-width slots: a native memoryview cast
+    when ``_NATIVE_SLOTS`` has w, ``int.from_bytes`` slices otherwise."""
     if not v:
         return ZERO
     bits = 8 * w
     low = ((v & -v).bit_length() - 1) // bits  # zero slots at the bottom
     v >>= low * bits
     size = -(-v.bit_length() // bits) * w
+    b = v.to_bytes(size, "little")
     fmt = _NATIVE_SLOTS.get(w)
     if fmt:
-        c = tuple(memoryview(v.to_bytes(size, sys.byteorder)).cast(fmt))
+        c = tuple(memoryview(b).cast(fmt))
     else:
-        b = v.to_bytes(size, "little")
         c = tuple(map(int.from_bytes,
                       map(b.__getitem__, map(slice, range(0, size, w), range(w, size + w, w))),
                       repeat("little")))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hyperq import poly
 from hyperq.poly import ONE, Q, ZERO, BiPoly, LaurentPoly, RatFunc, qint, qpow, slot_width, unpack
 
 
@@ -351,11 +352,15 @@ def test_slot_width_of_small_values_is_one_byte():
     assert [slot_width(v) for v in (0, 1, 2, 255)] == [1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("native", [True, False], ids=["cast", "slices"])
 @pytest.mark.parametrize("w", range(1, 18))
-def test_unpack_keeps_full_slots(w):
+def test_unpack_keeps_full_slots(w, native, monkeypatch):
     """A coefficient of exactly 256^w - 1 stays in its slot, next to
-    zero, one and full neighbours, at every slot width (native casts and
-    byte slices alike)."""
+    zero, one and full neighbours, at every slot width.  Without the
+    native casts every width takes the byte slices, as on a big-endian
+    host."""
+    if not native:
+        monkeypatch.setattr(poly, "_NATIVE_SLOTS", {})
     top = 256**w - 1
     coeffs = [top, 0, 1, top, top, 0, 0, 2, top]
     p = unpack(_pack(coeffs, w), w, -3)
