@@ -19,20 +19,22 @@ evaluated at q = 256^w, one integer each (``poly.unpack``).  The
 result is the explicit quotient P/Q, never reduced.  The value does
 not depend on which continued fraction representation of r/s is used.
 
-``cw_index`` inverts the Calkin-Wilf enumeration: it turns the odd
-length continued fraction into the run-length blocks of a bit string,
-reverses it, and reads off the index n with cw(n) = r/s.
-
-For r/s > 1 there is an independent route through closure sets of an
-oriented path: ``qdeform_via_graph`` builds the path, deletes end
-vertices, and forms the quotient of closure-set generating functions.
+The run-length word of [a1, ..., am], a1 ones, a2 zeros, a3 ones, ...,
+is read twice.  Reversed, it is the binary expansion of the Calkin-Wilf
+index n with cw(n) = r/s (``cw_index``, odd-length expansion).  As a
+left arc per one and a right arc per zero, it orients the path whose
+closure sets give an independent route for r/s > 1 (Morier-Genoud and
+Ovsienko): with both end vertices deleted, the closure sets are the
+order ideals of a fence (``fence.rgf``), and ``qdeform_via_graph`` is
+R(a1, ..., am) / R(0, a2, ..., am) with R their generating function
+``closure_poly``.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .poly import LaurentPoly, ONE, RatFunc, slot_width, unpack
+from .poly import LaurentPoly, RatFunc, slot_width, unpack
 
 
 class UnsupportedDomain(ValueError):
@@ -71,21 +73,18 @@ def cf_odd(r: int, s: int) -> list[int]:
 
 
 def cw_index(r: int, s: int) -> int:
-    """The unique n >= 1 with cw(n) = r/s, for positive r and s.
-
-    The odd-length continued fraction [a1, ..., am] spells a bit
-    string of a1 ones, a2 zeros, a3 ones, ...; reversing it gives the
-    binary expansion of n.  Non-reduced input is reduced first.
-    """
+    """The unique n >= 1 with cw(n) = r/s, for positive r and s: n in
+    binary is the word of the odd-length continued fraction, reversed.
+    Non-reduced input is reduced first."""
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
     g = gcd(r, s)
-    cf = cf_odd(r // g, s // g)
-    bits = []
-    for i, a in enumerate(cf):
-        bits.append(("1" if i % 2 == 0 else "0") * a)
-    word = "".join(bits)[::-1]
-    return int(word, 2)
+    return int(_word(cf_odd(r // g, s // g))[::-1], 2)
+
+
+def _word(cf: list[int]) -> str:
+    """The word of [a1, ..., am]: a1 ones, a2 zeros, a3 ones, ..."""
+    return "".join(("1" if i % 2 == 0 else "0") * a for i, a in enumerate(cf))
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +124,8 @@ def qdeform_cf(cf: list[int]) -> RatFunc:
     top = p = 1
     q = 0
     for a in reversed(cf):
+        if a < 0:
+            raise ValueError(f"partial quotient a{cf.index(a) + 1} = {a} is negative")
         p, q = a * p + q, p
         top = max(top, p)
     w = slot_width(top)
@@ -146,77 +147,30 @@ def qdeform_cf(cf: list[int]) -> RatFunc:
 # the closure-set route (r/s > 1 only)
 
 
-class OrientedPath:
-    """A path graph u_1 - u_2 - ... - u_k with each edge oriented.
+def closure_poly(cf: list[int]) -> LaurentPoly:
+    """Generating function sum q^|X| over the closure sets X of the
+    oriented path of [a1, ..., am]: no arc may leave X.
 
-    arcs[i] describes the edge between u_{i+1} and u_{i+2}: True means
-    it points right (u_{i+1} -> u_{i+2}), False left.  k = len(arcs)+1
-    vertices; the empty graph is modelled by vertices = 0.  A value,
-    immutable by convention.
-    """
-
-    __slots__ = ("vertices", "arcs")
-
-    def __init__(self, vertices: int, arcs: tuple[bool, ...]):
-        if vertices < 0 or (vertices == 0 and arcs) or (
-            vertices > 0 and len(arcs) != vertices - 1
-        ):
-            raise ValueError("arc count must be vertices - 1")
-        self.vertices = vertices
-        self.arcs = arcs
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertices, self.arcs) == (other.vertices, other.arcs)
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.arcs))
-
-    def __repr__(self) -> str:
-        return f"OrientedPath(vertices={self.vertices!r}, arcs={self.arcs!r})"
-
-
-def closure_graph(cf: list[int]) -> OrientedPath:
-    """The oriented path for [a1, ..., am]: N = sum(a_i) edges, the
-    first a1 pointing left, next a2 right, alternating; both end
-    vertices of the underlying (N+1)-vertex path are deleted, keeping
-    the N-1 inner vertices and the N-2 inner edges."""
-    n_edges = sum(cf)
-    directions = []
-    for i, a in enumerate(cf):
-        directions.extend([i % 2 == 1] * a)
-    inner = directions[1:-1] if n_edges >= 2 else []
-    vertices = max(n_edges - 1, 0)
-    return OrientedPath(vertices, tuple(inner))
-
-
-def left_delete(g: OrientedPath, count: int) -> OrientedPath:
-    """Remove the leftmost ``count`` vertices (clamped at the empty graph)."""
-    keep = max(g.vertices - count, 0)
-    return OrientedPath(keep, g.arcs[len(g.arcs) - max(keep - 1, 0):] if keep else ())
-
-
-def closure_poly(g: OrientedPath) -> LaurentPoly:
-    """Generating function sum q^|X| over closure sets X: no arc may
-    leave X.  An arc u -> v says v is in X whenever u is, so the closure
-    sets are the order ideals of the fence that falls at each right arc
-    and rises at each left one, and ``fence.rgf`` counts them."""
-    if g.vertices == 0:
-        return ONE
+    The path has N = a1 + ... + am edges, the first a1 pointing left,
+    the next a2 right, alternating, and both end vertices are deleted,
+    keeping N - 1 vertices and the N - 2 inner edges.  An arc u -> v
+    says v is in X whenever u is, so the closure sets are the order
+    ideals of the fence that rises at each left arc and falls at each
+    right one: the word ``_word(cf)`` without its last letter, whose
+    first letter ``fence.rgf`` ignores."""
     from .fence import FencePoset, rgf  # only this route needs the fence
-    return rgf(FencePoset((0,) + tuple(0 if right else 1 for right in g.arcs)))
+    return rgf(FencePoset(tuple(map(int, _word(cf)[:-1]))))
 
 
 def qdeform_via_graph(r: int, s: int) -> RatFunc:
-    """[r/s]_q for r/s > 1 as closure polynomial of the path over the
-    closure polynomial of the path with the first block deleted."""
+    """[r/s]_q for r/s > 1 as R(a1, ..., am) / R(0, a2, ..., am), with
+    R = ``closure_poly``: deleting the first a1 vertices of the path of
+    [a1, ..., am] leaves the path of [0, a2, ..., am], just as the
+    denominator of [a1; a2, ...] is the numerator of [a2; ...]."""
     if s < 1 or r < 0:
         raise ValueError("need r >= 0 and s >= 1")
     if r <= s:
         raise UnsupportedDomain("the closure-set route needs r/s > 1")
     g = gcd(r, s)
     cf = cf_expand(r // g, s // g)
-    big = closure_graph(cf)
-    small = left_delete(big, cf[0])
-    return RatFunc(closure_poly(big), closure_poly(small))
+    return RatFunc(closure_poly(cf), closure_poly([0] + cf[1:]))

@@ -1,5 +1,5 @@
 """Continued fractions, the rational-enumeration index, q-deformed rationals,
-and the closure-set model on oriented paths."""
+and the closure-set model on the oriented path of a continued fraction."""
 
 import hashlib
 import random
@@ -13,14 +13,11 @@ from hypothesis import strategies as st
 import hyperq.qrational as qr
 from hyperq.poly import ONE, Q, ZERO, LaurentPoly, RatFunc, qint, qpow
 from hyperq.qrational import (
-    OrientedPath,
     UnsupportedDomain,
     cf_expand,
     cf_odd,
-    closure_graph,
     closure_poly,
     cw_index,
-    left_delete,
     qdeform,
     qdeform_cf,
     qdeform_via_graph,
@@ -34,16 +31,24 @@ def qdeform_shift_check(r: int, s: int) -> bool:
     return qdeform(r + s, s) == RatFunc(v.num.shift(1) + v.den, v.den)
 
 
-def closure_poly_brute(g: OrientedPath) -> LaurentPoly:
-    """``closure_poly`` by testing all 2^V subsets."""
-    if g.vertices > 20:
+def closure_poly_brute(cf: list[int]) -> LaurentPoly:
+    """``closure_poly`` by testing all 2^V subsets.
+
+    The path of [a1, ..., am] has vertices v_0, ..., v_N, N = sum(cf),
+    and edges e_j = v_{j-1} v_j, the first a1 pointing left, the next
+    a2 right, alternating.  Deleting v_0 and v_N keeps V = N - 1
+    vertices (bit i - 1 of the mask is v_i) and the edges e_2..e_{N-1};
+    a closure set has no arc leaving it."""
+    right = [i % 2 == 1 for i, a in enumerate(cf) for _ in range(a)]
+    vertices = max(len(right) - 1, 0)
+    if vertices > 20:
         raise ValueError("brute force capped at 20 vertices")
     coeffs: dict[int, int] = {}
-    for mask in range(1 << g.vertices):
+    for mask in range(1 << vertices):
         ok = True
-        for i, arc_right in enumerate(g.arcs):
+        for i in range(vertices - 1):  # e_{i+2} joins bits i and i + 1
             a, b = (mask >> i) & 1, (mask >> (i + 1)) & 1
-            src, dst = (a, b) if arc_right else (b, a)
+            src, dst = (a, b) if right[i + 1] else (b, a)
             if src and not dst:
                 ok = False
                 break
@@ -51,6 +56,21 @@ def closure_poly_brute(g: OrientedPath) -> LaurentPoly:
             size = bin(mask).count("1")
             coeffs[size] = coeffs.get(size, 0) + 1
     return LaurentPoly(coeffs)
+
+
+def _cf_of_inner_arcs(arcs: tuple[bool, ...]) -> list[int]:
+    """A continued fraction whose path has the inner arcs ``arcs``
+    (True: pointing right): the two end edges repeat their neighbours,
+    and the run lengths start with the left-pointing run, so a1 = 0
+    when the first arc points right."""
+    edges = (arcs[:1] + arcs + arcs[-1:]) if arcs else (False, False)
+    cf, pointing_right = [0], False
+    for e in edges:
+        if e != pointing_right:
+            cf.append(0)
+            pointing_right = e
+        cf[-1] += 1
+    return cf
 
 
 def _cf_value(cf: list[int]) -> Fraction:
@@ -243,6 +263,12 @@ def test_packed_qdeform_cf_on_400_term_expansions():
         assert _same_pair(qdeform_cf(cf), qdeform_cf_reference(cf)), top
 
 
+def test_qdeform_cf_rejects_a_negative_partial_quotient():
+    for cf, term in (([-1], "a1 = -1"), ([2, -1], "a2 = -1"), ([1, -3, 2], "a2 = -3")):
+        with pytest.raises(ValueError, match=term):
+            qdeform_cf(cf)
+
+
 @pytest.mark.parametrize("a, w", [(255, 1), (256, 2), (65535, 2), (65536, 3)])
 def test_qdeform_cf_slot_width_follows_the_largest_continuant(monkeypatch, a, w):
     """[a] has the continuants 1 and a: 256^w - 1 stays in w bytes and
@@ -262,71 +288,67 @@ def test_qdeform_cf_slot_width_follows_the_largest_continuant(monkeypatch, a, w)
 
 # ---------------------------------------------------------------- closure model
 
-def test_oriented_path_validation():
-    OrientedPath(3, (False, True))
-    OrientedPath(0, ())
-    OrientedPath(1, ())
-    with pytest.raises(ValueError):
-        OrientedPath(3, (True,))
-    with pytest.raises(ValueError):
-        OrientedPath(-1, ())
-
-def test_oriented_path_is_a_value():
-    g = OrientedPath(3, (False, True))
-    assert g == OrientedPath(3, (False, True)) and g != OrientedPath(3, (True, True))
-    assert hash(g) == hash(OrientedPath(3, (False, True)))
-    assert g != (3, (False, True))
-    assert repr(g) == "OrientedPath(vertices=3, arcs=(False, True))"
-
-
 def test_closure_graph_of_22():
-    g = closure_graph([2, 2])
-    assert g.vertices == 3
-    assert g.arcs == (False, True)  # left arc, then right arc
-    assert closure_poly(g) == LaurentPoly({0: 1, 1: 2, 2: 1, 3: 1})
-    g2 = left_delete(g, 2)
-    assert g2.vertices == 1 and g2.arcs == ()
-    assert closure_poly(g2) == ONE + Q
+    # [2, 2]: edges left, left, right, right; inner arcs left, right
+    assert closure_poly([2, 2]) == LaurentPoly({0: 1, 1: 2, 2: 1, 3: 1})
+    # [0, 2]: the first two vertices deleted leave one vertex
+    assert closure_poly([0, 2]) == ONE + Q
 
 
 def test_closure_poly_small_graphs():
-    assert closure_poly(OrientedPath(0, ())) == ONE  # empty graph
-    assert closure_poly(OrientedPath(1, ())) == ONE + Q
+    assert closure_poly([1]) == closure_poly([0]) == ONE  # empty graph
+    assert closure_poly([2]) == closure_poly([0, 2]) == ONE + Q
     # two vertices, one arc: the closed sets exclude {source} alone
-    assert closure_poly(OrientedPath(2, (True,))) == LaurentPoly({0: 1, 1: 1, 2: 1})
-    assert closure_poly(OrientedPath(2, (False,))) == LaurentPoly({0: 1, 1: 1, 2: 1})
+    assert closure_poly([3]) == LaurentPoly({0: 1, 1: 1, 2: 1})
+    assert closure_poly([0, 3]) == LaurentPoly({0: 1, 1: 1, 2: 1})
 
 
 def test_closure_poly_counts_all_subsets_at_q_one_bound():
     # f(1) counts closure sets; it is at most 2^V with equality iff no arcs
     for v in range(0, 10):
         no_arcs_possible = v <= 1
-        g = OrientedPath(v, tuple(True for _ in range(max(v - 1, 0))))
-        cnt = closure_poly(g).eval_at_one
+        cnt = closure_poly([0, v + 1]).eval_at_one  # v vertices, right arcs
         assert cnt <= 2**v
         if no_arcs_possible:
             assert cnt == 2**v
 
 
 def test_closure_poly_dp_equals_brute_force():
-    # exhaustive over every direction pattern for short paths
+    # exhaustive over every orientation of up to 9 inner arcs
     for length in range(0, 10):
         for pattern in range(2**length):
             arcs = tuple(bool((pattern >> i) & 1) for i in range(length))
-            g = OrientedPath(length + 1, arcs)
-            assert closure_poly(g) == closure_poly_brute(g), arcs
-    # seeded random patterns for longer paths
+            cf = _cf_of_inner_arcs(arcs)
+            assert closure_poly(cf) == closure_poly_brute(cf), cf
+    # seeded random orientations for longer paths
     rng = random.Random(20260815)
     for length in range(10, 15):
         for _ in range(12):
             arcs = tuple(rng.random() < 0.5 for _ in range(length))
-            g = OrientedPath(length + 1, arcs)
-            assert closure_poly(g) == closure_poly_brute(g), arcs
+            cf = _cf_of_inner_arcs(arcs)
+            assert closure_poly(cf) == closure_poly_brute(cf), cf
 
 
 def test_closure_poly_brute_refuses_large_graphs():
     with pytest.raises(ValueError):
-        closure_poly_brute(OrientedPath(21, tuple(True for _ in range(20))))
+        closure_poly_brute([22])  # 21 vertices
+
+
+def test_qdeform_via_graph_keeps_its_unreduced_representation():
+    """R(a1, ..., am) over R(0, a2, ..., am), stored as computed."""
+    cases = {
+        (5, 2): ((0, (1, 2, 1, 1)), (0, (1, 1))),
+        (7, 3): ((0, (1, 2, 2, 1, 1)), (0, (1, 1, 1))),
+        (355, 113): (
+            (0, (1, 2, 4, 6, 9, 12, 15, 18, 20, 21, 22, 22, 22, 22, 22, 22, 22,
+                 21, 19, 16, 13, 10, 7, 4, 2, 1)),
+            (0, (1, 1, 2, 3, 4, 5, 6, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7,
+                 6, 5, 4, 3, 2, 1)),
+        ),
+    }
+    for (r, s), (num, den) in cases.items():
+        v = qdeform_via_graph(r, s)
+        assert ((v.num._lo, v.num._c), (v.den._lo, v.den._c)) == (num, den), (r, s)
 
 
 def test_qdeform_via_graph_examples():
