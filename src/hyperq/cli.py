@@ -7,9 +7,10 @@ reported failures, 2 usage or malformed input, 3 input outside a
 command's supported domain (for example ``qrat --via graph`` on a
 rational that is not greater than one) or too large for its answer to
 fit in memory, 4 the output could not be written (the ``--out`` file's
-directory does not exist, or standard output is a full device), 5
-standard output was closed before all of the output was written (for
-example, piped into ``head -1``) or was not open at all.
+directory does not exist, standard output is a full device, or its
+encoding cannot spell the text, say "ε" under ASCII), 5 standard
+output was closed before all of the output was written (for example,
+piped into ``head -1``) or was not open at all.
 
 A cold start pays only for what the subcommand runs: building the
 parser imports nothing beyond the modules below, each handler imports
@@ -210,15 +211,15 @@ def _cmd_hyper(args) -> tuple[str, dict]:
 
 
 def _cmd_fence(args) -> tuple[str, dict]:
-    from .fence import fence, fence_dot, ideal_members, ideals, ideals_dot, rgf
+    from .fence import cover_pairs, fence, fence_dot, ideal_members, ideals, ideals_dot, rgf
     n = args.n
     f = fence(n)
     if args.ideals:
         masks = ideals(f)
-        members = [ideal_members(m, f.size) for m in masks]
+        members = [ideal_members(m, len(f)) for m in masks]
         lines = ["{" + ", ".join(f"x{i}" for i in mem) + "}" if mem else "{}"
                  for mem in members]
-        return "\n".join(lines), {"n": n, "size": f.size, "ideals": members}
+        return "\n".join(lines), {"n": n, "size": len(f), "ideals": members}
     if args.rgf:
         p = rgf(f)
         return p.text(), {"n": n, "rgf": p.text()}
@@ -228,11 +229,11 @@ def _cmd_fence(args) -> tuple[str, dict]:
     if args.dot_ideals:
         src = ideals_dot(n)
         return src, {"n": n, "dot": src}
-    covers = f.cover_pairs()
-    lines = [f"elements: {f.size}"]
+    covers = cover_pairs(f)
+    lines = [f"elements: {len(f)}"]
     lines += [f"x{lo} < x{hi}" for lo, hi in covers]
     return ("\n".join(lines),
-            {"n": n, "size": f.size, "covers": [list(c) for c in covers]})
+            {"n": n, "size": len(f), "covers": [list(c) for c in covers]})
 
 
 def _cmd_matrix(args) -> tuple[str, dict]:
@@ -318,6 +319,9 @@ def _main(argv: list[str] | None) -> int:
     try:
         print(text)
         sys.stdout.flush()
+    except UnicodeEncodeError as exc:  # raised before anything is written
+        print(f"hyperq: {exc}", file=sys.stderr)
+        return 4
     except OSError as exc:
         # point stdout at devnull so the flush at interpreter exit does
         # not raise again

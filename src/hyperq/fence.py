@@ -1,17 +1,20 @@
-"""Fence posets attached to n and their order-ideal lattices.
+"""Fences attached to n and their order-ideal lattices.
 
-The principal prefix b_1 ... b_r of the binary expansion (everything
-before the rightmost zero) defines a fence on elements x_1, ..., x_r:
+A fence is a word f = b_1 ... b_r over "0" and "1" on elements
+x_1, ..., x_r; b_1 is ignored and each later letter orients one step:
 
-    b_i = 0  =>  x_i < x_{i-1}      (i = 2..r)
-    b_i = 1  =>  x_i > x_{i-1}
+    b_i = "0"  =>  x_i < x_{i-1}      (i = 2..r)
+    b_i = "1"  =>  x_i > x_{i-1}
 
-The lattice of order ideals of this fence is order isomorphic to the
-lattice of hyperbinary expansions of n.  With o the indicator of an
-ideal I (o_0 = 0, o_i = 0 for i > r), let e(I) be the digit string with
-e_i = o_i - 2 o_{i-1}.  Since s_i = 2 s_{i-1} + d_i, the prefix sums of
-bottom + e(I) exceed those of the bottom by exactly o, so the
-isomorphism is the image identity
+The fence of n, ``fence(n)``, is the binary digits of n before the
+rightmost zero, the same kind of 0/1 word that ``qrational._word``
+spells for a continued fraction.  The lattice of order ideals of the
+fence of n is order isomorphic to the lattice of hyperbinary
+expansions of n.  With o the indicator of an ideal I (o_0 = 0, o_i = 0
+for i > r), let e(I) be the digit string with e_i = o_i - 2 o_{i-1}.
+Since s_i = 2 s_{i-1} + d_i, the prefix sums of bottom + e(I) exceed
+those of the bottom by exactly o, so the isomorphism is the image
+identity
 
     D(n) = {bottom + e(I) : I an ideal},
 
@@ -40,73 +43,47 @@ from .hyperbinary import (
     expansions,
     h_q,
     min_element,
-    principal_prefix,
     s_vector,
 )
 from .poly import LaurentPoly, RatFunc, slot_width, unpack
 
 
-class FencePoset:
-    """The zigzag poset built from a 0/1 prefix; element i is x_i.  A
-    value, immutable by convention."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: tuple[int, ...]):
-        self.bits = bits
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash((self.bits,))
-
-    def __repr__(self) -> str:
-        return f"FencePoset(bits={self.bits!r})"
-
-    @property
-    def size(self) -> int:
-        return len(self.bits)
-
-    def cover_pairs(self) -> tuple[tuple[int, int], ...]:
-        """(lower, upper) pairs of 1-based element indices."""
-        out = []
-        for i in range(2, len(self.bits) + 1):
-            if self.bits[i - 1] == 0:
-                out.append((i, i - 1))
-            else:
-                out.append((i - 1, i))
-        return tuple(out)
-
-
-def fence(n: int) -> FencePoset:
-    """The fence of n; empty when the binary expansion is all ones."""
+def fence(n: int) -> str:
+    """The fence of n: the binary digits of n strictly before the
+    rightmost 0, as the 0/1 word ``qrational._word`` also spells; ""
+    when the expansion is all ones (including n = 0)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return FencePoset(principal_prefix(n))
+    b = bin(n)[2:]
+    return b[:max(b.rfind("0"), 0)]
 
 
-def _scan(f: FencePoset, out, inn, merge, grow):
-    """The left-to-right scan over the fence that ``ideals`` and ``rgf``
-    share.  The constraint between x_{i-1} and x_i only involves
-    adjacent elements, so partial ideals of x_1..x_i are kept in two
-    classes: ``out`` without x_i and ``inn`` with it.  ``merge`` joins
-    two classes and ``grow(v, i)`` adds x_i to every member of one.
-    The result merges the final two classes; the empty fence has only
-    the empty ideal, ``out``."""
-    if f.size == 0:
+def cover_pairs(f: str) -> tuple[tuple[int, int], ...]:
+    """(lower, upper) pairs of 1-based element indices of the fence f."""
+    return tuple((i - 1, i) if f[i - 1] == "1" else (i, i - 1)
+                 for i in range(2, len(f) + 1))
+
+
+def _scan(f: str, out, inn, merge, grow):
+    """The left-to-right scan over the fence f that ``ideals`` and
+    ``rgf`` share; f is a 0/1 word, as ``qrational._word`` also spells
+    it.  The constraint between x_{i-1} and x_i only involves adjacent
+    elements, so partial ideals of x_1..x_i are kept in two classes:
+    ``out`` without x_i and ``inn`` with it.  ``merge`` joins two
+    classes and ``grow(v, i)`` adds x_i to every member of one.  The
+    result merges the final two classes; the empty fence has only the
+    empty ideal, ``out``."""
+    if not f:
         return out
-    for i in range(2, f.size + 1):
-        if f.bits[i - 1]:  # x_i > x_{i-1}: x_i in forces x_{i-1} in
+    for i in range(2, len(f) + 1):
+        if f[i - 1] == "1":  # x_i > x_{i-1}: x_i in forces x_{i-1} in
             out, inn = merge(out, inn), grow(inn, i)
         else:  # x_i < x_{i-1}: x_{i-1} in forces x_i in
             inn = grow(merge(out, inn), i)
     return merge(out, inn)
 
 
-def ideals(f: FencePoset) -> tuple[int, ...]:
+def ideals(f: str) -> tuple[int, ...]:
     """All order ideals as bitsets, sorted by (cardinality, bitset value),
     listed by the fence scan."""
     states = _scan(f, [0], [1], operator.add,
@@ -115,9 +92,10 @@ def ideals(f: FencePoset) -> tuple[int, ...]:
     return tuple(states)
 
 
-def rgf(f: FencePoset) -> LaurentPoly:
-    """Rank generating function sum q^|I| over ideals, by the same
-    fence scan without listing the ideals.
+def rgf(f: str) -> LaurentPoly:
+    """Rank generating function sum q^|I| over the ideals of the fence
+    f, a 0/1 word (``fence(n)`` or a word of ``qrational._word``), by
+    the same fence scan without listing the ideals.
 
     The scan runs twice on integers.  The first pass counts the ideals,
     the value at q = 1, which fixes the slot width w (``slot_width``).
@@ -146,7 +124,7 @@ def stilde(d: Digits) -> tuple[int, ...]:
     """The first r coordinates of s(d) - s(bottom); always a 0/1 vector
     and the indicator of the ideal matched with d."""
     n = digits_value(d)
-    head = _reduce(d, s_vector(min_element(n)), len(principal_prefix(n)))[0]
+    head = _reduce(d, s_vector(min_element(n)), len(fence(n)))[0]
     if head is None:
         raise ArithmeticError(f"reduced prefix sums not 0/1 for {d}")
     return head
@@ -159,7 +137,7 @@ _ISO = "order isomorphism"
 _HYPERBINARY_DIGITS = bytes((0, 1, 2))
 
 
-def _image(f: FencePoset, bottom: Digits) -> set[bytes]:
+def _image(f: str, bottom: Digits) -> set[bytes]:
     """bottom + e(I) for every ideal I of f, each packed as k bytes.
 
     Adding x_i to an ideal adds 1 to digit i and -2 to digit i + 1,
@@ -176,7 +154,7 @@ def _image(f: FencePoset, bottom: Digits) -> set[bytes]:
         unit = 254 << 8 * (k - i - 1)
         return [v + unit for v in values]
 
-    values = _scan(f, [v0], lift([v0], 1) if f.size else [], operator.add, lift)
+    values = _scan(f, [v0], lift([v0], 1) if f else [], operator.add, lift)
     return {v.to_bytes(k, "big") for v in values}
 
 
@@ -222,7 +200,7 @@ def iso_check(n: int, elems: tuple[Digits, ...] | None = None) -> tuple[str, str
     return _ISO, _walk(elems, f, bottom)
 
 
-def _walk(elems: tuple[Digits, ...], f: FencePoset, bottom: Digits) -> str:
+def _walk(elems: tuple[Digits, ...], f: str, bottom: Digits) -> str:
     """The per-element check behind a failed ``iso_check``.  Each s(d)
     must equal s(bottom) beyond coordinate r and exceed it by a 0/1
     vector, the indicator of an ideal, on the first r; the indicators
@@ -230,7 +208,7 @@ def _walk(elems: tuple[Digits, ...], f: FencePoset, bottom: Digits) -> str:
     in that order.  When all of this holds, the set comparison failed
     because some string is not over 0, 1, 2 or is no longer than the
     fence, so the check still fails."""
-    r = f.size
+    r = len(f)
     s0 = s_vector(bottom)
 
     masks = set()
@@ -256,7 +234,7 @@ def h_q_fence(n: int) -> LaurentPoly:
     """h_q(n) through the fence: q^(r+s) * rgf(1/q), with r the fence
     size and s the number of ones in binary n."""
     f = fence(n)
-    return rgf(f).reverse_var().shift(f.size + n.bit_count())
+    return rgf(f).reverse_var().shift(len(f) + n.bit_count())
 
 
 def weight_check(n: int, memo: dict[int, LaurentPoly] | None = None
@@ -273,7 +251,7 @@ def qcw_fence(n: int) -> RatFunc:
     functions, with the monomial prefix balancing the two weights."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    w = fence(n).size + n.bit_count()
+    w = len(fence(n)) + n.bit_count()
     return RatFunc(h_q_fence(n - 1).shift(-w), h_q_fence(n).shift(-w))
 
 
@@ -284,8 +262,8 @@ def qcw_fence(n: int) -> RatFunc:
 def fence_dot(n: int) -> str:
     """Hasse diagram of the fence in DOT form, edges lower -> upper."""
     f = fence(n)
-    return dot_source(f"fence_{n}", (f"x{i}" for i in range(1, f.size + 1)),
-                      ((f"x{lo}", f"x{hi}") for lo, hi in f.cover_pairs()))
+    return dot_source(f"fence_{n}", (f"x{i}" for i in range(1, len(f) + 1)),
+                      ((f"x{lo}", f"x{hi}") for lo, hi in cover_pairs(f)))
 
 
 def ideal_members(mask: int, size: int) -> list[int]:
@@ -301,9 +279,9 @@ def ideals_dot(n: int) -> str:
     the ideal with one more element."""
     f = fence(n)
     masks = ideals(f)
-    labels = {m: ideal_label(m, f.size) for m in masks}
+    labels = {m: ideal_label(m, len(f)) for m in masks}
     # edges grouped by the smaller ideal, then by the added element,
     # keep the output stable
-    edges = ((labels[m], labels[m | 1 << i]) for m in masks for i in range(f.size)
+    edges = ((labels[m], labels[m | 1 << i]) for m in masks for i in range(len(f))
              if not (m >> i) & 1 and (m | 1 << i) in labels)
     return dot_source(f"ideals_{n}", labels.values(), edges)

@@ -69,13 +69,6 @@ def digits_text(d: Digits) -> str:
     return "".join(str(dig) for dig in d)
 
 
-def parse_digits(s: str) -> Digits:
-    d = tuple(int(ch) for ch in s)
-    if any(dig not in (0, 1, 2) for dig in d):
-        raise ValueError(f"digits must be 0, 1 or 2: {s!r}")
-    return d
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -332,13 +325,6 @@ def _prefix_length(b: Digits) -> int:
         if b[j] == 0:
             return j
     return 0
-
-
-def principal_prefix(n: int) -> Digits:
-    """The binary digits strictly before the rightmost 0; () when the
-    expansion is all ones (including n = 0)."""
-    b = binary_expansion(n)
-    return b[:_prefix_length(b)]
 
 
 def min_element(n: int) -> Digits:

@@ -156,10 +156,10 @@ def closure_poly(cf: list[int]) -> LaurentPoly:
     keeping N - 1 vertices and the N - 2 inner edges.  An arc u -> v
     says v is in X whenever u is, so the closure sets are the order
     ideals of the fence that rises at each left arc and falls at each
-    right one: the word ``_word(cf)`` without its last letter, whose
-    first letter ``fence.rgf`` ignores."""
-    from .fence import FencePoset, rgf  # only this route needs the fence
-    return rgf(FencePoset(tuple(map(int, _word(cf)[:-1]))))
+    right one: the 0/1 word ``_word(cf)`` without its last letter, a
+    fence as ``fence.fence`` spells one, whose first letter ``rgf`` ignores."""
+    from .fence import rgf  # only this route needs the fence
+    return rgf(_word(cf)[:-1])
 
 
 def qdeform_via_graph(r: int, s: int) -> RatFunc:

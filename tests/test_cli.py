@@ -395,6 +395,32 @@ def test_missing_stdout_exits_five_without_traceback():
     assert proc.stderr == ""
 
 
+@pytest.mark.parametrize("mode", ["--list", "--stats"])
+def test_unencodable_stdout_exits_four_without_traceback(tmp_path, mode):
+    """The empty expansion of 0 prints as "ε", which an ASCII stdout
+    cannot encode; ``--json`` escapes it and ``--out`` writes UTF-8."""
+    env = dict(os.environ, PYTHONIOENCODING="ascii")
+
+    def hyperq(*argv):
+        return subprocess.run([sys.executable, "-m", "hyperq.cli", "hyper", mode, "0", *argv],
+                              capture_output=True, text=True, timeout=60, env=env)
+
+    proc = hyperq()
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr.startswith("hyperq: ") and "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+    code, out, _ = run(["hyper", mode, "0", "--json"])
+    proc = hyperq("--json")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "") and code == 0
+
+    target = tmp_path / "out.txt"
+    _, text, _ = run(["hyper", mode, "0"])
+    proc = hyperq("--out", str(target))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == text and "ε" in text
+
+
 # ------------------------------------------------------ integer digit limit
 
 needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import hyperq
 import hyperq.fence as fe
 from hyperq.fence import (
-    FencePoset,
+    cover_pairs,
     fence,
     fence_dot,
     ideal_label,
@@ -34,7 +34,6 @@ from hyperq.hyperbinary import (
     h_q,
     leq,
     min_element,
-    principal_prefix,
 )
 from hyperq.poly import ONE, Q, LaurentPoly
 from hyperq.stern import cw_q
@@ -43,31 +42,53 @@ from hyperq.stern import cw_q
 # ------------------------------------------------------------------ structure
 
 def test_fence_examples():
-    f10 = fence(10)
-    assert f10.size == 3
-    assert f10.cover_pairs() == ((2, 1), (2, 3))
-
-    f75 = fence(75)
-    assert f75.size == 4
-    assert f75.cover_pairs() == ((2, 1), (3, 2), (3, 4))
-
-    assert fence(7).size == 0
-    assert fence(7).cover_pairs() == ()
-    assert fence(0).size == 0
+    assert fence(10) == "101"
+    assert cover_pairs(fence(10)) == ((2, 1), (2, 3))
+    assert fence(75) == "1001"
+    assert cover_pairs(fence(75)) == ((2, 1), (3, 2), (3, 4))
+    assert fence(7) == fence(0) == ""
+    assert cover_pairs(fence(7)) == ()
 
 
-def test_fence_poset_is_a_value():
-    """Equal bits, equal posets and equal hashes; never equal to the
-    bare tuple."""
-    assert fence(10) == FencePoset((1, 0, 1)) and fence(10) != fence(11)
-    assert hash(fence(10)) == hash(FencePoset((1, 0, 1)))
-    assert fence(10) != (1, 0, 1)
-    assert repr(fence(10)) == "FencePoset(bits=(1, 0, 1))"
+def _prefix_oracle(n: int) -> str:
+    """The digits of ``binary_expansion(n)`` strictly before its
+    rightmost 0, read one digit at a time."""
+    b = binary_expansion(n)
+    zeros = [j for j, dig in enumerate(b) if dig == 0]
+    return "".join(map(str, b[:zeros[-1]])) if zeros else ""
 
 
 def test_fence_size_is_principal_prefix_length():
-    for n in range(1, 2000):
-        assert fence(n).size == len(principal_prefix(n))
+    """The fence is the principal prefix as a word, so its size is the
+    prefix's length: every n below 5000 and 200 seeded n of up to 2000
+    bits."""
+    rng = random.Random(15)
+    big = [rng.getrandbits(rng.randint(1, 2000)) for _ in range(200)]
+    for n in list(range(5000)) + big:
+        assert fence(n) == _prefix_oracle(n), n
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        fence(-1)
+
+
+def _cover_pairs_oracle(f: str) -> set[tuple[int, int]]:
+    """Every (lower, upper) pair of adjacent elements, by the fence's
+    definition: letter i of f is "1" exactly when x_i > x_{i-1}."""
+    pairs = set()
+    for lo in range(1, len(f) + 1):
+        for hi in range(1, len(f) + 1):
+            if abs(lo - hi) == 1 and f[max(lo, hi) - 1] == ("1" if hi > lo else "0"):
+                pairs.add((lo, hi))
+    return pairs
+
+
+def test_cover_pairs_on_every_word_up_to_ten_letters():
+    for r in range(11):
+        for letters in product("01", repeat=r):
+            f = "".join(letters)
+            pairs = cover_pairs(f)
+            assert set(pairs) == _cover_pairs_oracle(f), f
+            # one pair per step, in step order
+            assert [max(p) for p in pairs] == list(range(2, r + 1)), f
 
 
 # -------------------------------------------------------------------- ideals
@@ -76,7 +97,7 @@ def test_ideals_of_fence_10():
     f = fence(10)
     masks = ideals(f)
     assert masks == (0, 0b010, 0b011, 0b110, 0b111)
-    assert [ideal_members(m, f.size) for m in masks] == [
+    assert [ideal_members(m, len(f)) for m in masks] == [
         [], [2], [1, 2], [2, 3], [1, 2, 3]
     ]
     assert ideal_label(0b110, 3) == "{x2,x3}"
@@ -87,16 +108,16 @@ def test_ideals_edge_cases():
     assert len(ideals(fence(75))) == 7
 
 
-def is_ideal(f: FencePoset, mask: int) -> bool:
+def is_ideal(f: str, mask: int) -> bool:
     """Is the bitset (bit i-1 for x_i) downward closed?"""
-    for lo, hi in f.cover_pairs():
+    for lo, hi in cover_pairs(f):
         if (mask >> (hi - 1)) & 1 and not (mask >> (lo - 1)) & 1:
             return False
     return True
 
 
-def _brute_ideals(f: FencePoset) -> set[int]:
-    return {mask for mask in range(1 << f.size) if is_ideal(f, mask)}
+def _brute_ideals(f: str) -> set[int]:
+    return {mask for mask in range(1 << len(f)) if is_ideal(f, mask)}
 
 
 def test_ideals_dp_equals_brute_force():
@@ -139,7 +160,7 @@ def test_rgf_examples():
 def test_rgf_shape_properties():
     for n in range(1, 1025):
         p = rgf(fence(n))
-        r = fence(n).size
+        r = len(fence(n))
         assert p.coeff(0) == 1
         assert all(c > 0 for _, c in p.terms())
         assert p.min_exp == 0
@@ -147,15 +168,15 @@ def test_rgf_shape_properties():
         assert p.eval_at_one == h_count(n)
 
 
-def rgf_reference(f: FencePoset) -> LaurentPoly:
+def rgf_reference(f: str) -> LaurentPoly:
     """``rgf`` by the fence scan on ``LaurentPoly`` values: ``out`` and
     ``inn`` are the rank polynomials of the partial ideals of x_1..x_i
     without and with x_i."""
-    if f.size == 0:
+    if not f:
         return ONE
     out, inn = ONE, Q
-    for b in f.bits[1:]:
-        if b:  # x_i > x_{i-1}
+    for b in f[1:]:
+        if b == "1":  # x_i > x_{i-1}
             out, inn = out + inn, inn.shift(1)
         else:  # x_i < x_{i-1}
             inn = (out + inn).shift(1)
@@ -168,17 +189,17 @@ def _same_poly(p: LaurentPoly, want: LaurentPoly) -> bool:
 
 
 def test_rgf_reference_counts_the_brute_force_ideals():
-    for bits in product((0, 1), repeat=7):
-        f = FencePoset((1,) + bits)
+    for letters in product("01", repeat=7):
+        f = "1" + "".join(letters)
         sizes = [bin(m).count("1") for m in _brute_ideals(f)]
         assert rgf_reference(f) == LaurentPoly({k: sizes.count(k) for k in set(sizes)})
 
 
 def test_packed_rgf_on_every_fence_up_to_ten_elements():
     for r in range(11):
-        for bits in product((0, 1), repeat=r):
-            f = FencePoset(bits)
-            assert _same_poly(rgf(f), rgf_reference(f)), bits
+        for letters in product("01", repeat=r):
+            f = "".join(letters)
+            assert _same_poly(rgf(f), rgf_reference(f)), f
 
 
 def test_packed_rgf_on_random_fences_up_to_300_elements():
@@ -186,8 +207,8 @@ def test_packed_rgf_on_random_fences_up_to_300_elements():
     for _ in range(60):
         r = rng.randint(11, 300)
         bias = rng.random()  # long runs (chains) as well as zigzags
-        f = FencePoset(tuple(int(rng.random() < bias) for _ in range(r)))
-        assert _same_poly(rgf(f), rgf_reference(f)), f.bits
+        f = "".join("1" if rng.random() < bias else "0" for _ in range(r))
+        assert _same_poly(rgf(f), rgf_reference(f)), f
 
 
 @pytest.mark.parametrize("size, count, w", [(254, 255, 1), (255, 256, 2)])
@@ -202,8 +223,7 @@ def test_rgf_slot_width_follows_the_ideal_count(monkeypatch, size, count, w):
         return seen[-1][1]
 
     monkeypatch.setattr(fe, "slot_width", spy)
-    f = FencePoset((1,) * size)
-    p = rgf(f)
+    p = rgf("1" * size)
     assert seen == [(count, w)]
     assert (p._lo, p._c) == (0, (1,) * count)
 
@@ -214,7 +234,7 @@ def test_stilde_examples():
     assert stilde((0, 2, 1, 0)) == (0, 1, 1)
     assert stilde((1, 0, 1, 0)) == (1, 1, 1)
     for n in (10, 75, 22):
-        assert stilde(min_element(n)) == (0,) * fence(n).size
+        assert stilde(min_element(n)) == (0,) * len(fence(n))
 
 
 def test_stilde_entries_are_binary_and_identify_ideals():
@@ -348,14 +368,14 @@ def test_iso_check_fails_on_digits_beyond_two(monkeypatch, shift):
 
 def test_package_keeps_the_fence_module():
     assert inspect.ismodule(fe) and fe is hyperq.fence
-    assert hyperq.fence.fence(10).size == 3
+    assert hyperq.fence.fence(10) == "101"
 
 
 # ------------------------------------------------------------- weight bridge
 
 def test_weight_check_worked_example():
     # r = 3 elements, s = 2 ones in the binary digits of 10
-    assert fence(10).size == 3 and (10).bit_count() == 2
+    assert len(fence(10)) == 3 and (10).bit_count() == 2
     lhs = rgf(fence(10)).reverse_var().shift(5)
     assert lhs == h_q(10)
     assert (lhs, h_q(10)) == weight_check(10)
@@ -414,7 +434,7 @@ def _ideals_dot_all_pairs(n):
     """ideals_dot by testing every pair of ideals for a cover."""
     f = fence(n)
     masks = ideals(f)
-    labels = {m: ideal_label(m, f.size) for m in masks}
+    labels = {m: ideal_label(m, len(f)) for m in masks}
     edges = ((labels[m], labels[other]) for m in masks for other in masks
              if m & ~other == 0 and (other ^ m).bit_count() == 1)
     return dot_source(f"ideals_{n}", labels.values(), edges)

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 import hyperq.hyperbinary as hb
+from hyperq.fence import fence
 from hyperq.hyperbinary import (
     HBAR_NAMES,
     binary_expansion,
@@ -29,8 +30,6 @@ from hyperq.hyperbinary import (
     leq,
     meet,
     min_element,
-    parse_digits,
-    principal_prefix,
     s_vector,
     stats,
     stats_rows,
@@ -52,11 +51,7 @@ def test_digits_value_round_trip():
     for n in range(0, 600):
         assert digits_value(binary_expansion(n)) == n
     assert digits_value((0, 2, 1, 0)) == 10
-    assert parse_digits("0210") == (0, 2, 1, 0)
     assert digits_text((0, 2, 1, 0)) == "0210"
-    assert parse_digits("") == ()
-    with pytest.raises(ValueError):
-        parse_digits("013")
 
 
 # ---------------------------------------------------------------- enumeration
@@ -420,9 +415,11 @@ def test_extreme_elements_unique_bottom_and_top():
 
 
 def test_principal_prefix_examples():
-    assert principal_prefix(75) == (1, 0, 0, 1)
-    assert principal_prefix(7) == ()
-    assert principal_prefix(10) == (1, 0, 1)
+    """The principal prefix, the digits before the rightmost 0, is the
+    fence's word."""
+    assert fence(75) == "1001"
+    assert fence(7) == ""
+    assert fence(10) == "101"
 
 
 def test_meet_join_examples():
@@ -466,7 +463,7 @@ def test_join_irreducibles_examples_and_brute_force():
         brute = {d for d in expansions(n, memo) if len(covers(d)) == 1}
         ji = join_irreducibles(n)
         assert set(ji) == brute
-        assert len(ji) == len(principal_prefix(n))
+        assert len(ji) == len(fence(n))
 
 
 # ------------------------------------------------------------------ DOT export
