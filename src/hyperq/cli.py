@@ -45,18 +45,22 @@ def _parse_rational(text: str) -> tuple[int, int]:
     raise argparse.ArgumentTypeError(f"expected a rational like 7/3, got {text!r}")
 
 
-def _nonneg(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        n = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+
+
+def _nonneg(text: str) -> int:
+    n = _int(text)
     if n < 0:
         raise argparse.ArgumentTypeError("expected a nonnegative integer")
     return n
 
 
 def _pos(text: str) -> int:
-    n = _nonneg(text)
+    n = _int(text)
     if n < 1:
         raise argparse.ArgumentTypeError("expected a positive integer")
     return n

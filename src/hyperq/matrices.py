@@ -14,23 +14,40 @@ bivariate companions
     L' = | 1  0 |           R' = | r  s |
          | r  s |                | 0  1 |
 
-satisfy M'(n) (1, 1)^T = (h_rs(n-1), h_rs(n))^T.  Each row-sum identity
-is stated once: ``row_sum_check`` and ``m_prime_check`` return its two
-sides, and ``verify mnthm`` and ``verify mprime`` run them.
+satisfy M'(n) (1, 1)^T = (h_rs(n-1), h_rs(n))^T.  For each row-sum
+identity, ``row_sum_check`` and ``m_prime_check`` return its two sides
+at one n, and ``row_sum_checks`` and ``m_prime_checks`` at every n up
+to a limit, which ``verify mnthm`` and ``verify mprime`` run.
 
-``m_range`` builds every M(n) up to a limit with one cheap
-multiplication each, using M(2n) = L M(n) and M(2n+1) = R M(n), and
-``m_prime_range`` does the same with L' and R'.  Every letter entry is
-zero or a monomial, and ``poly`` multiplies by those as a shift (a
-product with zero is zero, a sum with zero is the other operand), so
-each step is a couple of shifts and adds, never a full polynomial
-product.
+The ranges run on packed integers.  Reading L as qL = [[q, 0], [q, 1]]
+turns M(n) into M~(n) = q^z M(n), z the number of zeros of n after its
+leading 1, a matrix of polynomials in q with nonnegative coefficients.
+At q = 1 both M~(n) and M'(n) are the matrix of Stern's sequence, whose
+row sums are fusc(n) and fusc(n+1), so no coefficient of an entry or a
+row sum reaches 256^w for w = ``slot_width`` of the largest fusc in
+range.  Each entry of M~(n) is then one integer, its value at
+q = 256^w, and each entry of M'(n) one integer at s = X = 256^w,
+r = X^K, where K = ``limit.bit_length() + 1`` exceeds every s-degree
+(one per letter).  Both ranges follow M(2n) = L M(n), M(2n+1) = R M(n),
+and a letter step is a few shifts and two big-int adds
+(``_packed_range``).  ``m_range`` and ``m_prime_range`` decode every
+entry (``poly.unpack``).  ``row_sum_checks`` decodes only the two row
+sums, shifted back by q^-z, against ``row_sums_formula``;
+``m_prime_checks`` packs the oracle pair (h_rs(n-1), h_rs(n)) the same
+way and compares integers, and decodes a side only to show a failure.
+An oracle value with a coefficient outside [0, 256^w) or an s-degree
+of K or more does not fit the packing, and that n is compared as
+``BiPoly`` instead.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from operator import itemgetter
+
 from .hyperbinary import binary_expansion, h_q, h_rs
-from .poly import BiPoly, LaurentPoly, ONE, ZERO, qpow
+from .poly import BiPoly, LaurentPoly, ONE, ZERO, qpow, slot_width, unpack
+from .stern import fusc_range
 
 
 class Mat2:
@@ -94,16 +111,38 @@ def _word_product(n: int, identity, left, right):
     return m
 
 
-def _range(limit: int, identity, left, right) -> list:
-    """[None, M(1), ..., M(limit)] in the given letters by the halving
-    identities M(2n) = left M(n), M(2n+1) = right M(n)."""
+def _packed_range(limit: int, u: int, r: int, s: int) -> list:
+    """[None, P(1), ..., P(limit)], P(n) the word product of n as a tuple
+    (a, b, c, d) of integers, in the letters [[2^u, 0], [2^r, 2^s]] for
+    L and [[2^r, 2^s], [0, 1]] for R, by P(2n) = L P(n) and
+    P(2n+1) = R P(n): each step is four shifts and two adds."""
+    out = [None] * (limit + 1)
+    out[1] = (1, 0, 0, 1)
+    for n in range(2, limit + 1):
+        a, b, c, d = out[n >> 1]
+        x, y = (a << r) + (c << s), (b << r) + (d << s)
+        out[n] = (x, y, c, d) if n & 1 else (a << u, b << u, x, y)
+    return out
+
+
+def _width(limit: int) -> int:
+    """Bytes per coefficient slot for M~(n) and M'(n), n <= limit: their
+    row sums at q = 1 (r = s = 1) are fusc(n) and fusc(n+1)."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    out = [None] * (limit + 1)
-    out[1] = identity
-    for n in range(2, limit + 1):
-        out[n] = (right if n % 2 else left) @ out[n // 2]
-    return out
+    return slot_width(max(fusc_range(limit + 1)))
+
+
+def _m_packed(limit: int) -> tuple[int, list]:
+    """(w, [None, M~(1), ..., M~(limit)]) with M~(n) = q^z M(n) at
+    q = 256^w, from the letters qL = [[q, 0], [q, 1]] and R."""
+    w = _width(limit)
+    return w, _packed_range(limit, 8 * w, 8 * w, 0)
+
+
+def _zeros(n: int) -> int:
+    """z, the zeros of n after its leading 1: M~(n) = q^z M(n)."""
+    return n.bit_length() - n.bit_count()
 
 
 def m_of(n: int) -> Mat2:
@@ -112,8 +151,14 @@ def m_of(n: int) -> Mat2:
 
 
 def m_range(limit: int) -> list[Mat2 | None]:
-    """[None, M(1), ..., M(limit)] by the halving identities."""
-    return _range(limit, Mat2.identity(), L, R)
+    """[None, M(1), ..., M(limit)]: the packed M~(n), each entry
+    unpacked and shifted by q^-z."""
+    w, ms = _m_packed(limit)
+    out: list[Mat2 | None] = [None] * (limit + 1)
+    for n in range(1, limit + 1):
+        lo = -_zeros(n)
+        out[n] = Mat2(*[unpack(v, w, lo) for v in ms[n]])
+    return out
 
 
 def entries_formula(n: int, memo: dict[int, LaurentPoly] | None = None) -> Mat2:
@@ -164,6 +209,17 @@ def row_sum_check(n: int, m: Mat2 | None = None,
     if m is None:
         m = m_of(n)
     return row_sums_formula(n, memo), m.column_sums_vector()
+
+
+def row_sum_checks(limit: int):
+    """The two sides of ``row_sum_check(n)`` for n = 1..limit, in order:
+    M(n) (1,1)^T from the packed M~(n), only its row sums unpacked."""
+    w, ms = _m_packed(limit)
+    memo: dict[int, LaurentPoly] = {}
+    for n in range(1, limit + 1):
+        a, b, c, d = ms[n]
+        lo = -_zeros(n)
+        yield row_sums_formula(n, memo), (unpack(a + b, w, lo), unpack(c + d, w, lo))
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +277,50 @@ def m_prime_of(n: int) -> BiMat2:
     return _word_product(n, BiMat2.identity(), L_PRIME, R_PRIME)
 
 
+def _m_prime_packed(limit: int) -> tuple[int, int, list]:
+    """(w, K, [None, M'(1), ..., M'(limit)]) at s = X = 256^w, r = X^K."""
+    w, k = _width(limit), limit.bit_length() + 1
+    return w, k, _packed_range(limit, 0, 8 * w * k, 8 * w)
+
+
+def _bi_unpack(v: int, w: int, k: int) -> BiPoly:
+    """The BiPoly whose value at s = X = 256^w, r = X^K is v."""
+    return BiPoly({divmod(e, k): c for e, c in unpack(v, w).terms()})
+
+
+def _bi_pack(p: BiPoly, w: int, k: int) -> int | None:
+    """p at s = X = 256^w, r = X^K, or None when that would not
+    determine p: a coefficient outside [0, X) or an s-degree of K or
+    more."""
+    t, step = p._terms, 8 * w
+    if t and (min(t.values()) < 0 or max(t.values()) >> step
+              or max(map(itemgetter(1), t)) >= k):
+        return None
+    return sum(c << step * (i * k + j) for (i, j), c in t.items())
+
+
 def m_prime_range(limit: int) -> list[BiMat2 | None]:
-    return _range(limit, BiMat2.identity(), L_PRIME, R_PRIME)
+    """[None, M'(1), ..., M'(limit)]: the packed M'(n), each entry decoded."""
+    w, k, ms = _m_prime_packed(limit)
+    return [None] + [BiMat2(*[_bi_unpack(v, w, k) for v in m]) for m in ms[1:]]
+
+
+class Packed:
+    """A pair of polynomials held as two packed integers and compared as
+    integers; ``show`` decodes one of them, for the text of a failure."""
+
+    __slots__ = ("pair", "show")
+
+    def __init__(self, pair: tuple[int, int], show):
+        self.pair, self.show = pair, show
+
+    def __eq__(self, other: object) -> bool:  # and so no hash
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pair == other.pair
+
+    def text(self) -> str:
+        return "(" + ", ".join(self.show(v).text() for v in self.pair) + ")"
 
 
 def m_prime_check(n: int, m: BiMat2 | None = None,
@@ -236,3 +334,22 @@ def m_prime_check(n: int, m: BiMat2 | None = None,
     if m is None:
         m = m_prime_of(n)
     return (h_rs(n - 1, memo), h_rs(n, memo)), m.column_sums_vector()
+
+
+def m_prime_checks(limit: int):
+    """The two sides of ``m_prime_check(n)`` for n = 1..limit, in order,
+    each a ``Packed`` pair: M'(n) (1,1)^T from the packed M'(n), and
+    (h_rs(n-1), h_rs(n)) packed the same way, each value once.  Where
+    an oracle value does not fit the packing, both sides are ``BiPoly``
+    pairs instead."""
+    w, k, ms = _m_prime_packed(limit)
+    show = partial(_bi_unpack, w=w, k=k)
+    memo: dict[int, BiPoly] = {}
+    below = _bi_pack(h_rs(0, memo), w, k)
+    for n in range(1, limit + 1):
+        a, b, c, d = ms[n]
+        top, below = below, _bi_pack(h_rs(n, memo), w, k)
+        if top is None or below is None:
+            yield (h_rs(n - 1, memo), h_rs(n, memo)), (show(a + b), show(c + d))
+        else:
+            yield Packed((top, below), show), Packed((a + b, c + d), show)

@@ -18,7 +18,9 @@ schoolbook convolution.  Recurrences whose polynomials have
 nonnegative coefficients can instead run on packed integers, each
 polynomial evaluated at q = 256^w with w bytes per coefficient
 (``slot_width``), and build one ``LaurentPoly`` at the end
-(``unpack``).
+(``unpack``); ``pack`` goes the other way, and ``RatFunc`` equality
+multiplies packed integers when all four parts are nonnegative and
+both numerators nonzero.
 ``BiPoly`` keeps a sparse {(e1, e2): coeff} dict with the same zero and
 monomial shortcuts.
 
@@ -30,6 +32,7 @@ stored terms.
 
 from __future__ import annotations
 
+import struct
 import sys
 from collections.abc import Mapping
 from itertools import repeat
@@ -243,6 +246,7 @@ def slot_width(bound: int) -> int:
 #: memoryview formats of the slot widths that are native integer types;
 #: a cast reads the slots of a little-endian ``to_bytes`` in order only
 #: on a little-endian host, so elsewhere every width takes the slices
+#: (``pack`` reads the same table, for its ``struct`` format letters)
 _NATIVE_SLOTS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 
 
@@ -267,6 +271,22 @@ def unpack(v: int, w: int, lo: int = 0) -> LaurentPoly:
                       map(b.__getitem__, map(slice, range(0, size, w), range(w, size + w, w))),
                       repeat("little")))
     return _dense(lo + low, c)
+
+
+def pack(p: LaurentPoly, w: int) -> int:
+    """c_0 + c_1 256^w + ... for p = q^lo * (c_0 + c_1 q + ...), each
+    0 <= c_i < 256^w: p at q = 256^w with its q^lo dropped, the inverse
+    of ``unpack(v, w, lo)``.  The slots are one little-endian
+    ``struct.pack`` when ``_NATIVE_SLOTS`` has w, w-byte ``to_bytes``
+    otherwise, read as one integer; a coefficient outside its slot
+    raises ``struct.error`` or ``OverflowError``."""
+    c = p._c
+    fmt = _NATIVE_SLOTS.get(w)
+    if fmt:
+        b = struct.pack(f"<{len(c)}{fmt}", *c)
+    else:
+        b = b"".join(map(int.to_bytes, c, repeat(w), repeat("little")))
+    return int.from_bytes(b, "little")
 
 
 def _sparse(terms: dict[tuple[int, int], int]) -> "BiPoly":
@@ -382,8 +402,13 @@ class RatFunc:
     A value, not a field element: there is no arithmetic.  Equality
     (``==``, against another RatFunc only) means equality as rational
     functions, decided by cross multiplication; the pair is never
-    reduced.  ``canonical()`` clears negative exponents for display
-    only.
+    reduced.  When both numerators are nonzero and no part has a
+    negative coefficient, the cross products are compared on packed
+    integers: first their lowest exponents, then the integer products of
+    the parts packed at q = 256^w (``pack``), w the ``slot_width`` of the
+    larger product's value at q = 1, which no coefficient of either
+    product exceeds.  Signed or zero parts take the two convolutions.
+    ``canonical()`` clears negative exponents for display only.
     """
 
     __slots__ = ("num", "den")
@@ -401,7 +426,15 @@ class RatFunc:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        a, b, c, d = self.num, other.den, other.num, self.den  # a/d == c/b
+        if a._c and c._c and min(map(min, (a._c, b._c, c._c, d._c))) >= 0:
+            # nonnegative, so no coefficient of a b or c d exceeds its
+            # value at q = 1, and packed products have no carries
+            if a._lo + b._lo != c._lo + d._lo:
+                return False
+            w = slot_width(max(sum(a._c) * sum(b._c), sum(c._c) * sum(d._c)))
+            return pack(a, w) * pack(b, w) == pack(c, w) * pack(d, w)
+        return a * b == c * d
 
     def canonical(self) -> "RatFunc":
         """Shift num and den by q^-e, e the least exponent present in either.

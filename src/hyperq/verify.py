@@ -5,10 +5,18 @@ its range; ``_sweep`` registers it and turns it into ``verify_<name>
 (bound)``, which times the checks, counts them, compares the two sides
 and returns a ``VerifyReport``.  Everything is exact arithmetic; a
 failure records where it happened plus expected/actual renderings.
-mainbij, weightbij, mnthm and mprime yield the two sides that the
-library's checks ``fence.iso_check``, ``fence.weight_check``,
-``matrices.row_sum_check`` and ``matrices.m_prime_check`` return, so
-each of those identities is written down once, in the library.
+mainbij and weightbij yield the two sides that the library's checks
+``fence.iso_check`` and ``fence.weight_check`` return, and mnthm and
+mprime those of ``matrices.row_sum_checks`` and
+``matrices.m_prime_checks``, the range forms of ``row_sum_check`` and
+``m_prime_check``, so each of those identities is written down in the
+library.  The range forms read M(n) and M'(n) from products on packed
+integers: mnthm compares polynomials unpacked from them, and mprime
+compares packed integers, with the h_rs oracle packed the same way
+where it fits; a failure is rendered from the decoded polynomials, as
+text identical to the unpacked sides'.  qrat and gg compare
+``RatFunc`` values, whose equality multiplies packed integers when no
+part is signed or zero.
 Sweeps are single threaded and iterate in increasing order, so reports
 are deterministic; each owns private memo dicts, one per memoized
 function.  mainbij, hrs and hbar
@@ -175,19 +183,15 @@ def verify_mnent(max_n):
 @_sweep(16_384)
 def verify_mnthm(max_n):
     """M(n) (1,1)^T = (q^-k h_q(n-1), q^-k-1 h_q(n))^T."""
-    ms = mx.m_range(max_n)
-    hq_memo: dict[int, LaurentPoly] = {}
-    for n in range(1, max_n + 1):
-        yield str(n), *mx.row_sum_check(n, ms[n], hq_memo)
+    for n, sides in enumerate(mx.row_sum_checks(max_n), 1):
+        yield str(n), *sides
 
 
 @_sweep(16_384)
 def verify_mprime(max_n):
     """M'(n) (1,1)^T = (h_rs(n-1), h_rs(n))^T."""
-    mps = mx.m_prime_range(max_n)
-    hrs_memo: dict[int, BiPoly] = {}
-    for n in range(1, max_n + 1):
-        yield str(n), *mx.m_prime_check(n, mps[n], hrs_memo)
+    for n, sides in enumerate(mx.m_prime_checks(max_n), 1):
+        yield str(n), *sides
 
 
 @_sweep(4096, lo=0)

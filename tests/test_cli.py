@@ -178,6 +178,19 @@ def test_exit_code_two_on_bad_integer():
         assert err != ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "mnthm", "--max", "-3"], ["verify", "mnthm", "--max", "0"],
+    ["matrix", "-3"], ["matrix", "0"], ["fence", "-1"],
+])
+def test_nonpositive_integer_is_reported_as_not_positive(argv):
+    """Where n must be positive, every n < 1 gets the same message,
+    negative ones included."""
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(": expected a positive integer\n")
+    assert "Traceback" not in err
+
+
 def test_exit_code_three_outside_graph_domain():
     for rational in ("1/1", "1/2", "2/6"):
         code, out, err = run(["qrat", rational, "--via", "graph"])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperq.matrices as mx
 from hyperq.hyperbinary import h_q, h_rs
 from hyperq.matrices import (
     BiMat2,
@@ -15,14 +16,16 @@ from hyperq.matrices import (
     entries_formula,
     m_of,
     m_prime_check,
+    m_prime_checks,
     m_prime_of,
     m_prime_range,
     m_range,
     row_sum_check,
+    row_sum_checks,
     row_sums_formula,
     word_of,
 )
-from hyperq.poly import ONE, ZERO, BiPoly, LaurentPoly, qpow
+from hyperq.poly import ONE, ZERO, BiPoly, LaurentPoly, qpow, unpack
 from hyperq.stern import fusc
 
 
@@ -81,6 +84,51 @@ def test_m_range_agrees_with_word_products():
     ms = m_range(1024)
     for n in range(1, 1025):
         assert ms[n] == m_of(n), n
+
+
+#: limits where the packing changes: max fusc(n + 1) crosses 255 from
+#: 4689 to 4690 (fusc(4691) = 257), so w goes from 1 to 2, and K, one
+#: more than the limit's bit length, changes at each power of two
+PACKING_LIMITS = [4689, 4690, 4691, 1023, 1024, 1025, 2047, 2048, 2049]
+
+
+def _dense(p: LaurentPoly) -> tuple:
+    return p._lo, p._c
+
+
+@pytest.mark.parametrize("limit", PACKING_LIMITS)
+def test_packed_ranges_match_word_products_where_the_packing_changes(limit):
+    """Each range decodes its packed products with the slot width and K
+    of its limit; the last n of the range have the largest values.  The
+    row sums are read from the same packed products."""
+    ms, mps = m_range(limit), m_prime_range(limit)
+    sums = list(row_sum_checks(limit))
+    primes = list(m_prime_checks(limit))
+    assert len(sums) == len(primes) == limit
+    for n in range(limit - 3, limit + 1):
+        m, mp = m_of(n), m_prime_of(n)
+        assert [_dense(e) for e in ms[n].entries()] == [_dense(e) for e in m.entries()], n
+        assert [e._terms for e in mps[n].entries()] == [e._terms for e in mp.entries()], n
+        expected, actual = sums[n - 1]
+        assert [_dense(e) for e in actual] == [_dense(e) for e in m.column_sums_vector()], n
+        assert (expected, actual) == row_sum_check(n)
+        expected, actual = primes[n - 1]
+        assert expected == actual, n
+        assert actual.text() == "(" + ", ".join(e.text() for e in mp.column_sums_vector()) + ")"
+    assert all(expected == actual for expected, actual in sums)
+    assert all(expected == actual for expected, actual in primes)
+
+
+def test_packed_slots_hold_coefficients_past_one_byte():
+    """M(75092) has the first row sum with a coefficient above 255: 278,
+    in c + d.  The slot width of the range keeps it from carrying."""
+    n = 75092
+    w, ms = mx._m_packed(n)
+    a, b, c, d = ms[n]
+    lo = -mx._zeros(n)
+    assert max(unpack(c + d, w)._c) == 278
+    assert [unpack(v, w, lo) for v in ms[n]] == list(m_of(n).entries())
+    assert unpack(c + d, w, lo) == row_sums_formula(n)[1]
 
 
 def test_halving_identities():

@@ -1,13 +1,15 @@
 """Exact-arithmetic polynomial layer: algebra and the pinned text format."""
 
 import random
+import struct
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperq import poly
-from hyperq.poly import ONE, Q, ZERO, BiPoly, LaurentPoly, RatFunc, qint, qpow, slot_width, unpack
+from hyperq.poly import (ONE, Q, ZERO, BiPoly, LaurentPoly, RatFunc, pack, qint, qpow, slot_width,
+                         unpack)
 
 
 # ---------------------------------------------------------------- LaurentPoly
@@ -178,6 +180,44 @@ def test_ratfunc_equality_by_cross_multiplication():
     assert half == scaled
     assert half != RatFunc(ONE, qint(3))
     assert RatFunc.zero() == RatFunc(ZERO, qint(3))
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["cast", "slices"])
+@pytest.mark.parametrize("w", range(1, 10))
+def test_ratfunc_packed_equality_at_the_slot_boundary(w, native, monkeypatch):
+    """Nonnegative quotients compare packed, with the slot width of the
+    larger cross product at q = 1: a coefficient of 256^w - 1 keeps its
+    slot, and one of 256^w takes a wider slot instead of carrying into
+    its neighbour."""
+    if not native:
+        monkeypatch.setattr(poly, "_NATIVE_SLOTS", {})
+    top = 256**w - 1
+    full = LaurentPoly({1: top})
+    assert RatFunc(full, ONE) == RatFunc(full.shift(1), Q)
+    assert RatFunc(full, ONE) != RatFunc(LaurentPoly({1: top - 1}), ONE)
+    # 1 + 256^w q and 1 + q^2 agree at q = 256^w
+    carry = LaurentPoly({0: 1, 1: top + 1})
+    assert RatFunc(carry, ONE) != RatFunc(ONE + qpow(2), ONE)
+    assert RatFunc(carry, qint(2)) == RatFunc(carry * qint(3), qint(2) * qint(3))
+
+
+def test_ratfunc_equality_off_the_packed_path(monkeypatch):
+    """Quotients equal at q = 1 need not be equal.  A negative
+    coefficient or a zero numerator takes the convolution, and unequal
+    lowest exponents decide without a product."""
+    assert RatFunc(qint(2), qint(3)) != RatFunc(ONE + qpow(2), qint(3))
+    assert RatFunc(qint(2), qint(3)) != RatFunc(qint(4), qint(6))
+
+    def unused(p, w):
+        raise AssertionError("packed")
+
+    monkeypatch.setattr(poly, "pack", unused)
+    minus = ONE - Q
+    assert RatFunc(minus, ONE) == RatFunc(minus * qint(2), qint(2))
+    assert RatFunc(minus, ONE) != RatFunc(ONE - qpow(2), ONE)
+    assert RatFunc(ZERO, qint(2)) == RatFunc(ZERO, ONE)
+    assert RatFunc(ZERO, ONE) != RatFunc(ONE, ONE) and RatFunc(ONE, ONE) != RatFunc.zero()
+    assert RatFunc(Q, qint(2)) != RatFunc(ONE, qint(2))
 
 
 def test_ratfunc_canonical_display():
@@ -356,7 +396,8 @@ def test_slot_width_of_small_values_is_one_byte():
 @pytest.mark.parametrize("w", range(1, 18))
 def test_unpack_keeps_full_slots(w, native, monkeypatch):
     """A coefficient of exactly 256^w - 1 stays in its slot, next to
-    zero, one and full neighbours, at every slot width.  Without the
+    zero, one and full neighbours, at every slot width, and ``pack``
+    puts it back; one of 256^w or below 0 has no slot.  Without the
     native casts every width takes the byte slices, as on a big-endian
     host."""
     if not native:
@@ -367,6 +408,11 @@ def test_unpack_keeps_full_slots(w, native, monkeypatch):
     want = LaurentPoly({e: c for e, c in enumerate(coeffs, -3)})
     assert (p._lo, p._c) == (want._lo, want._c)
     assert unpack(top, w, 5) == LaurentPoly({5: top})
+    assert pack(want, w) == _pack(coeffs, w)
+    assert pack(ZERO, w) == 0
+    for bad in (top + 1, -1):
+        with pytest.raises((struct.error, OverflowError)):
+            pack(LaurentPoly({0: 1, 2: bad}), w)
 
 
 @PROPERTY
@@ -380,3 +426,21 @@ def test_unpack_matches_reference(w, lo, kinds, data):
     p = unpack(_pack(coeffs, w), w, lo)
     want = LaurentPoly({e: c for e, c in enumerate(coeffs, lo)})
     assert (p._lo, p._c) == (want._lo, want._c)
+    assert unpack(pack(p, w), w, p._lo) == p
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 300), min_size=1, max_size=12),
+       st.lists(st.integers(0, 300), min_size=1, max_size=12),
+       st.lists(st.integers(0, 300), min_size=1, max_size=6),
+       st.integers(-3, 3), st.integers(0, 20), st.integers(-1, 1))
+def test_ratfunc_packed_equality_matches_cross_multiplication(na, da, ka, lo, at, bump):
+    """On nonnegative quotients and scaled or perturbed copies, ``==``
+    agrees with the convolution."""
+    num, den, k = (LaurentPoly(dict(enumerate(c, lo))) for c in (na, da, ka))
+    assume(num and den and k)
+    other_num = num * k + LaurentPoly({at + lo: bump})
+    if other_num.is_zero or min(other_num._c) < 0:
+        other_num = num * k
+    a, b = RatFunc(num, den), RatFunc(other_num, den * k)
+    assert (a == b) == (num * den * k == other_num * den)

@@ -5,7 +5,9 @@ import pytest
 import hyperq.fence as fe
 import hyperq.hyperbinary as hb
 import hyperq.matrices as mx
-from hyperq.poly import BiPoly, LaurentPoly
+from hyperq import qrational as qr
+from hyperq import stern
+from hyperq.poly import BiPoly, LaurentPoly, RatFunc, qpow
 from hyperq.verify import REGISTRY, VerifyReport, run_verify
 
 
@@ -152,19 +154,28 @@ def test_hrs_compares_its_tallies_with_the_recurrences(monkeypatch):
                             ("2", "0", "q + q^2"), ("2", "0", "q + q^2")]
 
 
-@pytest.mark.parametrize("name,target,identity,failures", [
-    ("mnthm", "m_range", mx.Mat2.identity(),
+def _identity_range(limit, u, r, s):
+    """``mx._packed_range`` with every M(n) the identity: held as
+    2^(u z) I, z the zeros of n after its leading 1, since the L letter's
+    diagonal is 2^u (q for M~(n) = q^z M(n), 1 for M'(n))."""
+    return [None] + [(1 << u * z, 0, 0, 1 << u * z)
+                     for z in map(mx._zeros, range(1, limit + 1))]
+
+
+@pytest.mark.parametrize("name,failures", [
+    ("mnthm",
      [("2", "(1, q^-1 + 1)", "(1, 1)"), ("3", "(1 + q, 1)", "(1, 1)"),
       ("4", "(1, q^-2 + q^-1 + 1)", "(1, 1)")]),
-    ("mprime", "m_prime_range", mx.BiMat2.identity(),
+    ("mprime",
      [("2", "(1, s + r)", "(1, 1)"), ("3", "(s + r, 1)", "(1, 1)"),
       ("4", "(1, s^2 + r + r s)", "(1, 1)")]),
 ])
-def test_matrix_sweeps_render_the_checks_sides(monkeypatch, name, target, identity, failures):
-    """mnthm and mprime compare the two sides that ``row_sum_check`` and
-    ``m_prime_check`` return: with every matrix replaced by the identity,
-    the actual side is (1, 1) and the expected side is unchanged."""
-    monkeypatch.setattr(mx, target, lambda limit: [None] + [identity] * limit)
+def test_matrix_sweeps_render_the_checks_sides(monkeypatch, name, failures):
+    """mnthm and mprime compare the two sides that ``row_sum_checks`` and
+    ``m_prime_checks`` return: with every packed matrix replaced by the
+    identity, the actual side is (1, 1) and the expected side is
+    unchanged."""
+    monkeypatch.setattr(mx, "_packed_range", _identity_range)
     (rep,) = run_verify(name, 4)
     assert rep.checked == 4
     assert rep.failures == failures
@@ -191,3 +202,116 @@ def test_lattice_sweeps_read_one_stream(monkeypatch, name):
         assert rep.failures[0] == ("10", "order isomorphism", "image is not the set of ideals")
     # listing each n on its own makes 450 rule calls up to 64
     assert calls <= 2 * (64 + 2)
+
+
+# --------------------------------------------------------- planted defects
+
+def _plant(monkeypatch, module, name, at, change):
+    """Replace ``module.name`` by the real function with ``change``
+    applied to its result for the leading arguments ``at`` alone."""
+    real = getattr(module, name)
+
+    def planted(*args):
+        out = real(*args)
+        return change(out) if args[:len(at)] == at else out
+
+    monkeypatch.setattr(module, name, planted)
+
+
+def _one_more(p):
+    """p with one added to its lowest coefficient."""
+    return p + qpow(p.min_exp)
+
+
+def _up(p):
+    """p with its lo off by one."""
+    return p.shift(1)
+
+
+def _num(change):
+    return lambda v: RatFunc(change(v.num), v.den)
+
+
+def _plant_mat(monkeypatch, at, change):
+    """``mx.m_range`` with ``change`` applied to M(at) alone."""
+    real = mx.m_range
+
+    def planted(limit):
+        ms = real(limit)
+        ms[at] = change(ms[at])
+        return ms
+
+    monkeypatch.setattr(mx, "m_range", planted)
+
+
+def _bi(terms):
+    return BiPoly(dict(terms))
+
+
+def _bi_plus(terms):
+    """Add the given {(r-degree, s-degree): coeff} terms to h_rs(6)."""
+    return lambda p: p + _bi(terms)
+
+
+#: id -> (sweep, bound, checks, planting, failures); each plants one small
+#: error on one side of one n, or of one value that two neighbouring n read
+PLANTS = {
+    # claim side: the continued-fraction route, one coefficient up
+    "qrat-claim": ("qrat", 16, 16, lambda mp: _plant(mp, qr, "qdeform", (3, 2), _num(_one_more)),
+                   [("5", "(1 + q + q^2) / (1 + q)", "(2 + q + q^2) / (1 + q)")]),
+    # oracle side: cw_q(5) with its numerator's lo off by one
+    "qrat-oracle": ("qrat", 16, 16, lambda mp: _plant(mp, stern, "cw_q", (5,), _num(_up)),
+                    [("5", "(q + q^2 + q^3) / (1 + q)", "(1 + q + q^2) / (1 + q)")]),
+    "gg-claim": ("gg", 6, 11,
+                 lambda mp: _plant(mp, qr, "qdeform_via_graph", (5, 3), _num(_one_more)),
+                 [("5/3", "(1 + q + 2q^2 + q^3) / (1 + q + q^2)",
+                   "(2 + q + 2q^2 + q^3) / (1 + q + q^2)")]),
+    "gg-oracle": ("gg", 6, 11, lambda mp: _plant(mp, qr, "qdeform", (5, 3), _num(_up)),
+                  [("5/3", "(q + q^2 + 2q^3 + q^4) / (1 + q + q^2)",
+                    "(1 + q + 2q^2 + q^3) / (1 + q + q^2)")]),
+    # claim side: the word product M(6); oracle side: the entry formula
+    "mnent-claim": ("mnent", 16, 15,
+                    lambda mp: _plant_mat(mp, 6, lambda m: mx.Mat2(_one_more(m.a), m.b, m.c, m.d)),
+                    [("6", "2q | 1 | q | q^-1 + 1", "q | 1 | q | q^-1 + 1")]),
+    "mnent-oracle": ("mnent", 16, 15,
+                     lambda mp: _plant(mp, mx, "entries_formula", (6,),
+                                       lambda m: mx.Mat2(m.a, m.b, m.c, _up(m.d))),
+                     [("6", "q | 1 | q | q^-1 + 1", "q | 1 | q | 1 + q")]),
+    # oracle side of the packed matrix sweeps: h_q(6) and h_rs(6), which
+    # n = 6 reads as its bottom row sum and n = 7 as its top one
+    "mnthm-oracle": ("mnthm", 8, 8, lambda mp: _plant(mp, mx, "h_q", (6,), _one_more),
+                     [("6", "(1 + q, 2q^-1 + 1 + q)", "(1 + q, q^-1 + 1 + q)"),
+                      ("7", "(2 + q + q^2, 1)", "(1 + q + q^2, 1)")]),
+    "mprime-oracle": ("mprime", 8, 8, lambda mp: _plant(mp, mx, "h_rs", (6,), _bi_plus({(0, 1): 1})),
+                      [("6", "(s + r, 2s + r s + r^2)", "(s + r, s + r s + r^2)"),
+                       ("7", "(2s + r s + r^2, 1)", "(s + r s + r^2, 1)")]),
+    # oracle values that break the packing of M'(n) up to 8 (s = X = 256,
+    # r = X^5) yet pack to the true value: r s^5 for r^2, 256 r for r s,
+    # and s^2 - 256 s added; each n that reads one is compared as BiPoly
+    "mprime-s-degree": ("mprime", 8, 8,
+                        lambda mp: _plant(mp, mx, "h_rs", (6,), _bi_plus({(1, 5): 1, (2, 0): -1})),
+                        [("6", "(s + r, s + r s + r s^5)", "(s + r, s + r s + r^2)"),
+                         ("7", "(s + r s + r s^5, 1)", "(s + r s + r^2, 1)")]),
+    "mprime-coefficient": ("mprime", 8, 8,
+                           lambda mp: _plant(mp, mx, "h_rs", (6,),
+                                             _bi_plus({(1, 0): 256, (1, 1): -1})),
+                           [("6", "(s + r, s + 256r + r^2)", "(s + r, s + r s + r^2)"),
+                            ("7", "(s + 256r + r^2, 1)", "(s + r s + r^2, 1)")]),
+    "mprime-negative": ("mprime", 8, 8,
+                        lambda mp: _plant(mp, mx, "h_rs", (6,), _bi_plus({(0, 2): 1, (0, 1): -256})),
+                        [("6", "(s + r, -255s + s^2 + r s + r^2)", "(s + r, s + r s + r^2)"),
+                         ("7", "(-255s + s^2 + r s + r^2, 1)", "(s + r s + r^2, 1)")]),
+}
+
+
+@pytest.mark.parametrize("plant", PLANTS)
+def test_planted_defect_fails_where_planted(monkeypatch, plant):
+    """A small error on either side of one check fails that check alone,
+    rendered as the two sides' polynomials."""
+    name, bound, checks, install, failures = PLANTS[plant]
+    install(monkeypatch)
+    (rep,) = run_verify(name, bound)
+    assert rep.checked == checks
+    assert rep.failures == failures
+    where, expected, actual = failures[0]
+    assert rep.lines()[1] == f"  at {where}: expected {expected}, got {actual}"
