@@ -31,22 +31,23 @@ r = X^K, where K = ``limit.bit_length() + 1`` exceeds every s-degree
 (one per letter).  Both ranges follow M(2n) = L M(n), M(2n+1) = R M(n),
 and a letter step is a few shifts and two big-int adds
 (``_packed_range``).  ``m_range`` and ``m_prime_range`` decode every
-entry (``poly.unpack``).  ``row_sum_checks`` decodes only the two row
-sums, shifted back by q^-z, against ``row_sums_formula``;
+entry (``poly.unpack``, ``poly.unpack_bi``).  ``row_sum_checks``
+decodes only the two row sums, shifted back by q^-z, against
+``row_sums_formula``;
 ``m_prime_checks`` packs the oracle pair (h_rs(n-1), h_rs(n)) the same
-way and compares integers, and decodes a side only to show a failure.
-An oracle value with a coefficient outside [0, 256^w) or an s-degree
-of K or more does not fit the packing, and that n is compared as
+way (``poly.pack_bi``) and compares integers, and decodes a side only
+to show a failure (``poly.unpack_bi``).  An oracle value with a
+coefficient outside [0, 256^w), a negative exponent or an s-degree of
+K or more does not fit the packing, and that n is compared as
 ``BiPoly`` instead.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from operator import itemgetter
 
 from .hyperbinary import binary_expansion, h_q, h_rs
-from .poly import BiPoly, LaurentPoly, ONE, ZERO, qpow, slot_width, unpack
+from .poly import BiPoly, LaurentPoly, ONE, ZERO, pack_bi, qpow, slot_width, unpack, unpack_bi
 from .stern import fusc_range
 
 
@@ -283,26 +284,10 @@ def _m_prime_packed(limit: int) -> tuple[int, int, list]:
     return w, k, _packed_range(limit, 0, 8 * w * k, 8 * w)
 
 
-def _bi_unpack(v: int, w: int, k: int) -> BiPoly:
-    """The BiPoly whose value at s = X = 256^w, r = X^K is v."""
-    return BiPoly({divmod(e, k): c for e, c in unpack(v, w).terms()})
-
-
-def _bi_pack(p: BiPoly, w: int, k: int) -> int | None:
-    """p at s = X = 256^w, r = X^K, or None when that would not
-    determine p: a coefficient outside [0, X) or an s-degree of K or
-    more."""
-    t, step = p._terms, 8 * w
-    if t and (min(t.values()) < 0 or max(t.values()) >> step
-              or max(map(itemgetter(1), t)) >= k):
-        return None
-    return sum(c << step * (i * k + j) for (i, j), c in t.items())
-
-
 def m_prime_range(limit: int) -> list[BiMat2 | None]:
     """[None, M'(1), ..., M'(limit)]: the packed M'(n), each entry decoded."""
     w, k, ms = _m_prime_packed(limit)
-    return [None] + [BiMat2(*[_bi_unpack(v, w, k) for v in m]) for m in ms[1:]]
+    return [None] + [BiMat2(*[unpack_bi(v, w, k) for v in m]) for m in ms[1:]]
 
 
 class Packed:
@@ -343,12 +328,12 @@ def m_prime_checks(limit: int):
     an oracle value does not fit the packing, both sides are ``BiPoly``
     pairs instead."""
     w, k, ms = _m_prime_packed(limit)
-    show = partial(_bi_unpack, w=w, k=k)
+    show = partial(unpack_bi, w=w, k=k)
     memo: dict[int, BiPoly] = {}
-    below = _bi_pack(h_rs(0, memo), w, k)
+    below = pack_bi(h_rs(0, memo), w, k)
     for n in range(1, limit + 1):
         a, b, c, d = ms[n]
-        top, below = below, _bi_pack(h_rs(n, memo), w, k)
+        top, below = below, pack_bi(h_rs(n, memo), w, k)
         if top is None or below is None:
             yield (h_rs(n - 1, memo), h_rs(n, memo)), (show(a + b), show(c + d))
         else:

@@ -22,7 +22,8 @@ polynomial evaluated at q = 256^w with w bytes per coefficient
 multiplies packed integers when all four parts are nonnegative and
 both numerators nonzero.
 ``BiPoly`` keeps a sparse {(e1, e2): coeff} dict with the same zero and
-monomial shortcuts.
+monomial shortcuts; ``pack_bi`` and ``unpack_bi`` pack it at s = 256^w,
+r = 256^(w k), k above every s-degree.
 
 All arithmetic is exact integer arithmetic; there is no floating point
 anywhere.  Instances are immutable by convention: every operation
@@ -36,6 +37,7 @@ import struct
 import sys
 from collections.abc import Mapping
 from itertools import repeat
+from operator import itemgetter
 
 def _render(terms, var) -> str:
     """The fixed wire format shared by both polynomial types.
@@ -394,6 +396,30 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self._terms!r})"
+
+
+def pack_bi(p: BiPoly, w: int, k: int) -> int | None:
+    """p at s = X = 256^w, r = X^k: the ``BiPoly`` counterpart of
+    ``pack``, with r^i s^j in slot i k + j.  None when that value would
+    not determine p: a coefficient outside [0, X), or an exponent
+    outside the slots (either exponent negative, or an s-degree of k or
+    more)."""
+    t, step = p._terms, 8 * w
+    if not t:
+        return 0
+    cs, js = sorted(t.values()), sorted(map(itemgetter(1), t))  # both ends of each, in C
+    if cs[0] < 0 or cs[-1] >> step or js[0] < 0 or js[-1] >= k:
+        return None
+    try:
+        return sum(c << step * (i * k + j) for (i, j), c in t.items())
+    except ValueError:  # with 0 <= j < k, a negative i is a negative shift count
+        return None
+
+
+def unpack_bi(v: int, w: int, k: int) -> BiPoly:
+    """The ``BiPoly`` whose value at s = X = 256^w, r = X^k is v, each
+    slot below X: the inverse of ``pack_bi``."""
+    return BiPoly({divmod(e, k): c for e, c in unpack(v, w).terms()})
 
 
 class RatFunc:

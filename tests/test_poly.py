@@ -8,8 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperq import poly
-from hyperq.poly import (ONE, Q, ZERO, BiPoly, LaurentPoly, RatFunc, pack, qint, qpow, slot_width,
-                         unpack)
+from hyperq.poly import (ONE, Q, ZERO, BiPoly, LaurentPoly, RatFunc, pack, pack_bi, qint, qpow,
+                         slot_width, unpack, unpack_bi)
 
 
 # ---------------------------------------------------------------- LaurentPoly
@@ -413,6 +413,23 @@ def test_unpack_keeps_full_slots(w, native, monkeypatch):
     for bad in (top + 1, -1):
         with pytest.raises((struct.error, OverflowError)):
             pack(LaurentPoly({0: 1, 2: bad}), w)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_pack_bi_round_trips_and_refuses_what_has_no_slot(w):
+    """r^i s^j goes to slot i k + j at s = 256^w, r = 256^(w k): full
+    slots round-trip, and a value that would not determine the
+    polynomial is refused: a coefficient of 256^w or below 0, an
+    s-degree of k, or a negative exponent of either variable (r^2 s^-4
+    would land in the slot of r s)."""
+    top, k = 256**w - 1, 5
+    p = BiPoly({(0, 0): top, (0, 4): 1, (1, 1): top, (3, 0): 2})
+    v = pack_bi(p, w, k)
+    assert v == _pack([top, 0, 0, 0, 1, 0, top, 0, 0, 0, 0, 0, 0, 0, 0, 2], w)
+    assert unpack_bi(v, w, k) == p
+    assert pack_bi(BiPoly(), w, k) == 0 and unpack_bi(0, w, k) == BiPoly()
+    for bad in ({(2, 2): top + 1}, {(2, 2): -1}, {(0, k): 1}, {(2, -4): 1}, {(-1, 2): 1}):
+        assert pack_bi(p + BiPoly(bad), w, k) is None
 
 
 @PROPERTY

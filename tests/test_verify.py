@@ -301,6 +301,16 @@ PLANTS = {
                         lambda mp: _plant(mp, mx, "h_rs", (6,), _bi_plus({(0, 2): 1, (0, 1): -256})),
                         [("6", "(s + r, -255s + s^2 + r s + r^2)", "(s + r, s + r s + r^2)"),
                          ("7", "(-255s + s^2 + r s + r^2, 1)", "(s + r s + r^2, 1)")]),
+    # negative exponents: r^2 s^-4 sits in the slot of r s (2*5 - 4 = 6),
+    # so it packs to the true value; r^-1 has no slot at all
+    "mprime-negative-s": ("mprime", 8, 8,
+                          lambda mp: _plant(mp, mx, "h_rs", (6,), _bi_plus({(2, -4): 1, (1, 1): -1})),
+                          [("6", "(s + r, s + r^2 s^-4 + r^2)", "(s + r, s + r s + r^2)"),
+                           ("7", "(s + r^2 s^-4 + r^2, 1)", "(s + r s + r^2, 1)")]),
+    "mprime-negative-r": ("mprime", 8, 8,
+                          lambda mp: _plant(mp, mx, "h_rs", (6,), _bi_plus({(-1, 2): 1})),
+                          [("6", "(s + r, r^-1 s^2 + s + r s + r^2)", "(s + r, s + r s + r^2)"),
+                           ("7", "(r^-1 s^2 + s + r s + r^2, 1)", "(s + r s + r^2, 1)")]),
 }
 
 
