@@ -27,7 +27,8 @@ Each has an enumeration form (the oracle) and a halving recurrence
 form; verification sweeps compare the two.  With f(-1) the empty sum,
 F(x) = f(x - 1) has the shape of fusc: F(2y) comes from F(y) and
 F(2y+1) from F(y+1) and F(y).  So each recurrence, and the list D(n)
-itself, is one rule for ``stern.halving`` at n + 1, and h_q(n) is
+itself, is one rule for ``stern.halving`` at n + 1, whose walk carries
+the pair F(m), F(m + 1) down the prefixes m of n + 1, and h_q(n) is
 fusc_q(n + 1).  Memo dicts are caller owned, exactly as in stern, one
 table per recurrence and keyed by n + 1: an h_q memo is a fusc_q memo.
 """
@@ -92,10 +93,10 @@ def expansions_upto(limit: int, start: int = 0) -> Iterator[tuple[Digits, ...]]:
     ``expansions(n)`` returns.
 
     One private memo is passed to ``expansions`` for the whole stream.
-    After each n it keeps only the entries on the halving chain of the
-    next argument, x - 1, x, x + 1 for x = n + 2, (n + 2) >> 1, ..., 1,
-    which is everything D(n + 1) reads.  So between two values the
-    stream holds at most 3 * (limit + 2).bit_length() lists, and it
+    After each n it keeps only the pairs x, x + 1 for the prefixes
+    x = n + 2, (n + 2) >> 1, ..., 1 of the next argument, where the walk
+    of ``stern.halving`` for D(n + 1) starts.  So between two values the
+    stream holds at most 2 * (limit + 2).bit_length() lists, and it
     builds about two new ones per n where ``expansions(n)`` alone
     rebuilds its whole chain.
     """
@@ -105,7 +106,7 @@ def expansions_upto(limit: int, start: int = 0) -> Iterator[tuple[Digits, ...]]:
         chain = set()
         x = n + 2
         while x:
-            chain.update((x - 1, x, x + 1))
+            chain.update((x, x + 1))
             x >>= 1
         memo = {x: d for x, d in memo.items() if x in chain}
 

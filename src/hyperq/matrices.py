@@ -60,13 +60,10 @@ class Mat2:
     def __init__(self, a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly):
         self.a, self.b, self.c, self.d = a, b, c, d
 
-    def __eq__(self, other: object) -> bool:
+    def __eq__(self, other: object) -> bool:  # and so no hash
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.entries() == other.entries()
-
-    def __hash__(self) -> int:
-        return hash(self.entries())
 
     def __repr__(self) -> str:
         return f"Mat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
@@ -201,15 +198,12 @@ def row_sums_formula(n: int, memo: dict[int, LaurentPoly] | None = None
     return h_q(n - 1, memo).shift(-k), h_q(n, memo).shift(-k - 1)
 
 
-def row_sum_check(n: int, m: Mat2 | None = None,
-                  memo: dict[int, LaurentPoly] | None = None) -> tuple[tuple, tuple]:
+def row_sum_check(n: int) -> tuple[tuple, tuple]:
     """The two sides of M(n) (1,1)^T = (q^-k h_q(n-1), q^-k-1 h_q(n))^T
     as (expected, actual) = (``row_sums_formula(n)``, M(n) (1,1)^T);
-    ``verify mnthm`` compares them.  ``m`` is M(n) when the caller
-    already has it."""
-    if m is None:
-        m = m_of(n)
-    return row_sums_formula(n, memo), m.column_sums_vector()
+    ``verify mnthm`` compares them for every n through
+    ``row_sum_checks``."""
+    return row_sums_formula(n), m_of(n).column_sums_vector()
 
 
 def row_sum_checks(limit: int):
@@ -236,13 +230,10 @@ class BiMat2:
     def __init__(self, a: BiPoly, b: BiPoly, c: BiPoly, d: BiPoly):
         self.a, self.b, self.c, self.d = a, b, c, d
 
-    def __eq__(self, other: object) -> bool:
+    def __eq__(self, other: object) -> bool:  # and so no hash
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.entries() == other.entries()
-
-    def __hash__(self) -> int:
-        return hash(self.entries())
 
     def __repr__(self) -> str:
         return f"BiMat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
@@ -308,17 +299,13 @@ class Packed:
         return "(" + ", ".join(self.show(v).text() for v in self.pair) + ")"
 
 
-def m_prime_check(n: int, m: BiMat2 | None = None,
-                  memo: dict[int, BiPoly] | None = None) -> tuple[tuple, tuple]:
+def m_prime_check(n: int) -> tuple[tuple, tuple]:
     """The two sides of M'(n) (1,1)^T = (h_rs(n-1), h_rs(n))^T as
     (expected, actual) = ((h_rs(n-1), h_rs(n)), M'(n) (1,1)^T);
-    ``verify mprime`` compares them.  ``m`` is M'(n) when the caller
-    already has it."""
-    if memo is None:
-        memo = {}
-    if m is None:
-        m = m_prime_of(n)
-    return (h_rs(n - 1, memo), h_rs(n, memo)), m.column_sums_vector()
+    ``verify mprime`` compares them for every n through
+    ``m_prime_checks``."""
+    memo: dict[int, BiPoly] = {}
+    return (h_rs(n - 1, memo), h_rs(n, memo)), m_prime_of(n).column_sums_vector()
 
 
 def m_prime_checks(limit: int):

@@ -11,6 +11,11 @@ polynomials in q via
 with fusc_q(0) = 0 and fusc_q(1) = 1, and ``cw_q(n)`` is the quotient
 fusc_q(n)/fusc_q(n+1).
 
+Both recurrences are evaluated by one walk over the bits of n from
+the top, carrying the values at m and m + 1 for the prefix m read so
+far: ``_fusc_pair`` on integers, and ``halving`` for any rule of this
+shape.  Neither recurses, so n of thousands of bits is fine.
+
 Memo dicts are owned by the caller: verification sweeps pass one dict
 for the whole sweep and drop it afterwards, so repeated sweeps never
 share state and single calls stay allocation-light.  There is one memo
@@ -64,37 +69,34 @@ def halving(n: int, rule, zero, one, memo: dict | None = None):
     """F(n) for F(0) = zero, F(1) = one and F(x) = rule(x, F) for x >= 2,
     where rule reads F[x // 2] and, for odd x, F[x // 2 + 1].
 
-    Every halving recurrence in the package is one rule for this.  The
-    missing values F(n) needs, at most two per bit, are listed level by
-    level and built from the bottom up, each once, with no recursion
-    and so no depth limit.  ``memo`` doubles as F; without one, a level
-    is dropped once the level above it is built.
+    Every halving recurrence in the package is one rule for this.  Like
+    ``_fusc_pair``, it walks the bits of n from the top and keeps the
+    pair F(m), F(m + 1) for the prefix m read so far, which is all the
+    next level reads: F(2m) and F(2m + 1) read F(m) and F(m + 1), and
+    so do F(2m + 1) and F(2m + 2).  The walk starts at the longest
+    prefix whose pair is already known, m = 1 at worst, and builds each
+    missing value once, at most two per bit, with no recursion and so
+    no depth limit.  ``memo`` doubles as F; without one, only the last
+    pair is kept.
     """
     if n < 2:
         return one if n else zero
     f = {} if memo is None else memo
-    got = f.get(n)
-    if got is not None:
-        return got
+    if n in f:
+        return f[n]
     f[1] = one
-    levels, level = [], [n]
-    while level:
-        levels.append(level)
-        below = []
-        # what a level reads is one run of at most two values; 3 reads
-        # the 2 beside it, which is built first
-        for y in range(level[0] >> 1, (level[-1] + 3) >> 1):
-            if y not in f and y not in level:
-                below.append(y)
-        level = below
-    built = ()
-    for level in reversed(levels):
-        for x in level:
-            f[x] = rule(x, f)
+    j, m = 1, n >> 1
+    while m > 1 and not (m in f and m + 1 in f):
+        j, m = j + 1, m >> 1
+    for j in range(j, 0, -1):
+        m = n >> j
+        for x in (m, m + 1):
+            if x not in f:
+                f[x] = rule(x, f)
         if memo is None:
-            for y in built:
-                del f[y]
-        built = level
+            f = {m: f[m], m + 1: f[m + 1]}
+    if n not in f:  # 2 is in the pair of its prefix 1
+        f[n] = rule(n, f)
     return f[n]
 
 

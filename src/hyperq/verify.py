@@ -230,27 +230,19 @@ def _hbar_notes(max_n: int) -> list[str]:
     def hbar(n: int) -> BiPoly:
         return hb.hbar_st(n, memo)
 
+    s2 = BiPoly.monomial(1, 0, 2)
+    ms = range(1, max_n // 2 + 1)
     notes = []
-    s_var = BiPoly.monomial(1, 0, 1)
-    first_odd = None
-    first_even_s2 = None
-    for m in range(1, max_n // 2 + 1):
-        if first_odd is None and hbar(2 * m - 1) != hbar(m - 1):
-            first_odd = m
-        if first_even_s2 is None and hbar(2 * m) != hbar(m) + s_var * s_var * hbar(m - 1):
-            first_even_s2 = m
-        if first_odd is not None and first_even_s2 is not None:
-            break
-    if first_odd is not None:
-        m = first_odd
+    m = next((m for m in ms if hbar(2 * m - 1) != hbar(m - 1)), None)
+    if m is not None:
         notes.append(
             f"literal odd rule hbar(2n-1) = hbar(n-1) (no s factor) first fails at n={m}: "
             f"hbar({2 * m - 1}) = {hbar(2 * m - 1).text(names)} but "
             f"hbar({m - 1}) = {hbar(m - 1).text(names)}; "
             f"corrected rule hbar(2n-1) = s*hbar(n-1) verified on the whole range"
         )
-    if first_even_s2 is not None:
-        m = first_even_s2
+    m = next((m for m in ms if hbar(2 * m) != hbar(m) + s2 * hbar(m - 1)), None)
+    if m is not None:
         notes.append(
             f"literal even rule read as hbar(2n) = hbar(n) + s^2*hbar(n-1) first fails at n={m}: "
             f"hbar({2 * m}) = {hbar(2 * m).text(names)}; "

@@ -68,8 +68,7 @@ def test_m_of_examples():
 
 def test_matrices_are_values():
     """Entrywise equality within one type; a Mat2 never equals a BiMat2
-    or its entry tuple, and entries that cannot hash make the matrix
-    unhashable."""
+    or its entry tuple, and a matrix, like its entries, is unhashable."""
     assert m_of(19) == m_of(19) and m_of(19) != m_of(18)
     assert m_prime_of(19) == m_prime_of(19) and m_prime_of(19) != m_prime_of(18)
     assert BiMat2.identity() != Mat2.identity()
@@ -237,10 +236,7 @@ def test_m_prime_sweep():
     mps = m_prime_range(2048)
     memo = {}
     for n in range(1, 2049):
-        expected, actual = m_prime_check(n, mps[n], memo)
-        assert expected == actual, n
-        assert expected == (h_rs(n - 1, memo), h_rs(n, memo))
-        assert actual == mps[n].column_sums_vector()
+        assert mps[n].column_sums_vector() == (h_rs(n - 1, memo), h_rs(n, memo)), n
 
 
 #: n of 100 to 600 bits, drawn bit length first

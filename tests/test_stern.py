@@ -159,6 +159,30 @@ def test_halving_builds_each_value_once_below_and_never_at_zero_or_one():
     assert min(seen) >= 2 and len(seen) == len(set(seen)) <= 2 * n.bit_length()
 
 
+def test_halving_without_a_memo_keeps_only_the_last_pair():
+    """The walk holds the pair of the prefix it stands on and the value
+    it is building, never the levels above; with a memo it stores each
+    value once."""
+    held = []
+
+    def rule(x, f):
+        held.append(len(f))
+        return f[x // 2] + f[x // 2 + 1] if x % 2 else f[x // 2]
+
+    n = 2**1500 + 2**700 + 12345
+    assert halving(n, rule, 0, 1) == fusc(n)
+    assert len(held) > n.bit_length() and max(held) <= 4
+
+    class Stores(dict):
+        def __setitem__(self, x, v):
+            stored.append(x)
+            super().__setitem__(x, v)
+
+    stored, memo = [], Stores()
+    assert halving(n, rule, 0, 1, memo) == fusc(n)
+    assert len(stored) == len(set(stored)) == len(memo)
+
+
 def test_fusc_q_past_the_recursion_limit():
     n = 2**1100 + 2**551 + 3
     assert fusc_q(n).eval_at_one == fusc(n)

@@ -244,12 +244,23 @@ def _plant_mat(monkeypatch, at, change):
     monkeypatch.setattr(mx, "m_range", planted)
 
 
+def _plant_stream(monkeypatch, at, change):
+    """``hb.expansions_upto`` with ``change`` applied to D(at) alone."""
+    real = hb.expansions_upto
+
+    def planted(limit, start=0):
+        for n, elems in enumerate(real(limit, start), start):
+            yield change(elems) if n == at else elems
+
+    monkeypatch.setattr(hb, "expansions_upto", planted)
+
+
 def _bi(terms):
     return BiPoly(dict(terms))
 
 
 def _bi_plus(terms):
-    """Add the given {(r-degree, s-degree): coeff} terms to h_rs(6)."""
+    """Add the given {(r-degree, s-degree): coeff} terms to a BiPoly."""
     return lambda p: p + _bi(terms)
 
 
@@ -277,6 +288,38 @@ PLANTS = {
                      lambda mp: _plant(mp, mx, "entries_formula", (6,),
                                        lambda m: mx.Mat2(m.a, m.b, m.c, _up(m.d))),
                      [("6", "q | 1 | q | q^-1 + 1", "q | 1 | q | 1 + q")]),
+    # claim side: the fence formula for h_q(5); oracle side: the recurrence
+    "weightbij-claim": ("weightbij", 8, 8, lambda mp: _plant(mp, fe, "h_q_fence", (5,), _one_more),
+                        [("5", "2q^2 + q^3", "q^2 + q^3")]),
+    "weightbij-oracle": ("weightbij", 8, 8, lambda mp: _plant(mp, fe, "h_q", (6,), _up),
+                         [("6", "q^2 + q^3 + q^4", "q^3 + q^4 + q^5")]),
+    # claim side: the last digit of 1010 in D(10) up by one; oracle side:
+    # the bottom of D(10), 0122, replaced by 0202, one cover above it
+    "mainbij-claim": ("mainbij", 16, 16,
+                      lambda mp: _plant_stream(mp, 10, lambda ds: ((1, 0, 1, 1),) + ds[1:]),
+                      [("10", "order isomorphism",
+                        "prefix sums of (1, 0, 1, 1) leave the bottom's beyond position 3")]),
+    "mainbij-oracle": ("mainbij", 16, 16,
+                       lambda mp: _plant(mp, fe, "min_element", (10,), lambda d: (0, 2, 0, 2)),
+                       [("10", "order isomorphism", "(0, 1, 2, 2): reduced prefix sums not 0/1")]),
+    # claim side: the tallies of D(5) and D(6); an h_q tally fails both
+    # the recurrence and the closed form.  Oracle side: the recurrences
+    "hrs-claim-q": ("hrs", 8, 25, lambda mp: _plant(mp, hb, "h_q_enum", (5,), _one_more),
+                    [("5", "2q^2 + q^3", "q^2 + q^3"), ("5", "2q^2 + q^3", "q^2 + q^3")]),
+    "hrs-claim-rs": ("hrs", 8, 25, lambda mp: _plant(mp, hb, "h_rs_enum", (6,), _bi_plus({(0, 1): 1})),
+                     [("6", "2s + r s + r^2", "s + r s + r^2")]),
+    "hrs-oracle-q": ("hrs", 8, 25, lambda mp: _plant(mp, hb, "h_q", (5,), _up),
+                     [("5", "q^2 + q^3", "q^3 + q^4")]),
+    "hrs-oracle-rs": ("hrs", 8, 25, lambda mp: _plant(mp, hb, "h_rs", (6,), _bi_plus({(1, 0): 1})),
+                      [("6", "s + r s + r^2", "s + r + r s + r^2")]),
+    # claim side: the (ones, twos) tally of D(6); oracle side: the
+    # recurrence, whose specialization to h_q moves with it
+    "hbar-claim": ("hbar", 8, 9, lambda mp: _plant(mp, hb, "hbar_st_enum", (6,), _bi_plus({(0, 1): 1})),
+                   [("6", "(s + s^2 + t s + t^2, q^2 + q^3 + q^4)",
+                     "(s^2 + t s + t^2, q^2 + q^3 + q^4)")]),
+    "hbar-oracle": ("hbar", 8, 9, lambda mp: _plant(mp, hb, "hbar_st", (6,), _bi_plus({(1, 0): 1})),
+                    [("6", "(s^2 + t s + t^2, q^2 + q^3 + q^4)",
+                      "(s^2 + t + t s + t^2, 2q^2 + q^3 + q^4)")]),
     # oracle side of the packed matrix sweeps: h_q(6) and h_rs(6), which
     # n = 6 reads as its bottom row sum and n = 7 as its top one
     "mnthm-oracle": ("mnthm", 8, 8, lambda mp: _plant(mp, mx, "h_q", (6,), _one_more),
