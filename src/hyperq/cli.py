@@ -73,8 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         # argparse takes "-1/3" for an option and reports R/S as missing;
         # read every "-<digit>" token as a value, so the input checks name
         # it (a private ArgumentParser attribute, present in 3.10-3.13)
@@ -83,22 +84,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH", help="write the output to a file")
         return p
 
-    p = add("fusc", "diatomic sequence value fusc(n)")
+    p = add("fusc", _cmd_fusc, "diatomic sequence value fusc(n)")
     p.add_argument("n", type=_nonneg)
 
-    p = add("fuscq", "q-analogue fusc_q(n) as a polynomial in q")
+    p = add("fuscq", _cmd_fuscq, "q-analogue fusc_q(n) as a polynomial in q")
     p.add_argument("n", type=_nonneg)
 
-    p = add("cw", "n-th term of the enumeration of the positive rationals")
+    p = add("cw", _cmd_cw, "n-th term of the enumeration of the positive rationals")
     p.add_argument("n", type=_nonneg)
 
-    p = add("cwq", "q-deformed n-th term, a ratio of polynomials")
+    p = add("cwq", _cmd_cwq, "q-deformed n-th term, a ratio of polynomials")
     p.add_argument("n", type=_nonneg)
 
-    p = add("cwindex", "position of r/s in the rational enumeration")
+    p = add("cwindex", _cmd_cwindex, "position of r/s in the rational enumeration")
     p.add_argument("rational", type=_parse_rational, metavar="R/S")
 
-    p = add("qrat", "q-deformation of a nonnegative rational r/s")
+    p = add("qrat", _cmd_qrat, "q-deformation of a nonnegative rational r/s")
     p.add_argument("rational", type=_parse_rational, metavar="R/S")
     p.add_argument(
         "--via",
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         "of an oriented path (requires r/s > 1)",
     )
 
-    p = add("hyper", "hyperbinary expansions of n")
+    p = add("hyper", _cmd_hyper, "hyperbinary expansions of n")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--list", action="store_true", help="list expansions, largest first")
     g.add_argument("--count", action="store_true", help="number of expansions (default)")
@@ -120,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="DOT source for the lattice of expansions")
     p.add_argument("n", type=_nonneg)
 
-    p = add("fence", "fence poset of n and its order ideals")
+    p = add("fence", _cmd_fence, "fence poset of n and its order ideals")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--ideals", action="store_true", help="list order ideals by size")
     g.add_argument("--rgf", action="store_true", help="rank generating function")
@@ -129,12 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="DOT source for the lattice of order ideals")
     p.add_argument("n", type=_pos)
 
-    p = add("matrix", "2x2 L/R product M(n) over Laurent polynomials")
+    p = add("matrix", _cmd_matrix, "2x2 L/R product M(n) over Laurent polynomials")
     p.add_argument("--prime", action="store_true",
                    help="use the two-variable L'/R' matrices instead")
     p.add_argument("n", type=_pos)
 
-    p = add("verify", "sweep one identity family (or all) over a range")
+    p = add("verify", _cmd_verify, "sweep one identity family (or all) over a range")
     p.add_argument("name", choices=VERIFY_NAMES + ("all",))
     p.add_argument("--max", type=_pos, default=None, dest="max_n",
                    help="override the sweep's upper bound")
@@ -251,28 +252,14 @@ def _cmd_matrix(args) -> tuple[str, dict]:
              "entries": [[texts[0], texts[1]], [texts[2], texts[3]]]})
 
 
-def _cmd_verify(args) -> tuple[str, dict, bool]:
+def _cmd_verify(args) -> tuple[str, dict]:
     from .verify import run_verify
     reports = run_verify(args.name, args.max_n)
     lines: list[str] = []
     for rep in reports:
         lines.extend(rep.lines())
     ok = all(rep.passed for rep in reports)
-    payload = {"reports": [rep.to_dict() for rep in reports], "passed": ok}
-    return "\n".join(lines), payload, ok
-
-
-_HANDLERS = {
-    "fusc": _cmd_fusc,
-    "fuscq": _cmd_fuscq,
-    "cw": _cmd_cw,
-    "cwq": _cmd_cwq,
-    "cwindex": _cmd_cwindex,
-    "qrat": _cmd_qrat,
-    "hyper": _cmd_hyper,
-    "fence": _cmd_fence,
-    "matrix": _cmd_matrix,
-}
+    return "\n".join(lines), {"reports": [rep.to_dict() for rep in reports], "passed": ok}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -293,12 +280,7 @@ def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            text, payload, ok = _cmd_verify(args)
-            exit_code = 0 if ok else 1
-        else:
-            text, payload = _HANDLERS[args.command](args)
-            exit_code = 0
+        text, payload = args.handler(args)
     except MemoryError:
         print("hyperq: input too large to compute in memory", file=sys.stderr)
         return 3
@@ -306,7 +288,8 @@ def _main(argv: list[str] | None) -> int:
         # qrational.UnsupportedDomain carries exit code 3
         print(f"hyperq: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
-
+    # only the verify payload has "passed": a failed sweep exits 1
+    exit_code = 0 if payload.get("passed", True) else 1
     if args.json:
         import json
         text = json.dumps(payload, indent=2)

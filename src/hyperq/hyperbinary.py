@@ -25,12 +25,19 @@ Generating functions counted here:
 
 Each has an enumeration form (the oracle) and a halving recurrence
 form; verification sweeps compare the two.  With f(-1) the empty sum,
-F(x) = f(x - 1) has the shape of fusc: F(2y) comes from F(y) and
-F(2y+1) from F(y+1) and F(y).  So each recurrence, and the list D(n)
-itself, is one rule for ``stern.halving`` at n + 1, whose walk carries
-the pair F(m), F(m + 1) down the prefixes m of n + 1, and h_q(n) is
-fusc_q(n + 1).  Memo dicts are caller owned, exactly as in stern, one
-table per recurrence and keyed by n + 1: an h_q memo is a fusc_q memo.
+F(x) = f(x - 1) has the shape of fusc: F(2y) = w1 F(y) and
+F(2y+1) = w0 F(y+1) + w2 F(y), where w_d weighs appending the digit d
+(``stern.digit_rule``).  The digit weights (w0, w1, w2) are
+
+    h_q      (1, q, q^2),  so h_q(n) is fusc_q(n + 1)
+    h_rs     (s, 1, r)
+    hbar_st  (1, s, t)
+
+So each recurrence, and the list D(n) itself, is one rule for
+``stern.halving`` at n + 1, whose walk carries the pair F(m), F(m + 1)
+down the prefixes m of n + 1.  Memo dicts are caller owned, exactly as
+in stern, one table per recurrence and keyed by n + 1: an h_q memo is
+a fusc_q memo.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from collections.abc import Iterable, Iterator
 from itertools import repeat
 
 from .poly import BiPoly, LaurentPoly, qint, qpow
-from .stern import fusc, fusc_q, halving
+from .stern import digit_rule, fusc, fusc_q, halving
 
 Digits = tuple[int, ...]
 
@@ -209,30 +216,25 @@ def h_q(n: int, memo: dict[int, LaurentPoly] | None = None) -> LaurentPoly:
 _BI_ZERO = BiPoly.zero()
 _BI_ONE = BiPoly.one()
 
-# bivariate in (r, s): r marks a digit 2, s marks a nonleading zero
-_R2 = BiPoly.monomial(1, 1, 0)
-_S2 = BiPoly.monomial(1, 0, 1)
+# the two variables of a BiPoly: h_rs(n) is in (r, s), r marking a
+# digit 2 and s a nonleading zero; hbar_st(n) is in (t, s), t marking a
+# digit 2 and s a digit 1.  The weight-two variable takes the first
+# exponent slot in both, so increasing-lex rendering lists lighter
+# terms first.
+_X1 = BiPoly.monomial(1, 1, 0)
+_X2 = BiPoly.monomial(1, 0, 1)
+
+#: digit weights (w0, w1, w2): h_rs is (s, 1, r), hbar_st is (1, s, t)
+_H_RS_RULE = digit_rule(_X2, _BI_ONE, _X1)
+_HBAR_ST_RULE = digit_rule(_BI_ONE, _X2, _X1)
 
 
 def h_rs(n: int, memo: dict[int, BiPoly] | None = None) -> BiPoly:
     """h_rs(n) by recurrence: appending 1 is free, 0 costs s, 2 costs r."""
     if n < -1:
         raise ValueError("h_rs is defined for n >= -1")
-    return halving(n + 1, _h_rs_rule, _BI_ZERO, _BI_ONE, memo)
+    return halving(n + 1, _H_RS_RULE, _BI_ZERO, _BI_ONE, memo)
 
-
-def _h_rs_rule(x: int, f: dict[int, BiPoly]) -> BiPoly:
-    half = x >> 1
-    if x & 1:
-        return _S2 * f[half + 1] + _R2 * f[half]
-    return f[half]
-
-
-# bivariate in (s, t): s marks a digit 1, t marks a digit 2.  The
-# weight-two variable t takes the first exponent slot, mirroring r in
-# h_rs, so increasing-lex rendering lists lighter terms first.
-_S3 = BiPoly.monomial(1, 0, 1)
-_T3 = BiPoly.monomial(1, 1, 0)
 
 HBAR_NAMES = ("t", "s")
 
@@ -245,14 +247,7 @@ def hbar_st(n: int, memo: dict[int, BiPoly] | None = None) -> BiPoly:
     """
     if n < -1:
         raise ValueError("hbar_st is defined for n >= -1")
-    return halving(n + 1, _hbar_st_rule, _BI_ZERO, _BI_ONE, memo)
-
-
-def _hbar_st_rule(x: int, f: dict[int, BiPoly]) -> BiPoly:
-    half = x >> 1
-    if x & 1:
-        return f[half + 1] + _T3 * f[half]
-    return _S3 * f[half]
+    return halving(n + 1, _HBAR_ST_RULE, _BI_ZERO, _BI_ONE, memo)
 
 
 def h_q_closed_form(n: int) -> LaurentPoly:

@@ -14,10 +14,12 @@ bivariate companions
     L' = | 1  0 |           R' = | r  s |
          | r  s |                | 0  1 |
 
-satisfy M'(n) (1, 1)^T = (h_rs(n-1), h_rs(n))^T.  For each row-sum
-identity, ``row_sum_check`` and ``m_prime_check`` return its two sides
-at one n, and ``row_sum_checks`` and ``m_prime_checks`` at every n up
-to a limit, which ``verify mnthm`` and ``verify mprime`` run.
+satisfy M'(n) (1, 1)^T = (h_rs(n-1), h_rs(n))^T.  One class body,
+``_mat2``, is made once per entry ring: ``Mat2`` over ``LaurentPoly``
+and ``BiMat2`` over ``BiPoly``.  For each row-sum identity,
+``row_sum_check`` and ``m_prime_check`` return its two sides at one n,
+and ``row_sum_checks`` and ``m_prime_checks`` at every n up to a limit,
+which ``verify mnthm`` and ``verify mprime`` run.
 
 The ranges run on packed integers.  Reading L as qL = [[q, 0], [q, 1]]
 turns M(n) into M~(n) = q^z M(n), z the number of zeros of n after its
@@ -51,42 +53,52 @@ from .poly import BiPoly, LaurentPoly, ONE, ZERO, pack_bi, qpow, slot_width, unp
 from .stern import fusc_range
 
 
-class Mat2:
-    """A 2x2 matrix of Laurent polynomials, row major.  A value,
-    immutable by convention."""
+def _mat2(name: str, one, zero) -> type:
+    """The class of 2x2 matrices over the ring with this one and zero.
+    Each call makes fresh methods: ``Mat2`` and ``BiMat2`` share no
+    function, so a profile tells their products apart."""
 
-    __slots__ = ("a", "b", "c", "d")
+    class Mat:
+        """A 2x2 matrix, row major.  A value, immutable by convention."""
 
-    def __init__(self, a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly):
-        self.a, self.b, self.c, self.d = a, b, c, d
+        __slots__ = ("a", "b", "c", "d")
 
-    def __eq__(self, other: object) -> bool:  # and so no hash
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries() == other.entries()
+        def __init__(self, a, b, c, d):
+            self.a, self.b, self.c, self.d = a, b, c, d
 
-    def __repr__(self) -> str:
-        return f"Mat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
+        def __eq__(self, other: object) -> bool:  # and so no hash
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return self.entries() == other.entries()
 
-    @classmethod
-    def identity(cls) -> "Mat2":
-        return cls(ONE, ZERO, ZERO, ONE)
+        def __repr__(self) -> str:
+            return f"{name}(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
-    def __matmul__(self, o: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * o.a + self.b * o.c,
-            self.a * o.b + self.b * o.d,
-            self.c * o.a + self.d * o.c,
-            self.c * o.b + self.d * o.d,
-        )
+        @classmethod
+        def identity(cls):
+            return cls(one, zero, zero, one)
 
-    def column_sums_vector(self) -> tuple[LaurentPoly, LaurentPoly]:
-        """The image of (1, 1)^T: row sums as a column vector."""
-        return (self.a + self.b, self.c + self.d)
+        def __matmul__(self, o):
+            return Mat(
+                self.a * o.a + self.b * o.c,
+                self.a * o.b + self.b * o.d,
+                self.c * o.a + self.d * o.c,
+                self.c * o.b + self.d * o.d,
+            )
 
-    def entries(self) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
-        return (self.a, self.b, self.c, self.d)
+        def column_sums_vector(self) -> tuple:
+            """The image of (1, 1)^T: row sums as a column vector."""
+            return (self.a + self.b, self.c + self.d)
 
+        def entries(self) -> tuple:
+            return (self.a, self.b, self.c, self.d)
+
+    Mat.__name__ = Mat.__qualname__ = name
+    return Mat
+
+
+Mat2 = _mat2("Mat2", ONE, ZERO)
+BiMat2 = _mat2("BiMat2", BiPoly.one(), BiPoly.zero())
 
 L = Mat2(ONE, ZERO, ONE, qpow(-1))
 R = Mat2(qpow(1), ONE, ZERO, ONE)
@@ -101,9 +113,9 @@ def word_of(n: int) -> str:
     return "".join("R" if bit == "1" else "L" for bit in reversed(bits))
 
 
-def _word_product(n: int, identity, left, right):
+def _word_product(n: int, left, right):
     """The word of n read left to right in the letters ``left``, ``right``."""
-    m = identity
+    m = type(left).identity()
     for ch in word_of(n):
         m = m @ (right if ch == "R" else left)
     return m
@@ -145,7 +157,7 @@ def _zeros(n: int) -> int:
 
 def m_of(n: int) -> Mat2:
     """M(n) as the left-to-right product of its word."""
-    return _word_product(n, Mat2.identity(), L, R)
+    return _word_product(n, L, R)
 
 
 def m_range(limit: int) -> list[Mat2 | None]:
@@ -221,43 +233,6 @@ def row_sum_checks(limit: int):
 # bivariate companion
 
 
-class BiMat2:
-    """A 2x2 matrix of bivariate polynomials, row major.  A value,
-    immutable by convention."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: BiPoly, b: BiPoly, c: BiPoly, d: BiPoly):
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-    def __eq__(self, other: object) -> bool:  # and so no hash
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries() == other.entries()
-
-    def __repr__(self) -> str:
-        return f"BiMat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
-
-    @classmethod
-    def identity(cls) -> "BiMat2":
-        one, zero = BiPoly.one(), BiPoly.zero()
-        return cls(one, zero, zero, one)
-
-    def __matmul__(self, o: "BiMat2") -> "BiMat2":
-        return BiMat2(
-            self.a * o.a + self.b * o.c,
-            self.a * o.b + self.b * o.d,
-            self.c * o.a + self.d * o.c,
-            self.c * o.b + self.d * o.d,
-        )
-
-    def column_sums_vector(self) -> tuple[BiPoly, BiPoly]:
-        return (self.a + self.b, self.c + self.d)
-
-    def entries(self) -> tuple[BiPoly, BiPoly, BiPoly, BiPoly]:
-        return (self.a, self.b, self.c, self.d)
-
-
 _BR = BiPoly.monomial(1, 1, 0)
 _BS = BiPoly.monomial(1, 0, 1)
 L_PRIME = BiMat2(BiPoly.one(), BiPoly.zero(), _BR, _BS)
@@ -266,7 +241,7 @@ R_PRIME = BiMat2(_BR, _BS, BiPoly.zero(), BiPoly.one())
 
 def m_prime_of(n: int) -> BiMat2:
     """M'(n): the word of n read in L', R'."""
-    return _word_product(n, BiMat2.identity(), L_PRIME, R_PRIME)
+    return _word_product(n, L_PRIME, R_PRIME)
 
 
 def _m_prime_packed(limit: int) -> tuple[int, int, list]:

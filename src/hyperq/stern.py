@@ -9,7 +9,10 @@ polynomials in q via
     fusc_q(2n+1) = fusc_q(n+1) + q^2 * fusc_q(n)
 
 with fusc_q(0) = 0 and fusc_q(1) = 1, and ``cw_q(n)`` is the quotient
-fusc_q(n)/fusc_q(n+1).
+fusc_q(n)/fusc_q(n+1).  fusc(n + 1) counts the hyperbinary expansions
+of n, and ``digit_rule(w0, w1, w2)`` is the recurrence that weighs
+appending the digit d by w_d: fusc_q weighs d by q^d, (1, q, q^2), and
+fusc is (1, 1, 1).
 
 Both recurrences are evaluated by one walk over the bits of n from
 the top, carrying the values at m and m + 1 for the prefix m read so
@@ -25,7 +28,7 @@ fusc_q table, keyed by the argument of fusc_q.
 
 from __future__ import annotations
 
-from .poly import ONE, ZERO, LaurentPoly, RatFunc
+from .poly import ONE, ZERO, LaurentPoly, RatFunc, qpow
 
 
 def fusc(n: int) -> int:
@@ -100,18 +103,32 @@ def halving(n: int, rule, zero, one, memo: dict | None = None):
     return f[n]
 
 
-def _fusc_q_rule(x: int, f: dict[int, LaurentPoly]) -> LaurentPoly:
-    half = x >> 1
-    if x & 1:
-        return f[half + 1] + f[half].shift(2)
-    return f[half].shift(1)
+def digit_rule(w0, w1, w2):
+    """The ``halving`` rule F(2y) = w1 F(y), F(2y+1) = w0 F(y+1) + w2 F(y),
+    where w_d weighs appending the digit d: with F(x) = f(x - 1), the
+    hyperbinary expansions of 2y - 1 append 1 to those of y - 1, and the
+    expansions of 2y append 0 to those of y and 2 to those of y - 1.
+    Each weight multiplies from the left, which fixes the term order of
+    a ``BiPoly`` product."""
+
+    def rule(x: int, f: dict):
+        half = x >> 1
+        if x & 1:
+            return w0 * f[half + 1] + w2 * f[half]
+        return w1 * f[half]
+
+    return rule
+
+
+#: fusc_q weighs each digit d by q^d
+_FUSC_Q_RULE = digit_rule(ONE, qpow(1), qpow(2))
 
 
 def fusc_q(n: int, memo: dict[int, LaurentPoly] | None = None) -> LaurentPoly:
     """The q-deformed diatomic sequence as a Laurent polynomial."""
     if n < 0:
         raise ValueError("fusc_q is defined for n >= 0")
-    return halving(n, _fusc_q_rule, ZERO, ONE, memo)
+    return halving(n, _FUSC_Q_RULE, ZERO, ONE, memo)
 
 
 def cw(n: int) -> Fraction:

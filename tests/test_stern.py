@@ -6,7 +6,7 @@ import pytest
 
 from hyperq.hyperbinary import h_count, h_q
 from hyperq.poly import LaurentPoly, RatFunc
-from hyperq.stern import cw, cw_q, fusc, fusc_q, fusc_range, halving
+from hyperq.stern import cw, cw_q, digit_rule, fusc, fusc_q, fusc_range, halving
 
 
 def _poly(*exps_coeffs: tuple[int, int]) -> LaurentPoly:
@@ -181,6 +181,17 @@ def test_halving_without_a_memo_keeps_only_the_last_pair():
     stored, memo = [], Stores()
     assert halving(n, rule, 0, 1, memo) == fusc(n)
     assert len(stored) == len(set(stored)) == len(memo)
+
+
+def test_digit_rule_with_unit_weights_is_fusc():
+    """Weighing every appended digit by 1 counts hyperbinary expansions:
+    ``digit_rule(1, 1, 1)`` on plain ints is fusc, with a memo and
+    without one."""
+    rule, memo = digit_rule(1, 1, 1), {}
+    for n in range(4097):
+        assert halving(n, rule, 0, 1, memo) == halving(n, rule, 0, 1) == fusc(n)
+    n = 2**1100 + 2**551 + 3
+    assert halving(n, rule, 0, 1) == fusc(n)
 
 
 def test_fusc_q_past_the_recursion_limit():

@@ -244,6 +244,21 @@ def _plant_mat(monkeypatch, at, change):
     monkeypatch.setattr(mx, "m_range", planted)
 
 
+def _plant_packed(monkeypatch, name, at, entry):
+    """``mx.name``, a packed range, with one added to the lowest slot of
+    one entry of the packed M(at), after the whole range is built."""
+    real = getattr(mx, name)
+
+    def planted(limit):
+        *head, ms = real(limit)
+        m = list(ms[at])
+        m[entry] += 1
+        ms[at] = tuple(m)
+        return (*head, ms)
+
+    monkeypatch.setattr(mx, name, planted)
+
+
 def _plant_stream(monkeypatch, at, change):
     """``hb.expansions_upto`` with ``change`` applied to D(at) alone."""
     real = hb.expansions_upto
@@ -320,6 +335,13 @@ PLANTS = {
     "hbar-oracle": ("hbar", 8, 9, lambda mp: _plant(mp, hb, "hbar_st", (6,), _bi_plus({(1, 0): 1})),
                     [("6", "(s^2 + t s + t^2, q^2 + q^3 + q^4)",
                       "(s^2 + t + t s + t^2, 2q^2 + q^3 + q^4)")]),
+    # claim side of the packed matrix sweeps: one more in the lowest slot
+    # of a of M~(6) = q M(6), which is q^-1 once shifted back, and of d
+    # of M'(6), the constant term
+    "mnthm-claim": ("mnthm", 8, 8, lambda mp: _plant_packed(mp, "_m_packed", 6, 0),
+                    [("6", "(1 + q, q^-1 + 1 + q)", "(q^-1 + 1 + q, q^-1 + 1 + q)")]),
+    "mprime-claim": ("mprime", 8, 8, lambda mp: _plant_packed(mp, "_m_prime_packed", 6, 3),
+                     [("6", "(s + r, s + r s + r^2)", "(s + r, 1 + s + r s + r^2)")]),
     # oracle side of the packed matrix sweeps: h_q(6) and h_rs(6), which
     # n = 6 reads as its bottom row sum and n = 7 as its top one
     "mnthm-oracle": ("mnthm", 8, 8, lambda mp: _plant(mp, mx, "h_q", (6,), _one_more),
