@@ -206,7 +206,7 @@ def enum_polys(n: int, elems: tuple[Digits, ...] | None = None
 
 def h_q(n: int, memo: dict[int, LaurentPoly] | None = None) -> LaurentPoly:
     """h_q(n) = fusc_q(n + 1), the q-analogue of h_count; h_q(-1) = 0.
-    ``memo`` is a fusc_q memo."""
+    ``memo`` is a fusc_q memo: without one, fusc_q's packed walk runs."""
     if n < -1:
         raise ValueError("h_q is defined for n >= -1")
     return fusc_q(n + 1, memo)

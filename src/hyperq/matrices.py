@@ -21,21 +21,24 @@ and ``BiMat2`` over ``BiPoly``.  For each row-sum identity,
 and ``row_sum_checks`` and ``m_prime_checks`` at every n up to a limit,
 which ``verify mnthm`` and ``verify mprime`` run.
 
-The ranges run on packed integers.  Reading L as qL = [[q, 0], [q, 1]]
-turns M(n) into M~(n) = q^z M(n), z the number of zeros of n after its
-leading 1, a matrix of polynomials in q with nonnegative coefficients.
-At q = 1 both M~(n) and M'(n) are the matrix of Stern's sequence, whose
-row sums are fusc(n) and fusc(n+1), so no coefficient of an entry or a
-row sum reaches 256^w for w = ``slot_width`` of the largest fusc in
-range.  Each entry of M~(n) is then one integer, its value at
-q = 256^w, and each entry of M'(n) one integer at s = X = 256^w,
-r = X^K, where K = ``limit.bit_length() + 1`` exceeds every s-degree
-(one per letter).  Both ranges follow M(2n) = L M(n), M(2n+1) = R M(n),
-and a letter step is a few shifts and two big-int adds
-(``_packed_range``).  ``m_range`` and ``m_prime_range`` decode every
-entry (``poly.unpack``, ``poly.unpack_bi``).  ``row_sum_checks``
-decodes only the two row sums, shifted back by q^-z, against
-``row_sums_formula``;
+``m_of``, ``m_prime_of`` and the ranges run on packed integers.
+Reading L as qL = [[q, 0], [q, 1]] turns M(n) into M~(n) = q^z M(n),
+z the number of zeros of n after its leading 1, a matrix of
+polynomials in q with nonnegative coefficients.  At q = 1 both M~(n)
+and M'(n) are the matrix of Stern's sequence, whose row sums are
+fusc(n) and fusc(n+1), so no coefficient of an entry or a row sum
+reaches 256^w for w = ``slot_width`` of the largest fusc in range.
+Each entry of M~(n) is then one integer, its value at q = 256^w, and
+each entry of M'(n) one integer at s = X = 256^w, r = X^K, where
+K = ``limit.bit_length() + 1`` exceeds every s-degree (one per
+letter).  Both follow M(2n) = L M(n), M(2n+1) = R M(n), and a letter
+step (``_letter``) is a few shifts and two big-int adds, one per n in
+a range (``_packed_range``); ``m_of`` and ``m_prime_of`` take one per
+bit of n (``_packed_word``), with limit n and ``stern.fusc_width``.
+``m_range``, ``m_prime_range``, ``m_of`` and ``m_prime_of`` decode
+every entry (``poly.unpack``, ``poly.unpack_bi``); the ``@`` fold of
+``word_of(n)`` is left to the tests.  ``row_sum_checks`` decodes only
+the two row sums, shifted back by q^-z, against ``row_sums_formula``;
 ``m_prime_checks`` packs the oracle pair (h_rs(n-1), h_rs(n)) the same
 way (``poly.pack_bi``) and compares integers, and decodes a side only
 to show a failure (``poly.unpack_bi``).  An oracle value with a
@@ -50,7 +53,7 @@ from functools import partial
 
 from .hyperbinary import binary_expansion, h_q, h_rs
 from .poly import BiPoly, LaurentPoly, ONE, ZERO, pack_bi, qpow, slot_width, unpack, unpack_bi
-from .stern import fusc_range
+from .stern import fusc_range, fusc_width
 
 
 def _mat2(name: str, one, zero) -> type:
@@ -113,26 +116,31 @@ def word_of(n: int) -> str:
     return "".join("R" if bit == "1" else "L" for bit in reversed(bits))
 
 
-def _word_product(n: int, left, right):
-    """The word of n read left to right in the letters ``left``, ``right``."""
-    m = type(left).identity()
-    for ch in word_of(n):
-        m = m @ (right if ch == "R" else left)
-    return m
+def _letter(p: tuple, odd: int, u: int, r: int, s: int) -> tuple:
+    """P(2n + odd) = R P(n) or L P(n), P(n) = p = (a, b, c, d) in integers,
+    with L = [[2^u, 0], [2^r, 2^s]] and R = [[2^r, 2^s], [0, 1]]."""
+    a, b, c, d = p
+    x, y = (a << r) + (c << s), (b << r) + (d << s)
+    return (x, y, c, d) if odd else (a << u, b << u, x, y)
 
 
 def _packed_range(limit: int, u: int, r: int, s: int) -> list:
-    """[None, P(1), ..., P(limit)], P(n) the word product of n as a tuple
-    (a, b, c, d) of integers, in the letters [[2^u, 0], [2^r, 2^s]] for
-    L and [[2^r, 2^s], [0, 1]] for R, by P(2n) = L P(n) and
-    P(2n+1) = R P(n): each step is four shifts and two adds."""
+    """[None, P(1), ..., P(limit)]: one ``_letter`` step per n."""
     out = [None] * (limit + 1)
     out[1] = (1, 0, 0, 1)
     for n in range(2, limit + 1):
-        a, b, c, d = out[n >> 1]
-        x, y = (a << r) + (c << s), (b << r) + (d << s)
-        out[n] = (x, y, c, d) if n & 1 else (a << u, b << u, x, y)
+        out[n] = _letter(out[n >> 1], n & 1, u, r, s)
     return out
+
+
+def _packed_word(n: int, u: int, r: int, s: int) -> tuple:
+    """P(n) alone: one ``_letter`` step per bit of n after its leading 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    p = (1, 0, 0, 1)
+    for bit in bin(n)[3:]:
+        p = _letter(p, bit == "1", u, r, s)
+    return p
 
 
 def _width(limit: int) -> int:
@@ -156,8 +164,10 @@ def _zeros(n: int) -> int:
 
 
 def m_of(n: int) -> Mat2:
-    """M(n) as the left-to-right product of its word."""
-    return _word_product(n, L, R)
+    """M(n): the packed M~(n) walked over the bits of n, each entry
+    unpacked and shifted by q^-z."""
+    w, lo = fusc_width(n), -_zeros(n)
+    return Mat2(*[unpack(v, w, lo) for v in _packed_word(n, 8 * w, 8 * w, 0)])
 
 
 def m_range(limit: int) -> list[Mat2 | None]:
@@ -240,8 +250,10 @@ R_PRIME = BiMat2(_BR, _BS, BiPoly.zero(), BiPoly.one())
 
 
 def m_prime_of(n: int) -> BiMat2:
-    """M'(n): the word of n read in L', R'."""
-    return _word_product(n, L_PRIME, R_PRIME)
+    """M'(n): the packed M'(n) walked over the bits of n, at s = 256^w,
+    r = 256^(w K) with K = ``n.bit_length() + 1``, each entry decoded."""
+    w, k = fusc_width(n), n.bit_length() + 1
+    return BiMat2(*[unpack_bi(v, w, k) for v in _packed_word(n, 0, 8 * w * k, 8 * w)])
 
 
 def _m_prime_packed(limit: int) -> tuple[int, int, list]:

@@ -19,6 +19,10 @@ the top, carrying the values at m and m + 1 for the prefix m read so
 far: ``_fusc_pair`` on integers, and ``halving`` for any rule of this
 shape.  Neither recurses, so n of thousands of bits is fine.
 
+``_fusc_pair`` walks fusc_q too, on packed integers at q = 256^w (w from
+``fusc_width``): fusc_q, cw_q and hyperbinary.h_q take that walk without
+a memo, and ``halving`` on ``LaurentPoly``, faster over a range, with one.
+
 Memo dicts are owned by the caller: verification sweeps pass one dict
 for the whole sweep and drop it afterwards, so repeated sweeps never
 share state and single calls stay allocation-light.  There is one memo
@@ -28,7 +32,7 @@ fusc_q table, keyed by the argument of fusc_q.
 
 from __future__ import annotations
 
-from .poly import ONE, ZERO, LaurentPoly, RatFunc, qpow
+from .poly import ONE, ZERO, LaurentPoly, RatFunc, qpow, slot_width, unpack
 
 
 def fusc(n: int) -> int:
@@ -42,16 +46,24 @@ def fusc(n: int) -> int:
     return _fusc_pair(n)[0]
 
 
-def _fusc_pair(n: int) -> tuple[int, int]:
-    """(fusc(n), fusc(n+1)) by one walk over the bits of n from the top,
-    keeping (fusc(m), fusc(m+1)) for the prefix m read so far."""
-    a, b = 0, 1
+def _fusc_pair(n: int, step: int = 0) -> tuple[int, int]:
+    """(fusc_q(n), fusc_q(n+1)) at q = 2^step, step 0 giving fusc, by one
+    walk over the bits of n from the top, keeping the pair at the prefix
+    m read so far.  No coefficient is negative and the pair's larger
+    value never falls, so step = 8 ``fusc_width(n)`` keeps every slot."""
+    a, b, step2 = 0, 1, 2 * step
     for bit in bin(n)[2:] if n else "":
         if bit == "0":
-            b = a + b
+            a, b = a << step, b + (a << step2)
         else:
-            a = a + b
+            a, b = b + (a << step2), b << step
     return a, b
+
+
+def fusc_width(n: int) -> int:
+    """Bytes per slot for the packed walks of n, here and in
+    ``matrices``: ``slot_width`` of the larger of fusc(n), fusc(n+1)."""
+    return slot_width(max(_fusc_pair(n)))
 
 
 def fusc_range(limit: int) -> list[int]:
@@ -125,9 +137,12 @@ _FUSC_Q_RULE = digit_rule(ONE, qpow(1), qpow(2))
 
 
 def fusc_q(n: int, memo: dict[int, LaurentPoly] | None = None) -> LaurentPoly:
-    """The q-deformed diatomic sequence as a Laurent polynomial."""
+    """The q-deformed diatomic sequence: packed walk, or ``halving`` with a memo."""
     if n < 0:
         raise ValueError("fusc_q is defined for n >= 0")
+    if memo is None:
+        w = fusc_width(n)
+        return unpack(_fusc_pair(n, 8 * w)[0], w)
     return halving(n, _FUSC_Q_RULE, ZERO, ONE, memo)
 
 
@@ -141,9 +156,10 @@ def cw(n: int) -> Fraction:
 
 
 def cw_q(n: int, memo: dict[int, LaurentPoly] | None = None) -> RatFunc:
-    """The q-deformed Calkin-Wilf value fusc_q(n)/fusc_q(n+1)."""
+    """fusc_q(n)/fusc_q(n+1): one packed walk, or ``halving`` with a memo."""
     if n < 0:
         raise ValueError("cw_q is defined for n >= 0")
     if memo is None:
-        memo = {}
+        w = fusc_width(n)
+        return RatFunc(*(unpack(v, w) for v in _fusc_pair(n, 8 * w)))
     return RatFunc(fusc_q(n, memo), fusc_q(n + 1, memo))

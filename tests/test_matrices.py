@@ -26,7 +26,7 @@ from hyperq.matrices import (
     word_of,
 )
 from hyperq.poly import ONE, ZERO, BiPoly, LaurentPoly, qpow, unpack
-from hyperq.stern import fusc
+from hyperq.stern import cw_q, fusc, fusc_q
 
 
 def det(m: Mat2) -> LaurentPoly:
@@ -79,10 +79,53 @@ def test_matrices_are_values():
         hash(L)
 
 
+def _fold(n: int, left, right):
+    """The word of n folded left to right with ``@``: the definition of
+    M(n) or M'(n), sharing no code with the packed walks."""
+    m = type(left).identity()
+    for ch in word_of(n):
+        m = m @ (right if ch == "R" else left)
+    return m
+
+
 def test_m_range_agrees_with_word_products():
     ms = m_range(1024)
     for n in range(1, 1025):
         assert ms[n] == m_of(n), n
+        assert ms[n] == _fold(n, L, R), n
+
+
+def test_packed_words_match_word_folds():
+    for n in range(1, 2048):
+        assert m_of(n) == _fold(n, L, R), n
+        assert m_prime_of(n) == _fold(n, L_PRIME, R_PRIME), n
+
+
+def _bits(lo: int, hi: int):
+    """n of lo to hi bits, drawn bit length first."""
+    return st.integers(lo, hi).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(_bits(12, 224))
+def test_m_of_matches_word_fold_on_large_n(n):
+    assert m_of(n) == _fold(n, L, R)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(_bits(12, 68))
+def test_m_prime_of_matches_word_fold_on_large_n(n):
+    assert m_prime_of(n) == _fold(n, L_PRIME, R_PRIME)
+
+
+def test_single_n_walks_keep_their_errors():
+    for f in (m_of, m_prime_of):
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            f(0)
+    with pytest.raises(ValueError, match=r"^fusc_q is defined for n >= 0$"):
+        fusc_q(-1)
+    with pytest.raises(ValueError, match=r"^cw_q is defined for n >= 0$"):
+        cw_q(-1)
 
 
 #: limits where the packing changes: max fusc(n + 1) crosses 255 from
@@ -108,6 +151,7 @@ def test_packed_ranges_match_word_products_where_the_packing_changes(limit):
         m, mp = m_of(n), m_prime_of(n)
         assert [_dense(e) for e in ms[n].entries()] == [_dense(e) for e in m.entries()], n
         assert [e._terms for e in mps[n].entries()] == [e._terms for e in mp.entries()], n
+        assert m == _fold(n, L, R) and mp == _fold(n, L_PRIME, R_PRIME), n
         expected, actual = sums[n - 1]
         assert [_dense(e) for e in actual] == [_dense(e) for e in m.column_sums_vector()], n
         assert (expected, actual) == row_sum_check(n)
@@ -127,12 +171,14 @@ def test_packed_slots_hold_coefficients_past_one_byte():
     lo = -mx._zeros(n)
     assert max(unpack(c + d, w)._c) == 278
     assert [unpack(v, w, lo) for v in ms[n]] == list(m_of(n).entries())
+    assert m_of(n) == _fold(n, L, R)
     assert unpack(c + d, w, lo) == row_sums_formula(n)[1]
 
 
 def test_halving_identities():
-    # against m_of, which folds the letter word; m_range itself is built
-    # from these identities, so checking it here would be circular
+    # m_of walks the bits of n from the top, and L @ and R @ are the
+    # plain products; m_range itself is built bottom up from these
+    # identities, so checking it here would be circular
     for n in range(1, 257):
         mn = m_of(n)
         assert m_of(2 * n) == L @ mn
@@ -239,8 +285,7 @@ def test_m_prime_sweep():
         assert mps[n].column_sums_vector() == (h_rs(n - 1, memo), h_rs(n, memo)), n
 
 
-#: n of 100 to 600 bits, drawn bit length first
-BIG = st.integers(100, 600).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+BIG = _bits(100, 600)
 
 
 @settings(derandomize=True, deadline=None, max_examples=50, database=None)

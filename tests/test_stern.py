@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyperq.hyperbinary import h_count, h_q
+from hyperq.hyperbinary import h_count, h_q, h_q_enum
 from hyperq.poly import LaurentPoly, RatFunc
 from hyperq.stern import cw, cw_q, digit_rule, fusc, fusc_q, fusc_range, halving
 
@@ -99,6 +101,33 @@ def test_fusc_q_equals_expansion_generating_function():
     fq_memo, hq_memo = {}, {}
     for n in range(1, 2049):
         assert fusc_q(n, fq_memo) == h_q(n - 1, hq_memo)
+        # the packed walk against the enumeration of the expansions
+        assert fusc_q(n) == h_q_enum(n - 1), n
+
+
+def _same_values(n: int) -> None:
+    """Memo-less fusc_q, cw_q and h_q (the packed pair walk) against the
+    same calls with a memo (``halving`` on ``LaurentPoly``)."""
+    fq, cq, hq = {}, {}, {}
+    assert fusc_q(n) == fusc_q(n, fq), n
+    walked, halved = cw_q(n), cw_q(n, cq)
+    assert (walked.num, walked.den) == (halved.num, halved.den), n
+    assert h_q(n - 1) == h_q(n - 1, hq), n
+
+
+def test_packed_walk_matches_halving():
+    """Through n = 4800: max(fusc(n), fusc(n + 1)) first passes 255 at
+    n = 4690 (fusc(4691) = 257), where the slots widen to two bytes.
+    fusc_q(75093) has the first coefficient past one byte, 278."""
+    for n in [*range(4801), 75091, 75092, 75093]:
+        _same_values(n)
+    assert max(fusc_q(75093)._c) == 278
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(st.integers(8, 1101).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)))
+def test_packed_walk_matches_halving_on_large_n(n):
+    _same_values(n)
 
 
 def test_consecutive_fusc_coprime_and_cw_hits_each_rational_once():
