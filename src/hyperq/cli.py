@@ -16,6 +16,8 @@ A cold start pays only for what the subcommand runs: building the
 parser imports nothing beyond the modules below, each handler imports
 its own library module, and ``json`` is imported only under ``--json``;
 ``hyperq fusc 19`` loads ``stern`` and ``poly`` and nothing else.
+Importing this module builds no parser: ``main`` builds one on its first
+call and reuses it, while ``build_parser()`` returns a fresh one.
 Integers have no digit limit while ``main`` runs, so an answer or an
 argument of any length converts to and from text.
 """
@@ -23,6 +25,7 @@ argument of any length converts to and from text.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -143,6 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser ``main`` reuses, built on its first call
+_parser = functools.cache(build_parser)
+
+
 def _cmd_fusc(args) -> tuple[str, dict]:
     from . import stern
     v = stern.fusc(args.n)
@@ -151,8 +158,8 @@ def _cmd_fusc(args) -> tuple[str, dict]:
 
 def _cmd_fuscq(args) -> tuple[str, dict]:
     from . import stern
-    p = stern.fusc_q(args.n)
-    return p.text(), {"n": args.n, "fusc_q": p.text()}
+    text = stern.fusc_q(args.n).text()
+    return text, {"n": args.n, "fusc_q": text}
 
 
 def _cmd_cw(args) -> tuple[str, dict]:
@@ -165,7 +172,8 @@ def _cmd_cw(args) -> tuple[str, dict]:
 def _cmd_cwq(args) -> tuple[str, dict]:
     from . import stern
     v = stern.cw_q(args.n).canonical()
-    return v.text(), {"n": args.n, "num": v.num.text(), "den": v.den.text()}
+    num, den = v.num.text(), v.den.text()
+    return f"({num}) / ({den})", {"n": args.n, "num": num, "den": den}
 
 
 def _cmd_cwindex(args) -> tuple[str, dict]:
@@ -182,8 +190,8 @@ def _cmd_qrat(args) -> tuple[str, dict]:
         v = qr.qdeform_via_graph(r, s).canonical()
     else:
         v = qr.qdeform(r, s).canonical()
-    return (v.text(),
-            {"r": r, "s": s, "via": args.via, "num": v.num.text(), "den": v.den.text()})
+    num, den = v.num.text(), v.den.text()
+    return f"({num}) / ({den})", {"r": r, "s": s, "via": args.via, "num": num, "den": den}
 
 
 def _cmd_hyper(args) -> tuple[str, dict]:
@@ -195,8 +203,8 @@ def _cmd_hyper(args) -> tuple[str, dict]:
         return ("\n".join(t if t else "ε" for t in texts),
                 {"n": n, "expansions": texts})
     if args.genfunc:
-        p = hb.h_q(n)
-        return p.text(), {"n": n, "h_q": p.text()}
+        text = hb.h_q(n).text()
+        return text, {"n": n, "h_q": text}
     if args.stats:
         rows = hb.stats_rows(n)
         header = "digits ell p1 p2 t z s_vector"
@@ -226,8 +234,8 @@ def _cmd_fence(args) -> tuple[str, dict]:
                  for mem in members]
         return "\n".join(lines), {"n": n, "size": len(f), "ideals": members}
     if args.rgf:
-        p = rgf(f)
-        return p.text(), {"n": n, "rgf": p.text()}
+        text = rgf(f).text()
+        return text, {"n": n, "rgf": text}
     if args.dot:
         src = fence_dot(n)
         return src, {"n": n, "dot": src}
@@ -277,8 +285,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _main(argv: list[str] | None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text, payload = args.handler(args)
     except MemoryError:

@@ -289,18 +289,18 @@ def s_vector(d: Digits) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _s_pair(c: Digits, d: Digits) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(s(c), s(d)), once the two strings are checked to expand the same
-    n: equal lengths and equal last prefix sums."""
-    sc, sd = s_vector(c), s_vector(d)
-    if len(sc) != len(sd) or sc[-1:] != sd[-1:]:
-        raise ValueError("digit strings do not expand the same n")
-    return sc, sd
-
-
 def leq(c: Digits, d: Digits) -> bool:
-    """Lattice order: prefix-sum domination in every coordinate."""
-    return all(a <= b for a, b in zip(*_s_pair(c, d)))
+    """Lattice order: prefix-sum domination in every coordinate, in one
+    pass over s_i(d) - s_i(c).  It may return to 0 after going negative,
+    so the pass reads to the end to check both strings expand one n."""
+    diff, below = 0, True
+    for a, b in zip(c, d):
+        diff = 2 * diff + b - a
+        if diff < 0:
+            below = False
+    if diff or len(c) != len(d):
+        raise ValueError("digit strings do not expand the same n")
+    return below
 
 
 def covers(d: Digits) -> tuple[Digits, ...]:
@@ -345,7 +345,10 @@ def join(c: Digits, d: Digits) -> Digits:
 
 
 def _lattice_op(c: Digits, d: Digits, pick) -> Digits:
-    sm = tuple(pick(a, b) for a, b in zip(*_s_pair(c, d)))
+    sc, sd = s_vector(c), s_vector(d)
+    if len(sc) != len(sd) or sc[-1:] != sd[-1:]:
+        raise ValueError("digit strings do not expand the same n")
+    sm = tuple(pick(a, b) for a, b in zip(sc, sd))
     out = []
     prev = 0
     for s in sm:

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -13,9 +14,9 @@ from fractions import Fraction
 
 import pytest
 
+from hyperq import cli, stern
 from hyperq import fence as fe
 from hyperq import hyperbinary as hb
-from hyperq import stern
 from hyperq.cli import VERIFY_NAMES, build_parser, main
 from hyperq.verify import REGISTRY
 
@@ -501,6 +502,37 @@ def test_parser_builds_and_lists_all_subcommands():
     names = set(actions[0].choices)
     assert names == {"fusc", "fuscq", "cw", "cwq", "cwindex", "qrat",
                      "hyper", "fence", "matrix", "verify"}
+
+
+def test_reused_parser_carries_no_state_between_calls(tmp_path, monkeypatch):
+    """``main`` reuses one parser per process: every call of this
+    sequence, run in one process, answers as its argv does through a
+    parser of its own.  Each pair sets a flag or default and then leaves
+    it out, so a value left over from the call before would show."""
+    target = tmp_path / "value.txt"
+    sequence = [
+        ["hyper", "--list", "5"], ["hyper", "5"],
+        ["qrat", "7/3", "--via", "graph", "--json"], ["qrat", "7/3", "--json"],
+        ["fusc", "19", "--json"], ["fusc", "19"],
+        ["fusc", "19", "--out", str(target)], ["fusc", "19"],
+        ["verify", "gg", "--max", "10"], ["verify", "gg"],
+        ["fusc", "x"], ["fusc", "19"],
+        ["--help"], ["fusc", "19"],
+    ]
+
+    def calls():  # a sweep's elapsed time is the one part that may differ
+        return [(code, re.sub(r"elapsed=\S+", "elapsed=", out), err)
+                for code, out, err in map(run, sequence)]
+
+    reused = calls()
+    assert target.read_text(encoding="utf-8") == "7\n"
+    monkeypatch.setattr(cli, "_parser", build_parser)  # a new parser per call
+    assert reused == calls()
+    assert [code for code, _, _ in reused] == [0] * 10 + [2, 0, 0, 0]
+    assert reused[1][1] == "2\n" and reused[5][1] == reused[7][1] == "7\n"
+    assert json.loads(reused[3][1])["via"] == "cf"
+    assert "range=1..10 " in reused[8][1] and "range=1..10 " not in reused[9][1]
+    assert "usage: hyperq" in reused[10][2] and "usage: hyperq" in reused[12][1]
 
 
 def test_cli_import_leaves_numpy_out():

@@ -352,10 +352,14 @@ def test_s_vector_recursion():
 def test_leq_examples():
     assert leq((0, 1, 2, 2), (1, 0, 1, 0))
     assert leq((1, 0, 0, 2), (1, 0, 0, 2))
+    # s(d) - s(c) runs -1, 0, 1, 0: negative, then back to 0, no error
     assert not leq((1, 0, 0, 2), (0, 2, 1, 0))
     assert not leq((0, 2, 1, 0), (1, 0, 0, 2))
-    with pytest.raises(ValueError):
-        leq((1, 0), (1, 1))  # different n
+    # different n; the first two differences go negative at once, one
+    # ending below 0 (n = 3 against 2) and one above (5 against 6)
+    for c, d in [((1, 1), (0, 2)), ((1, 0, 1), (0, 2, 2)), ((1, 0), (1, 1))]:
+        with pytest.raises(ValueError, match="do not expand the same n"):
+            leq(c, d)
 
 
 def test_covers_examples():

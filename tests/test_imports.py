@@ -38,6 +38,24 @@ def test_cli_import_loads_no_library_module():
     assert loaded == "[]"
 
 
+def test_cli_import_builds_no_parser():
+    """``main`` builds its parser on the first call and reuses it; the
+    import alone builds none (a parser is 11 ArgumentParser objects,
+    one per subcommand and the top level)."""
+    built = fresh("import argparse\n"
+                  "built = []\n"
+                  "init = argparse.ArgumentParser.__init__\n"
+                  "def counted(self, *args, **kwargs):\n"
+                  "    built.append(self)\n"
+                  "    init(self, *args, **kwargs)\n"
+                  "argparse.ArgumentParser.__init__ = counted\n"
+                  "from hyperq.cli import main\n"
+                  "at_import = len(built)\n"
+                  "assert main(['fusc', '19']) == main(['fuscq', '19']) == 0\n"
+                  "print(at_import, len(built))")
+    assert built == "0 11"
+
+
 def test_fusc_loads_only_stern_and_poly():
     loaded = fresh("import sys\n"
                    "from hyperq.cli import main\n"
