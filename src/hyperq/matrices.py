@@ -40,8 +40,9 @@ every entry (``poly.unpack``, ``poly.unpack_bi``); the ``@`` fold of
 ``word_of(n)`` is left to the tests.  ``row_sum_checks`` decodes only
 the two row sums, shifted back by q^-z, against ``row_sums_formula``;
 ``m_prime_checks`` packs the oracle pair (h_rs(n-1), h_rs(n)) the same
-way (``poly.pack_bi``) and compares integers, and decodes a side only
-to show a failure (``poly.unpack_bi``).  An oracle value with a
+way (``poly.pack_bi``, one row of the ``BiPoly`` per K slots), each
+distinct oracle object once, and compares integers, and decodes a side
+only to show a failure (``poly.unpack_bi``).  An oracle value with a
 coefficient outside [0, 256^w), a negative exponent or an s-degree of
 K or more does not fit the packing, and that n is compared as
 ``BiPoly`` instead.
@@ -298,16 +299,28 @@ def m_prime_check(n: int) -> tuple[tuple, tuple]:
 def m_prime_checks(limit: int):
     """The two sides of ``m_prime_check(n)`` for n = 1..limit, in order,
     each a ``Packed`` pair: M'(n) (1,1)^T from the packed M'(n), and
-    (h_rs(n-1), h_rs(n)) packed the same way, each value once.  Where
-    an oracle value does not fit the packing, both sides are ``BiPoly``
-    pairs instead."""
+    (h_rs(n-1), h_rs(n)) packed the same way.  Each distinct oracle
+    object is packed once: the even step returns its operand, so
+    h_rs(2y-1) is the object h_rs(y-1), and up to 16,384 the 16,385
+    values are 8,193 objects.  Where an oracle value does not fit the packing, both
+    sides are ``BiPoly`` pairs instead."""
     w, k, ms = _m_prime_packed(limit)
     show = partial(unpack_bi, w=w, k=k)
     memo: dict[int, BiPoly] = {}
-    below = pack_bi(h_rs(0, memo), w, k)
+    # id -> (value, packed value); holding the value keeps its id unused
+    cache: dict[int, tuple[BiPoly, int | None]] = {}
+
+    def packed(n: int) -> int | None:
+        v = h_rs(n, memo)
+        hit = cache.get(id(v))
+        if hit is None:
+            hit = cache[id(v)] = v, pack_bi(v, w, k)
+        return hit[1]
+
+    below = packed(0)
     for n in range(1, limit + 1):
         a, b, c, d = ms[n]
-        top, below = below, pack_bi(h_rs(n, memo), w, k)
+        top, below = below, packed(n)
         if top is None or below is None:
             yield (h_rs(n - 1, memo), h_rs(n, memo)), (show(a + b), show(c + d))
         else:

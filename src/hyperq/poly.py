@@ -2,33 +2,31 @@
 
 Three small value types used everywhere else in the package:
 
-* ``LaurentPoly`` -- univariate Laurent polynomials in q (integer
-  exponents of either sign, integer coefficients).
-* ``BiPoly``      -- ordinary polynomials in two commuting variables
-  with nonnegative exponents.
+* ``LaurentPoly`` -- Laurent polynomials in q, ``BiPoly`` in two
+  commuting variables (integer exponents of either sign, integer
+  coefficients).
 * ``RatFunc``     -- a quotient of two Laurent polynomials: a value
   compared by cross multiplication, never reduced, with no arithmetic.
 
-The polynomials met here are short and have no gaps, so a
-``LaurentPoly`` is stored dense: q^lo times a tuple of coefficients
-whose first and last entries are nonzero (the empty tuple is zero).
-Shifting moves lo only and shares the tuple.  Products with a zero or
-one-term operand are shifts and scalings; other products are a
-schoolbook convolution.  Recurrences whose polynomials have
+The polynomials met here are short and have no gaps, so both kinds are
+dense.  A ``LaurentPoly`` is q^lo times a tuple of coefficients whose
+first and last entries are nonzero (the empty tuple is zero).  A
+``BiPoly`` is r^i s^j times rows, row k the coefficient of r^k as such
+a tuple in s, every row read from the one s-offset j.  A product with a
+one-term operand moves the offsets and shares the tuples; sums add
+tuples in a C-level ``map`` (``_row_add``); other products are
+schoolbook convolutions, row by row for a ``BiPoly``.  Recurrences with
 nonnegative coefficients can instead run on packed integers, each
-polynomial evaluated at q = 256^w with w bytes per coefficient
-(``slot_width``), and build one ``LaurentPoly`` at the end
-(``unpack``); ``pack`` goes the other way, and ``RatFunc`` equality
-multiplies packed integers when all four parts are nonnegative and
-both numerators nonzero.
-``BiPoly`` keeps a sparse {(e1, e2): coeff} dict with the same zero and
-monomial shortcuts; ``pack_bi`` and ``unpack_bi`` pack it at s = 256^w,
-r = 256^(w k), k above every s-degree.
+polynomial evaluated at q = 256^w, w bytes per coefficient
+(``slot_width``), and build one ``LaurentPoly`` at the end (``unpack``);
+``pack`` goes the other way.  ``pack_bi`` and ``unpack_bi`` do the same
+for a ``BiPoly`` at s = 256^w, r = 256^(w k), k above every s-degree,
+one row per k slots.  ``RatFunc`` equality multiplies packed integers
+when all four parts are nonnegative and both numerators nonzero.
 
-All arithmetic is exact integer arithmetic; there is no floating point
-anywhere.  Instances are immutable by convention: every operation
-returns a fresh object or one of its operands, and nothing mutates the
-stored terms.
+All arithmetic is exact; there is no floating point anywhere.
+Instances are immutable by convention: every operation returns a fresh
+object or one of its operands, and nothing mutates the stored tuples.
 """
 
 from __future__ import annotations
@@ -37,16 +35,14 @@ import struct
 import sys
 from collections.abc import Mapping
 from itertools import repeat
-from operator import itemgetter
+from operator import add, itemgetter
 
 def _render(terms, var) -> str:
-    """The fixed wire format shared by both polynomial types.
-
-    Terms in the given order joined by " + " (" - " and the absolute
-    value for negative coefficients), a coefficient of 1 elided except
-    on the constant term, the constant term as the bare coefficient.
-    ``var(key)`` renders the variables of one term, "" for a constant.
-    """
+    """The fixed wire format shared by both polynomial types: terms in
+    the given order joined by " + " (" - " and the absolute value for
+    negative coefficients), a coefficient of 1 elided except on the
+    constant term, which is the bare coefficient.  ``var(key)`` renders
+    the variables of one term, "" for a constant."""
     parts: list[str] = []
     for key, c in terms:
         v = var(key)
@@ -66,8 +62,7 @@ def _q_var(e: int) -> str:
 def _dense(lo: int, c: tuple[int, ...]) -> "LaurentPoly":
     """q^lo * (c[0] + c[1] q + ...), with c already trimmed."""
     p = object.__new__(LaurentPoly)
-    p._lo = lo
-    p._c = c
+    p._lo, p._c = lo, c
     return p
 
 
@@ -95,24 +90,34 @@ def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class LaurentPoly:
-    """A Laurent polynomial in one variable q, stored as q^lo * (c_0, c_1, ...).
+def _rstrip(c: tuple) -> tuple:
+    """c without its trailing zeros."""
+    n = len(c)
+    while n and not c[n - 1]:
+        n -= 1
+    return c[:n]
 
-    Built from a {exponent: coeff} mapping; zero coefficients are dropped.
-    """
+
+def _row_add(x: tuple, y: tuple) -> tuple:
+    """x + y read from one offset, with no trailing zero if neither had one."""
+    if not y:
+        return x
+    if not x:
+        return y
+    c, d = tuple(map(add, x, y)), len(x) - len(y)
+    return c + (x[-d:] if d > 0 else y[d:]) if d else _rstrip(c)
+
+
+class LaurentPoly:
+    """A Laurent polynomial in one variable q, stored as q^lo * (c_0, c_1, ...),
+    built from a {exponent: coeff} mapping; zero coefficients are dropped."""
 
     __slots__ = ("_lo", "_c")
 
     def __init__(self, terms: Mapping[int, int] | None = None):
         nz = {e: c for e, c in (terms or {}).items() if c}
-        if nz:
-            lo = min(nz)
-            self._lo = lo
-            self._c = tuple([nz.get(e, 0) for e in range(lo, max(nz) + 1)])
-        else:
-            self._lo, self._c = 0, ()
-
-    # -- queries -------------------------------------------------------
+        lo = min(nz, default=0)
+        self._lo, self._c = lo, tuple([nz.get(e, 0) for e in range(lo, max(nz, default=-1) + 1)])
 
     @property
     def is_zero(self) -> bool:
@@ -143,31 +148,20 @@ class LaurentPoly:
         """The integer shadow q = 1."""
         return sum(self._c)
 
-    # -- arithmetic ----------------------------------------------------
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._c, other._c
-        if not b:
-            return self
-        if not a:
-            return other
-        alo, blo = self._lo, other._lo
-        if alo > blo:
-            alo, a, blo, b = blo, b, alo, a
-        off = blo - alo
-        a += (0,) * (off + len(b) - len(a))  # pad a to cover b
-        c = a[:off] + tuple(map(int.__add__, a[off:], b)) + a[off + len(b):]
-        return _trimmed(alo, c)
+        if not (a and b):
+            return self if a else other
+        lo = min(self._lo, other._lo)
+        return _trimmed(lo, _row_add((0,) * (self._lo - lo) + a, (0,) * (other._lo - lo) + b))
 
     def __neg__(self) -> "LaurentPoly":
         return _dense(self._lo, tuple(map(int.__neg__, self._c)))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
+        return self + (-other) if isinstance(other, LaurentPoly) else NotImplemented
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -190,9 +184,7 @@ class LaurentPoly:
 
     def reverse_var(self) -> "LaurentPoly":
         """Substitute q -> q^-1."""
-        if not self._c:
-            return ZERO
-        return _dense(1 - self._lo - len(self._c), self._c[::-1])
+        return _dense(1 - self._lo - len(self._c), self._c[::-1]) if self._c else ZERO
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
@@ -202,15 +194,12 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._c)
 
-    # -- text ------------------------------------------------------------
-    # Fixed wire format (``_render``): increasing exponents, exponent 1 as
-    # "q", anything else but 0 as "q^e".
-
     def text(self) -> str:
+        """The ``_render`` format: increasing exponents, exponent 1 as
+        "q", anything else but 0 as "q^e"."""
         return _render(self.terms(), _q_var)
 
-    def __str__(self) -> str:
-        return self.text()
+    __str__ = text
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.terms())!r})"
@@ -235,20 +224,17 @@ def qpow(e: int) -> LaurentPoly:
 
 
 def slot_width(bound: int) -> int:
-    """The fewest bytes w with 256^w > bound, at least one.
-
-    A polynomial with nonnegative coefficients and value at most
-    ``bound`` at q = 1 has every coefficient below 256^w, so its value at
-    q = 256^w keeps each coefficient in its own w-byte slot, and so does
-    every sum and product whose value at q = 1 stays within ``bound``.
-    """
+    """The fewest bytes w with 256^w > bound, at least one.  A polynomial
+    with nonnegative coefficients and value at most ``bound`` at q = 1
+    has every coefficient below 256^w, so its value at q = 256^w keeps
+    each coefficient in its own w-byte slot, and so does every sum and
+    product whose value at q = 1 stays within ``bound``."""
     return max(1, (bound.bit_length() + 7) >> 3)
 
 
-#: memoryview formats of the slot widths that are native integer types;
-#: a cast reads the slots of a little-endian ``to_bytes`` in order only
-#: on a little-endian host, so elsewhere every width takes the slices
-#: (``pack`` reads the same table, for its ``struct`` format letters)
+#: memoryview (and ``struct``) formats of the slot widths that are native
+#: integer types; a cast reads the slots of a little-endian ``to_bytes``
+#: in order only on a little-endian host, so elsewhere no width has one
 _NATIVE_SLOTS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 
 
@@ -266,12 +252,9 @@ def unpack(v: int, w: int, lo: int = 0) -> LaurentPoly:
     size = -(-v.bit_length() // bits) * w
     b = v.to_bytes(size, "little")
     fmt = _NATIVE_SLOTS.get(w)
-    if fmt:
-        c = tuple(memoryview(b).cast(fmt))
-    else:
-        c = tuple(map(int.from_bytes,
-                      map(b.__getitem__, map(slice, range(0, size, w), range(w, size + w, w))),
-                      repeat("little")))
+    c = tuple(memoryview(b).cast(fmt) if fmt else map(
+        int.from_bytes, map(b.__getitem__, map(slice, range(0, size, w), range(w, size + w, w))),
+        repeat("little")))
     return _dense(lo + low, c)
 
 
@@ -282,33 +265,57 @@ def pack(p: LaurentPoly, w: int) -> int:
     ``struct.pack`` when ``_NATIVE_SLOTS`` has w, w-byte ``to_bytes``
     otherwise, read as one integer; a coefficient outside its slot
     raises ``struct.error`` or ``OverflowError``."""
-    c = p._c
-    fmt = _NATIVE_SLOTS.get(w)
-    if fmt:
-        b = struct.pack(f"<{len(c)}{fmt}", *c)
-    else:
-        b = b"".join(map(int.to_bytes, c, repeat(w), repeat("little")))
+    c, fmt = p._c, _NATIVE_SLOTS.get(w)
+    b = (struct.pack(f"<{len(c)}{fmt}", *c) if fmt
+         else b"".join(map(int.to_bytes, c, repeat(w), repeat("little"))))
     return int.from_bytes(b, "little")
 
 
-def _sparse(terms: dict[tuple[int, int], int]) -> "BiPoly":
-    """A BiPoly over ``terms``, which has no zero coefficient."""
+def _bi(i: int, j: int, rows: tuple) -> "BiPoly":
+    """r^i s^j * (rows[0] + rows[1] r + ...), rows already canonical."""
     p = object.__new__(BiPoly)
-    p._terms = terms
+    p._i, p._j, p._rows = i, j, rows
     return p
 
 
+def _canon(i: int, j: int, rows: tuple) -> "BiPoly":
+    """``_bi`` for rows that end nonzero or are empty: empty rows at
+    either end dropped, and the zeros that start every row moved to j."""
+    lo, hi = 0, len(rows)
+    while lo < hi and not rows[lo]:
+        lo += 1
+    if lo == hi:
+        return _bi(0, 0, ())
+    while not rows[hi - 1]:
+        hi -= 1
+    rows = rows[lo:hi]
+    if not any(map(itemgetter(0), filter(None, rows))):
+        m = min(next(e for e, c in enumerate(r) if c) for r in rows if r)
+        rows, j = tuple(r[m:] for r in rows), j + m
+    return _bi(i + lo, j, rows)
+
+
 class BiPoly:
-    """A polynomial in two commuting variables, stored as {(e1, e2): coeff}.
+    """A polynomial in two commuting variables r, s, stored as r^i s^j
+    (row_0 + row_1 r + ...), row k the dense tuple of coefficients of
+    s^0, s^1, ... in the coefficient of r^k.  Exponents are integers of
+    either sign.  The form is canonical (no row ends in 0, the first and
+    last rows are nonzero, some row starts nonzero), so equality
+    compares (i, j, rows).  The names r, s only matter for rendering."""
 
-    Exponents are nonnegative.  The variable names only matter for
-    rendering and default to "r", "s".
-    """
-
-    __slots__ = ("_terms",)
+    __slots__ = ("_i", "_j", "_rows")
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        self._terms = {p: c for p, c in (terms or {}).items() if c != 0}
+        nz = terms or {}
+        if not all(nz.values()):
+            nz = {p: c for p, c in nz.items() if c}
+        es, js = zip(*nz) if nz else ((0,), (0,))
+        i0, j0, k = min(es), min(js), max(js) + 1 - min(js)
+        flat = [0] * ((max(es) + 1 - i0) * k if nz else 0)
+        for (i, j), c in nz.items():
+            flat[(i - i0) * k + j - j0] = c
+        rows = zip(*[iter(flat)] * k)  # k slots each, trailing zeros dropped below
+        self._i, self._j, self._rows = i0, j0, tuple([r if r[-1] else _rstrip(r) for r in rows])
 
     @classmethod
     def zero(cls) -> "BiPoly":
@@ -324,126 +331,127 @@ class BiPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._rows
 
     def terms(self) -> list[tuple[tuple[int, int], int]]:
-        return sorted(self._terms.items())
+        """((e1, e2), coeff) pairs in lexicographic order."""
+        return [((i, j), c) for i, row in enumerate(self._rows, self._i)
+                for j, c in enumerate(row, self._j) if c]
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
         if not isinstance(other, BiPoly):
             return NotImplemented
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
-        out = dict(self._terms)
-        for p, c in other._terms.items():
-            s = out.get(p, 0) + c
-            if s:
-                out[p] = s
-            else:  # c is nonzero, so p was in out
-                del out[p]
-        return _sparse(out)
+        if not (self._rows and other._rows):
+            return self if self._rows else other
+        a, b = (self, other) if self._i <= other._i else (other, self)
+        ra, rb, j = a._rows, b._rows, min(a._j, b._j)
+        if a._j != b._j:  # read every row from the lower s-offset
+            ra, rb = (tuple((0,) * (x._j - j) + r if r else r for r in x._rows) if x._j > j
+                      else x._rows for x in (a, b))
+        off = b._i - a._i
+        ra += ((),) * (off + len(rb) - len(ra))  # pad ra to cover rb
+        return _canon(a._i, j, ra[:off] + tuple(map(_row_add, ra[off:], rb)) + ra[off + len(rb):])
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         if not isinstance(other, BiPoly):
             return NotImplemented
-        x, y = (other, self) if len(self._terms) == 1 else (self, other)
-        a, b = x._terms, y._terms
+        x, y = (other, self) if len(self._rows) == 1 and len(self._rows[0]) == 1 else (self, other)
+        a, b = x._rows, y._rows
         if not a or not b:
-            return _sparse({})
-        if len(b) == 1:
-            if b == {(0, 0): 1}:
-                return x
-            ((b1, b2), k), = b.items()
-            return _sparse({(e1 + b1, e2 + b2): c * k for (e1, e2), c in a.items()})
-        out: dict[tuple[int, int], int] = {}
-        for (a1, a2), c1 in a.items():
-            for (b1, b2), c2 in b.items():
-                p = (a1 + b1, a2 + b2)
-                out[p] = out.get(p, 0) + c1 * c2
-        return BiPoly(out)
+            return _bi(0, 0, ())
+        i, j = x._i + y._i, x._j + y._j
+        if len(b) == 1 and len(b[0]) == 1:  # a monomial moves the offsets
+            (k,), = b
+            if k == 1:
+                return _bi(i, j, a) if y._i or y._j else x
+            return _bi(i, j, tuple(tuple(map(k.__mul__, r)) for r in a))
+        out = [()] * (len(a) + len(b) - 1)
+        for e, r in enumerate(a):
+            for f, t in enumerate(b, e):
+                if r and t:
+                    out[f] = _row_add(out[f], _convolve(r, t))
+        return _canon(i, j, tuple(out))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._i == other._i and self._j == other._j and self._rows == other._rows
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._rows)
 
     def specialize(self, w1: int, w2: int) -> LaurentPoly:
-        """Map each variable to a power of q: (e1, e2) -> q^(e1*w1 + e2*w2)."""
-        out: dict[int, int] = {}
-        for (e1, e2), c in self._terms.items():
-            e = e1 * w1 + e2 * w2
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+        """Map each variable to a power of q: (e1, e2) -> q^(e1*w1 + e2*w2).
+        Term by term, unless w1 >= 0, w2 = 1 (hbar_st's (2, 1)): row k from k*w1."""
+        rows = self._rows
+        if w1 < 0 or w2 != 1 or not rows:
+            return sum((_dense(e1 * w1 + e2 * w2, (c,)) for (e1, e2), c in self.terms()), ZERO)
+        c = [0] * ((len(rows) - 1) * w1 + max(map(len, rows)))
+        for k, r in enumerate(rows):
+            for e, x in enumerate(r, k * w1):
+                c[e] += x
+        return _trimmed(self._i * w1 + self._j, tuple(c))
 
     @property
     def eval_at_one(self) -> int:
-        return sum(self._terms.values())
+        return sum(map(sum, self._rows))
 
     def text(self, names: tuple[str, str] = ("r", "s")) -> str:
         """Terms in lexicographic (e1, e2) order, e.g. "s + r" or "1 + r s^2"."""
-        def var(exps: tuple[int, int]) -> str:
-            return " ".join(name if e == 1 else f"{name}^{e}"
-                            for name, e in zip(names, exps) if e)
-        return _render(self.terms(), var)
+        return _render(self.terms(), lambda exps: " ".join(
+            name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e))
 
-    def __str__(self) -> str:
-        return self.text()
+    __str__ = text
 
     def __repr__(self) -> str:
-        return f"BiPoly({self._terms!r})"
+        return f"BiPoly({dict(self.terms())!r})"
 
 
 def pack_bi(p: BiPoly, w: int, k: int) -> int | None:
     """p at s = X = 256^w, r = X^k: the ``BiPoly`` counterpart of
-    ``pack``, with r^i s^j in slot i k + j.  None when that value would
-    not determine p: a coefficient outside [0, X), or an exponent
-    outside the slots (either exponent negative, or an s-degree of k or
-    more)."""
-    t, step = p._terms, 8 * w
-    if not t:
-        return 0
-    cs, js = sorted(t.values()), sorted(map(itemgetter(1), t))  # both ends of each, in C
-    if cs[0] < 0 or cs[-1] >> step or js[0] < 0 or js[-1] >= k:
+    ``pack``, with r^i s^j in slot i k + j, so the rows, each padded to
+    k slots, are one ``pack``.  None when that value would not determine
+    p: a coefficient outside [0, X), or an exponent outside the slots
+    (either exponent negative, or an s-degree of k or more)."""
+    rows, pad, flat = p._rows, (0,) * k, []
+    if p._i < 0 or p._j < 0 or p._j + max(map(len, rows), default=0) > k:
         return None
+    for r in rows:
+        flat += r + pad[len(r):]
     try:
-        return sum(c << step * (i * k + j) for (i, j), c in t.items())
-    except ValueError:  # with 0 <= j < k, a negative i is a negative shift count
+        return pack(_dense(0, tuple(flat)), w) << 8 * w * (p._i * k + p._j)
+    except (struct.error, OverflowError):
         return None
 
 
 def unpack_bi(v: int, w: int, k: int) -> BiPoly:
     """The ``BiPoly`` whose value at s = X = 256^w, r = X^k is v, each
-    slot below X: the inverse of ``pack_bi``."""
-    return BiPoly({divmod(e, k): c for e, c in unpack(v, w).terms()})
+    slot below X: the inverse of ``pack_bi``, one row per k slots."""
+    p = unpack(v, w)
+    i, lo = divmod(p._lo, k)
+    c = (0,) * lo + p._c
+    return _canon(i, 0, tuple(_rstrip(c[e:e + k]) for e in range(0, len(c), k)))
 
 
 class RatFunc:
-    """A quotient num/den of Laurent polynomials, stored as given.
-
-    A value, not a field element: there is no arithmetic.  Equality
-    (``==``, against another RatFunc only) means equality as rational
-    functions, decided by cross multiplication; the pair is never
-    reduced.  When both numerators are nonzero and no part has a
-    negative coefficient, the cross products are compared on packed
-    integers: first their lowest exponents, then the integer products of
-    the parts packed at q = 256^w (``pack``), w the ``slot_width`` of the
-    larger product's value at q = 1, which no coefficient of either
-    product exceeds.  Signed or zero parts take the two convolutions.
-    ``canonical()`` clears negative exponents for display only.
-    """
+    """A quotient num/den of Laurent polynomials, stored as given: a
+    value, not a field element, with no arithmetic.  Equality (``==``,
+    against another RatFunc only) is equality as rational functions, by
+    cross multiplication; the pair is never reduced.  When both
+    numerators are nonzero and no part has a negative coefficient, the
+    cross products are compared on packed integers: first their lowest
+    exponents, then the products of the parts packed at q = 256^w
+    (``pack``), w the ``slot_width`` of the larger product's value at
+    q = 1, which no coefficient of either product exceeds.  Signed or
+    zero parts take the two convolutions.  ``canonical()`` clears
+    negative exponents for display only."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly):
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        self.num = num
-        self.den = den
+        self.num, self.den = num, den
 
     @classmethod
     def zero(cls) -> "RatFunc":
@@ -463,25 +471,17 @@ class RatFunc:
         return a * b == c * d
 
     def canonical(self) -> "RatFunc":
-        """Shift num and den by q^-e, e the least exponent present in either.
-
-        After the shift both parts are ordinary polynomials and at least
-        one of them has a nonzero constant term.  Display form only; the
-        value is unchanged.
-        """
-        exps = []
-        if not self.num.is_zero:
-            exps.append(self.num.min_exp)
-        exps.append(self.den.min_exp)
-        e = min(exps)
+        """Shift num and den by q^-e, e the least exponent present in
+        either, so both are ordinary polynomials and one of them has a
+        nonzero constant term.  Display form only; the value is unchanged."""
+        e = min(self.den.min_exp, self.num.min_exp if self.num else self.den.min_exp)
         return RatFunc(self.num.shift(-e), self.den.shift(-e))
 
     def text(self) -> str:
         c = self.canonical()
         return f"({c.num.text()}) / ({c.den.text()})"
 
-    def __str__(self) -> str:
-        return self.text()
+    __str__ = text
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r}, {self.den!r})"

@@ -120,8 +120,9 @@ def digit_rule(w0, w1, w2):
     where w_d weighs appending the digit d: with F(x) = f(x - 1), the
     hyperbinary expansions of 2y - 1 append 1 to those of y - 1, and the
     expansions of 2y append 0 to those of y and 2 to those of y - 1.
-    Each weight multiplies from the left, which fixes the term order of
-    a ``BiPoly`` product."""
+    Each weight multiplies from the left.  A product by a ``BiPoly``
+    one is the other operand itself, so with w1 = 1 F(2y) is the object
+    F(y)."""
 
     def rule(x: int, f: dict):
         half = x >> 1

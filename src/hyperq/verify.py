@@ -13,8 +13,11 @@ mprime those of ``matrices.row_sum_checks`` and
 library.  The range forms read M(n) and M'(n) from products on packed
 integers: mnthm compares polynomials unpacked from them, and mprime
 compares packed integers, with the h_rs oracle packed the same way
-where it fits; a failure is rendered from the decoded polynomials, as
-text identical to the unpacked sides'.  qrat and gg compare
+where it fits, each distinct value once; a failure is rendered from
+the decoded polynomials, as text identical to the unpacked sides'.
+The h_rs and hbar_st oracles of mprime, hrs and hbar run on
+``BiPoly``'s rows (``poly``), where a product by one digit weight
+moves two offsets.  qrat and gg compare
 ``RatFunc`` values, whose equality multiplies packed integers when no
 part is signed or zero.
 Sweeps are single threaded and iterate in increasing order, so reports

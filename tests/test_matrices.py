@@ -150,7 +150,7 @@ def test_packed_ranges_match_word_products_where_the_packing_changes(limit):
     for n in range(limit - 3, limit + 1):
         m, mp = m_of(n), m_prime_of(n)
         assert [_dense(e) for e in ms[n].entries()] == [_dense(e) for e in m.entries()], n
-        assert [e._terms for e in mps[n].entries()] == [e._terms for e in mp.entries()], n
+        assert [e.terms() for e in mps[n].entries()] == [e.terms() for e in mp.entries()], n
         assert m == _fold(n, L, R) and mp == _fold(n, L_PRIME, R_PRIME), n
         expected, actual = sums[n - 1]
         assert [_dense(e) for e in actual] == [_dense(e) for e in m.column_sums_vector()], n
@@ -294,3 +294,14 @@ def test_row_sums_of_large_n(n):
     """The L/R product against the halving recurrence, far past the
     sweep ranges."""
     assert m_of(n).column_sums_vector() == row_sums_formula(n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10, database=None)
+@given(_bits(64, 200))
+def test_m_prime_check_on_large_n(n):
+    """M'(n) (1,1)^T = (h_rs(n-1), h_rs(n))^T far past the sweep range:
+    the packed walk's column sums against the halving recurrence on the
+    row form of ``BiPoly``."""
+    expected, actual = m_prime_check(n)
+    assert expected == actual
+    assert actual[1].eval_at_one == fusc(n + 1)

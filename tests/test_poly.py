@@ -300,7 +300,7 @@ def _ref_rs(p):
     for name, e in zip(("r", "s"), p):
         if e == 1:
             factors.append(name)
-        elif e > 1:
+        elif e:
             factors.append(f"{name}^{e}")
     return " ".join(factors)
 
@@ -373,6 +373,49 @@ def test_bipoly_zero_and_monomial_paths_match_reference(da, db):
         assert got.text() == _ref_text(_ref_clean(want), _ref_rs)
 
 
+def _ref_bimul(a, b):
+    out = {}
+    for (a1, a2), c1 in a.items():
+        for (b1, b2), c2 in b.items():
+            out[(a1 + b1, a2 + b2)] = out.get((a1 + b1, a2 + b2), 0) + c1 * c2
+    return _ref_clean(out)
+
+
+def _ref_specialize(d, w1, w2):
+    out = {}
+    for (e1, e2), c in d.items():
+        out[e1 * w1 + e2 * w2] = out.get(e1 * w1 + e2 * w2, 0) + c
+    return _ref_clean(out)
+
+
+_BI_SIGNED = st.dictionaries(st.tuples(st.integers(-3, 6), st.integers(-3, 6)),
+                             st.one_of(_SMALL, _WIDE), max_size=24)
+
+
+@PROPERTY
+@given(_BI_SIGNED, _BI_SIGNED, st.integers(-3, 3), st.integers(-3, 3))
+@example({(-1, 2): 1, (2, -3): -2, (0, 0): 5}, {(1, 1): 1, (-3, 6): 3, (6, -3): -1}, 2, 1)
+@example({(0, 0): 1, (0, 1): 1}, {(0, 0): 1, (0, 1): -1}, 1, 0)  # a row's end cancels
+@example({(0, 0): 1, (1, 1): 1, (2, 0): 1}, {(0, 0): -1, (2, 0): -1}, 3, 2)  # end rows cancel
+def test_bipoly_matches_reference_with_signed_exponents(da, db, w1, w2):
+    """Many-term operands with exponents of either sign on both
+    variables, against the dict reference: every view of a, a + b,
+    a * b and b * a, and ``==`` between the operands."""
+    a, b = BiPoly(da), BiPoly(db)
+    for got, want in ((a, _ref_clean(da)), (a + b, _ref_add(da, db)), (b + a, _ref_add(db, da)),
+                      (a * b, _ref_bimul(da, db)), (b * a, _ref_bimul(db, da))):
+        assert got.terms() == sorted(want.items())
+        assert got.text() == _ref_text(want, _ref_rs)
+        assert got.text(("t", "s")) == _ref_text(want, _ref_rs).replace("r", "t")
+        assert got == BiPoly(want) and got.is_zero == (not want) and bool(got) == bool(want)
+        assert got.eval_at_one == sum(want.values())
+        assert got.specialize(w1, w2) == LaurentPoly(_ref_specialize(want, w1, w2))
+    assert (a == b) == (_ref_clean(da) == _ref_clean(db))
+    # a product by one is the operand itself: the halving walk's even
+    # step for h_rs shares its value this way
+    assert not a or BiPoly.one() * a is a
+
+
 # ------------------------------------------------------------ packed slots
 
 def _pack(coeffs: list[int], w: int) -> int:
@@ -430,6 +473,22 @@ def test_pack_bi_round_trips_and_refuses_what_has_no_slot(w):
     assert pack_bi(BiPoly(), w, k) == 0 and unpack_bi(0, w, k) == BiPoly()
     for bad in ({(2, 2): top + 1}, {(2, 2): -1}, {(0, k): 1}, {(2, -4): 1}, {(-1, 2): 1}):
         assert pack_bi(p + BiPoly(bad), w, k) is None
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(1, 9), st.data())
+def test_pack_bi_round_trips_random_values(w, k, data):
+    """Random nonnegative values, with zero, one and full slots: r^i s^j
+    goes to slot i k + j, and ``unpack_bi`` gives the same value back."""
+    top = 256**w - 1
+    coeff = st.one_of(st.sampled_from([0, 1, top]), st.integers(0, top))
+    d = data.draw(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, k - 1)), coeff,
+                                  max_size=16))
+    p = BiPoly(d)
+    v = pack_bi(p, w, k)
+    assert v == sum(c << 8 * w * (i * k + j) for (i, j), c in d.items())
+    back = unpack_bi(v, w, k)
+    assert back == p and back.terms() == p.terms()
 
 
 @PROPERTY
