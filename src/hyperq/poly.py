@@ -346,8 +346,7 @@ class BiPoly:
         a, b = (self, other) if self._i <= other._i else (other, self)
         ra, rb, j = a._rows, b._rows, min(a._j, b._j)
         if a._j != b._j:  # read every row from the lower s-offset
-            ra, rb = (tuple((0,) * (x._j - j) + r if r else r for r in x._rows) if x._j > j
-                      else x._rows for x in (a, b))
+            ra, rb = (tuple((0,) * (x._j - j) + r if r else r for r in x._rows) for x in (a, b))
         off = b._i - a._i
         ra += ((),) * (off + len(rb) - len(ra))  # pad ra to cover rb
         return _canon(a._i, j, ra[:off] + tuple(map(_row_add, ra[off:], rb)) + ra[off + len(rb):])
