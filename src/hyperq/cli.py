@@ -284,16 +284,27 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(limit)
 
 
+def _warn(message: object) -> None:
+    """Print ``hyperq: message`` on standard error.  Without one, not
+    open at start (``sys.stderr`` is None) or closed since, the message
+    is dropped; it never goes to standard output."""
+    if sys.stderr is not None:
+        try:
+            print(f"hyperq: {message}", file=sys.stderr)
+        except OSError:
+            pass
+
+
 def _main(argv: list[str] | None) -> int:
     args = _parser().parse_args(argv)
     try:
         text, payload = args.handler(args)
     except MemoryError:
-        print("hyperq: input too large to compute in memory", file=sys.stderr)
+        _warn("input too large to compute in memory")
         return 3
     except ValueError as exc:
         # qrational.UnsupportedDomain carries exit code 3
-        print(f"hyperq: {exc}", file=sys.stderr)
+        _warn(exc)
         return getattr(exc, "exit_code", 2)
     # only the verify payload has "passed": a failed sweep exits 1
     exit_code = 0 if payload.get("passed", True) else 1
@@ -305,7 +316,7 @@ def _main(argv: list[str] | None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            print(f"hyperq: {exc}", file=sys.stderr)
+            _warn(exc)
             return 4
         return exit_code
     if sys.stdout is None:  # started with standard output closed
@@ -314,7 +325,7 @@ def _main(argv: list[str] | None) -> int:
         print(text)
         sys.stdout.flush()
     except UnicodeEncodeError as exc:  # raised before anything is written
-        print(f"hyperq: {exc}", file=sys.stderr)
+        _warn(exc)
         return 4
     except OSError as exc:
         # point stdout at devnull so the flush at interpreter exit does
@@ -324,7 +335,7 @@ def _main(argv: list[str] | None) -> int:
         os.close(devnull)
         if isinstance(exc, BrokenPipeError):  # the reader has gone
             return 5
-        print(f"hyperq: {exc}", file=sys.stderr)
+        _warn(exc)
         return 4
     return exit_code
 

@@ -38,6 +38,7 @@ import operator
 
 from .hyperbinary import (
     Digits,
+    _prefix_length,
     digits_value,
     dot_source,
     expansions,
@@ -52,10 +53,7 @@ def fence(n: int) -> str:
     """The fence of n: the binary digits of n strictly before the
     rightmost 0, as the 0/1 word ``qrational._word`` also spells; ""
     when the expansion is all ones (including n = 0)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    b = bin(n)[2:]
-    return b[:max(b.rfind("0"), 0)]
+    return bin(n)[2:2 + _prefix_length(n)]
 
 
 def cover_pairs(f: str) -> tuple[tuple[int, int], ...]:

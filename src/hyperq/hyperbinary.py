@@ -65,6 +65,23 @@ def binary_expansion(n: int) -> Digits:
     return tuple(map(int, bin(n)[2:]))
 
 
+def _zeros(n: int) -> int:
+    """The zeros of n's binary expansion, all after its leading 1."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return n.bit_length() - n.bit_count()
+
+
+def _prefix_length(n: int) -> int:
+    """The length of the principal prefix of n: the index of the
+    rightmost 0 of its binary expansion, or 0 when there is none.  That
+    0 sits above the trailing ones, whose count is the bit length of
+    ~n & (n + 1), less one."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return max(n.bit_length() - (~n & (n + 1)).bit_length(), 0)
+
+
 def digits_value(d: Digits) -> int:
     """The integer a digit string stands for."""
     v = 0
@@ -259,19 +276,17 @@ def h_q_closed_form(n: int) -> LaurentPoly:
     Raises ValueError when the expansion is not of either shape; use
     ``h_q_closed_form_applies`` to test first.
     """
-    b = binary_expansion(n)
-    zeros = [i for i, dig in enumerate(b) if dig == 0]
+    zeros = _zeros(n)
     if not zeros:
-        return qpow(len(b))
-    if len(zeros) == 1:
-        r = zeros[0]
-        s = len(b) - r - 1
-        return qint(r + 1).shift(r + s)
+        return qpow(n.bit_length())
+    if zeros == 1:
+        # the one zero is the rightmost: r is the prefix length, r + s + 1 digits
+        return qint(_prefix_length(n) + 1).shift(n.bit_length() - 1)
     raise ValueError(f"binary expansion of {n} has more than one zero")
 
 
 def h_q_closed_form_applies(n: int) -> bool:
-    return sum(1 for dig in binary_expansion(n) if dig == 0) <= 1
+    return _zeros(n) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -314,19 +329,10 @@ def covers(d: Digits) -> tuple[Digits, ...]:
     return tuple(out)
 
 
-def _prefix_length(b: Digits) -> int:
-    """The length of the principal prefix of the binary digits b: the
-    index of their rightmost 0, or 0 when there is none."""
-    for j in range(len(b) - 1, -1, -1):
-        if b[j] == 0:
-            return j
-    return 0
-
-
 def min_element(n: int) -> Digits:
     """The bottom of D(n), in closed form."""
     b = binary_expansion(n)
-    r = _prefix_length(b)
+    r = _prefix_length(n)
     if not r:
         # all ones: D(n) is a single point
         return b
@@ -364,15 +370,11 @@ def join_irreducibles(n: int) -> tuple[Digits, ...]:
     """The join irreducibles of D(n) in closed form: split n at each
     position of the principal prefix as n = q*2^(k-i) + m and glue the
     bottom elements of the two halves."""
-    b = binary_expansion(n)
-    k = len(b)
-    r = _prefix_length(b)
+    k = n.bit_length()
     out = []
-    for i in range(1, r + 1):
-        q = digits_value(b[:i])
-        m = n - (q << (k - i))
-        left = min_element(q)
-        right = min_element(m)
+    for i in range(1, _prefix_length(n) + 1):
+        left = min_element(n >> (k - i))
+        right = min_element(n & ((1 << (k - i)) - 1))
         pad = k - len(left) - len(right)
         out.append(left + (0,) * pad + right)
     out.sort(reverse=True)

@@ -41,18 +41,16 @@ every entry (``poly.unpack``, ``poly.unpack_bi``); the ``@`` fold of
 the two row sums, shifted back by q^-z, against ``row_sums_formula``;
 ``m_prime_checks`` packs the oracle pair (h_rs(n-1), h_rs(n)) the same
 way (``poly.pack_bi``, one row of the ``BiPoly`` per K slots), each
-distinct oracle object once, and compares integers, and decodes a side
-only to show a failure (``poly.unpack_bi``).  An oracle value with a
-coefficient outside [0, 256^w), a negative exponent or an s-degree of
-K or more does not fit the packing, and that n is compared as
-``BiPoly`` instead.
+distinct oracle object once, and compares integers: a match yields
+the integer pair as both sides.  A mismatch, or an oracle value that
+does not fit the packing (a coefficient outside [0, 256^w), a negative
+exponent or an s-degree of K or more), yields the ``BiPoly`` pairs
+instead, the row sums decoded (``poly.unpack_bi``).
 """
 
 from __future__ import annotations
 
-from functools import partial
-
-from .hyperbinary import binary_expansion, h_q, h_rs
+from .hyperbinary import _zeros, h_q, h_rs
 from .poly import BiPoly, LaurentPoly, ONE, ZERO, pack_bi, qpow, slot_width, unpack, unpack_bi
 from .stern import fusc_range, fusc_width
 
@@ -159,11 +157,6 @@ def _m_packed(limit: int) -> tuple[int, list]:
     return w, _packed_range(limit, 8 * w, 8 * w, 0)
 
 
-def _zeros(n: int) -> int:
-    """z, the zeros of n after its leading 1: M~(n) = q^z M(n)."""
-    return n.bit_length() - n.bit_count()
-
-
 def m_of(n: int) -> Mat2:
     """M(n): the packed M~(n) walked over the bits of n, each entry
     unpacked and shifted by q^-z."""
@@ -194,19 +187,17 @@ def entries_formula(n: int, memo: dict[int, LaurentPoly] | None = None) -> Mat2:
         raise ValueError("n must be >= 1")
     if memo is None:
         memo = {}
-    bits = binary_expansion(n)
-    k = len(bits) - 1
-    j = 0
-    while j < len(bits) and bits[j] == 1:
-        j += 1
+    k = n.bit_length() - 1
     top = 1 << k
     b_ = h_q(n - top - 1, memo).shift(-k + 1)
     d_ = h_q(n - top, memo).shift(-k)
-    if j == k + 1:
+    # the first 0 of n is the leading 1 of its complement in k + 1 bits,
+    # with e digits after it, so n' is 1 followed by n's last e digits
+    e = (n ^ (2 * top - 1)).bit_length() - 1
+    if e < 0:
         return Mat2(qpow(k), b_, ZERO, d_)
-    nprime = 0
-    for bit in (1,) + bits[j + 1:]:
-        nprime = 2 * nprime + bit
+    j = k - e
+    nprime = (1 << e) | (n & ((1 << e) - 1))
     a_ = h_q(nprime - 1, memo).shift(-k + 2 * j - 1)
     c_ = h_q(nprime, memo).shift(-k + 2 * j - 2)
     return Mat2(a_, b_, c_, d_)
@@ -269,24 +260,6 @@ def m_prime_range(limit: int) -> list[BiMat2 | None]:
     return [None] + [BiMat2(*[unpack_bi(v, w, k) for v in m]) for m in ms[1:]]
 
 
-class Packed:
-    """A pair of polynomials held as two packed integers and compared as
-    integers; ``show`` decodes one of them, for the text of a failure."""
-
-    __slots__ = ("pair", "show")
-
-    def __init__(self, pair: tuple[int, int], show):
-        self.pair, self.show = pair, show
-
-    def __eq__(self, other: object) -> bool:  # and so no hash
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.pair == other.pair
-
-    def text(self) -> str:
-        return "(" + ", ".join(self.show(v).text() for v in self.pair) + ")"
-
-
 def m_prime_check(n: int) -> tuple[tuple, tuple]:
     """The two sides of M'(n) (1,1)^T = (h_rs(n-1), h_rs(n))^T as
     (expected, actual) = ((h_rs(n-1), h_rs(n)), M'(n) (1,1)^T);
@@ -297,15 +270,13 @@ def m_prime_check(n: int) -> tuple[tuple, tuple]:
 
 
 def m_prime_checks(limit: int):
-    """The two sides of ``m_prime_check(n)`` for n = 1..limit, in order,
-    each a ``Packed`` pair: M'(n) (1,1)^T from the packed M'(n), and
-    (h_rs(n-1), h_rs(n)) packed the same way.  Each distinct oracle
-    object is packed once: the even step returns its operand, so
+    """The two sides of ``m_prime_check(n)`` for n = 1..limit, in order:
+    the packed pair of M'(n) (1,1)^T as both sides where (h_rs(n-1),
+    h_rs(n)) packs to it, else the two ``BiPoly`` pairs.  Each distinct
+    oracle object is packed once: the even step returns its operand, so
     h_rs(2y-1) is the object h_rs(y-1), and up to 16,384 the 16,385
-    values are 8,193 objects.  Where an oracle value does not fit the packing, both
-    sides are ``BiPoly`` pairs instead."""
+    values are 8,193 objects."""
     w, k, ms = _m_prime_packed(limit)
-    show = partial(unpack_bi, w=w, k=k)
     memo: dict[int, BiPoly] = {}
     # id -> (value, packed value); holding the value keeps its id unused
     cache: dict[int, tuple[BiPoly, int | None]] = {}
@@ -320,8 +291,9 @@ def m_prime_checks(limit: int):
     below = packed(0)
     for n in range(1, limit + 1):
         a, b, c, d = ms[n]
+        sums = a + b, c + d
         top, below = below, packed(n)
-        if top is None or below is None:
-            yield (h_rs(n - 1, memo), h_rs(n, memo)), (show(a + b), show(c + d))
+        if (top, below) == sums:
+            yield sums, sums
         else:
-            yield Packed((top, below), show), Packed((a + b, c + d), show)
+            yield (h_rs(n - 1, memo), h_rs(n, memo)), tuple(unpack_bi(v, w, k) for v in sums)

@@ -32,8 +32,6 @@ R(a1, ..., am) / R(0, a2, ..., am) with R their generating function
 
 from __future__ import annotations
 
-from math import gcd
-
 from .poly import LaurentPoly, RatFunc, slot_width, unpack
 
 
@@ -75,11 +73,11 @@ def cf_odd(r: int, s: int) -> list[int]:
 def cw_index(r: int, s: int) -> int:
     """The unique n >= 1 with cw(n) = r/s, for positive r and s: n in
     binary is the word of the odd-length continued fraction, reversed.
-    Non-reduced input is reduced first."""
+    Non-reduced input gives the index of its reduced form: kr/ks has
+    the continued fraction of r/s."""
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
-    g = gcd(r, s)
-    return int(_word(cf_odd(r // g, s // g))[::-1], 2)
+    return int(_word(cf_odd(r, s))[::-1], 2)
 
 
 def _word(cf: list[int]) -> str:
@@ -97,9 +95,7 @@ def qdeform(r: int, s: int) -> RatFunc:
         raise ValueError("need r >= 0 and s >= 1")
     if r == 0:
         return RatFunc.zero()
-    g = gcd(r, s)
-    cf = cf_expand(r // g, s // g)
-    return qdeform_cf(cf)
+    return qdeform_cf(cf_expand(r, s))
 
 
 def qdeform_cf(cf: list[int]) -> RatFunc:
@@ -171,6 +167,5 @@ def qdeform_via_graph(r: int, s: int) -> RatFunc:
         raise ValueError("need r >= 0 and s >= 1")
     if r <= s:
         raise UnsupportedDomain("the closure-set route needs r/s > 1")
-    g = gcd(r, s)
-    cf = cf_expand(r // g, s // g)
+    cf = cf_expand(r, s)
     return RatFunc(closure_poly(cf), closure_poly([0] + cf[1:]))

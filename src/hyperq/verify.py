@@ -13,8 +13,8 @@ mprime those of ``matrices.row_sum_checks`` and
 library.  The range forms read M(n) and M'(n) from products on packed
 integers: mnthm compares polynomials unpacked from them, and mprime
 compares packed integers, with the h_rs oracle packed the same way
-where it fits, each distinct value once; a failure is rendered from
-the decoded polynomials, as text identical to the unpacked sides'.
+where it fits, each distinct value once; where they differ, or a
+value does not fit, it compares and renders the ``BiPoly`` pairs.
 The h_rs and hbar_st oracles of mprime, hrs and hbar run on
 ``BiPoly``'s rows (``poly``), where a product by one digit weight
 moves two offsets.  qrat and gg compare

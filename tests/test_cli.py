@@ -1,6 +1,7 @@
 """Command line interface: text goldens, JSON schemas, exit codes."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -407,6 +408,44 @@ def test_missing_stdout_exits_five_without_traceback():
     )
     assert proc.returncode == 5
     assert proc.stderr == ""
+
+
+CLOSED_STDERR = [
+    (["qrat", "1/0"], 2),
+    (["qrat", "2/3", "--via", "graph"], 3),
+    (["fusc", "5", "--out", "/nonexistent/x"], 4),
+]
+
+
+@pytest.mark.parametrize("argv,code", CLOSED_STDERR)
+def test_closed_stderr_keeps_the_exit_code(argv, code):
+    """Started with file descriptor 2 closed, the diagnostic is dropped:
+    the exit code is the documented one and stdout stays empty."""
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m hyperq.cli "$@" 2>&-', sys.executable, *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == ""
+
+
+class _BadDescriptor(io.TextIOBase):
+    """A stderr whose descriptor was closed after start-up."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
+@pytest.mark.parametrize("stderr", [None, _BadDescriptor()], ids=["none", "ebadf"])
+@pytest.mark.parametrize("argv,code", CLOSED_STDERR)
+def test_unusable_stderr_writes_nothing_to_stdout(monkeypatch, argv, code, stderr):
+    """With ``sys.stderr`` None, or writes to it failing, the diagnostic
+    is dropped, not printed on stdout as ``print(file=None)`` would."""
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == code
+    assert out.getvalue() == ""
 
 
 @pytest.mark.parametrize("mode", ["--list", "--stats"])

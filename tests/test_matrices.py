@@ -25,7 +25,7 @@ from hyperq.matrices import (
     row_sums_formula,
     word_of,
 )
-from hyperq.poly import ONE, ZERO, BiPoly, LaurentPoly, qpow, unpack
+from hyperq.poly import ONE, ZERO, BiPoly, LaurentPoly, qpow, unpack, unpack_bi
 from hyperq.stern import cw_q, fusc, fusc_q
 
 
@@ -146,6 +146,7 @@ def test_packed_ranges_match_word_products_where_the_packing_changes(limit):
     ms, mps = m_range(limit), m_prime_range(limit)
     sums = list(row_sum_checks(limit))
     primes = list(m_prime_checks(limit))
+    w, k, _ = mx._m_prime_packed(limit)
     assert len(sums) == len(primes) == limit
     for n in range(limit - 3, limit + 1):
         m, mp = m_of(n), m_prime_of(n)
@@ -157,7 +158,7 @@ def test_packed_ranges_match_word_products_where_the_packing_changes(limit):
         assert (expected, actual) == row_sum_check(n)
         expected, actual = primes[n - 1]
         assert expected == actual, n
-        assert actual.text() == "(" + ", ".join(e.text() for e in mp.column_sums_vector()) + ")"
+        assert tuple(unpack_bi(v, w, k) for v in actual) == mp.column_sums_vector(), n
     assert all(expected == actual for expected, actual in sums)
     assert all(expected == actual for expected, actual in primes)
 
@@ -305,3 +306,4 @@ def test_m_prime_check_on_large_n(n):
     expected, actual = m_prime_check(n)
     assert expected == actual
     assert actual[1].eval_at_one == fusc(n + 1)
+
