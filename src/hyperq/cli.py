@@ -6,11 +6,11 @@ file instead of stdout.  Exit codes: 0 success, 1 a verification sweep
 reported failures, 2 usage or malformed input, 3 input outside a
 command's supported domain (for example ``qrat --via graph`` on a
 rational that is not greater than one) or too large for its answer to
-fit in memory, 4 the output could not be written (the ``--out`` file's
-directory does not exist, standard output is a full device, or its
-encoding cannot spell the text, say "ε" under ASCII), 5 standard
-output was closed before all of the output was written (for example,
-piped into ``head -1``) or was not open at all.
+fit in memory or to index, 4 the output could not be written (the
+``--out`` file's directory does not exist, standard output is a full
+device, or its encoding cannot spell the text, say "ε" under ASCII), 5
+standard output was closed before all of the output was written (for
+example, piped into ``head -1``) or was not open at all.
 
 A cold start pays only for what the subcommand runs: building the
 parser imports nothing beyond the modules below, each handler imports
@@ -230,8 +230,7 @@ def _cmd_fence(args) -> tuple[str, dict]:
     if args.ideals:
         masks = ideals(f)
         members = [ideal_members(m, len(f)) for m in masks]
-        lines = ["{" + ", ".join(f"x{i}" for i in mem) + "}" if mem else "{}"
-                 for mem in members]
+        lines = ["{" + ", ".join(f"x{i}" for i in mem) + "}" for mem in members]
         return "\n".join(lines), {"n": n, "size": len(f), "ideals": members}
     if args.rgf:
         text = rgf(f).text()
@@ -299,7 +298,7 @@ def _main(argv: list[str] | None) -> int:
     args = _parser().parse_args(argv)
     try:
         text, payload = args.handler(args)
-    except MemoryError:
+    except (MemoryError, OverflowError):
         _warn("input too large to compute in memory")
         return 3
     except ValueError as exc:

@@ -50,7 +50,7 @@ instead, the row sums decoded (``poly.unpack_bi``).
 
 from __future__ import annotations
 
-from .hyperbinary import _zeros, h_q, h_rs
+from .hyperbinary import _BI_ONE, _BI_ZERO, _X1, _X2, _zeros, h_q, h_rs
 from .poly import BiPoly, LaurentPoly, ONE, ZERO, pack_bi, qpow, slot_width, unpack, unpack_bi
 from .stern import fusc_range, fusc_width
 
@@ -100,7 +100,7 @@ def _mat2(name: str, one, zero) -> type:
 
 
 Mat2 = _mat2("Mat2", ONE, ZERO)
-BiMat2 = _mat2("BiMat2", BiPoly.one(), BiPoly.zero())
+BiMat2 = _mat2("BiMat2", _BI_ONE, _BI_ZERO)
 
 L = Mat2(ONE, ZERO, ONE, qpow(-1))
 R = Mat2(qpow(1), ONE, ZERO, ONE)
@@ -235,10 +235,8 @@ def row_sum_checks(limit: int):
 # bivariate companion
 
 
-_BR = BiPoly.monomial(1, 1, 0)
-_BS = BiPoly.monomial(1, 0, 1)
-L_PRIME = BiMat2(BiPoly.one(), BiPoly.zero(), _BR, _BS)
-R_PRIME = BiMat2(_BR, _BS, BiPoly.zero(), BiPoly.one())
+L_PRIME = BiMat2(_BI_ONE, _BI_ZERO, _X1, _X2)
+R_PRIME = BiMat2(_X1, _X2, _BI_ZERO, _BI_ONE)
 
 
 def m_prime_of(n: int) -> BiMat2:

@@ -75,7 +75,7 @@ def _trimmed(lo: int, c: tuple[int, ...]) -> "LaurentPoly":
         return ZERO
     while not c[j - 1]:
         j -= 1
-    return _dense(lo + i, c[i:j] if j - i < len(c) else c)
+    return _dense(lo + i, c[i:j])
 
 
 def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -100,10 +100,6 @@ def _rstrip(c: tuple) -> tuple:
 
 def _row_add(x: tuple, y: tuple) -> tuple:
     """x + y read from one offset, with no trailing zero if neither had one."""
-    if not y:
-        return x
-    if not x:
-        return y
     c, d = tuple(map(add, x, y)), len(x) - len(y)
     return c + (x[-d:] if d > 0 else y[d:]) if d else _rstrip(c)
 

@@ -93,8 +93,6 @@ def qdeform(r: int, s: int) -> RatFunc:
     """[r/s]_q as an explicit RatFunc; [0/s]_q = 0."""
     if s < 1 or r < 0:
         raise ValueError("need r >= 0 and s >= 1")
-    if r == 0:
-        return RatFunc.zero()
     return qdeform_cf(cf_expand(r, s))
 
 
@@ -107,24 +105,23 @@ def qdeform_cf(cf: list[int]) -> RatFunc:
     depth; the value is P/Q.
 
     Every P and Q has nonnegative coefficients, at most its value at
-    q = 1, and those values are the integer continuants, so a first
-    pass (P, Q) <- (a P + Q, P) on integers finds the largest and fixes
-    the slot width w.  The second pass writes P and Q as one common
-    power q^lo times polynomials in q, and carries those two as their
-    values at q = 256^w.  [a]_q is the repunit of a slots and
+    q = 1, and those values are the integer continuants.  A first pass
+    (P, Q) <- (a P + Q, P) on integers never lowers max(P, Q), so the
+    final pair's larger value is the largest and fixes the slot width
+    w.  The second pass writes P and Q as one common power q^lo times
+    polynomials in q, and carries those two as their values at
+    q = 256^w.  [a]_q is the repunit of a slots and
     [a]_{1/q} = q^-(a-1) [a]_q, so an even step lowers lo by a and
     shifts the rest up: (P, Q) <- (q^-a (q [a]_q P + Q), q^-a q^a P).
     """
     if not cf:
         raise ValueError("empty continued fraction")
-    top = p = 1
-    q = 0
+    p, q = 1, 0
     for a in reversed(cf):
         if a < 0:
             raise ValueError(f"partial quotient a{cf.index(a) + 1} = {a} is negative")
         p, q = a * p + q, p
-        top = max(top, p)
-    w = slot_width(top)
+    w = slot_width(max(p, q))
     step = 8 * w
     unit = b"\1" + bytes(w - 1)
     p, q, lo = 1, 0, 0

@@ -52,7 +52,7 @@ def _fusc_pair(n: int, step: int = 0) -> tuple[int, int]:
     m read so far.  No coefficient is negative and the pair's larger
     value never falls, so step = 8 ``fusc_width(n)`` keeps every slot."""
     a, b, step2 = 0, 1, 2 * step
-    for bit in bin(n)[2:] if n else "":
+    for bit in bin(n)[2:]:
         if bit == "0":
             a, b = a << step, b + (a << step2)
         else:

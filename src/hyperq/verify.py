@@ -10,26 +10,9 @@ mainbij and weightbij yield the two sides that the library's checks
 mprime those of ``matrices.row_sum_checks`` and
 ``matrices.m_prime_checks``, the range forms of ``row_sum_check`` and
 ``m_prime_check``, so each of those identities is written down in the
-library.  The range forms read M(n) and M'(n) from products on packed
-integers: mnthm compares polynomials unpacked from them, and mprime
-compares packed integers, with the h_rs oracle packed the same way
-where it fits, each distinct value once; where they differ, or a
-value does not fit, it compares and renders the ``BiPoly`` pairs.
-The h_rs and hbar_st oracles of mprime, hrs and hbar run on
-``BiPoly``'s rows (``poly``), where a product by one digit weight
-moves two offsets.  qrat and gg compare
-``RatFunc`` values, whose equality multiplies packed integers when no
-part is signed or zero.
-Sweeps are single threaded and iterate in increasing order, so reports
-are deterministic; each owns private memo dicts, one per memoized
-function.  mainbij, hrs and hbar
-read D(n), the hyperbinary expansions of n, from one
-``hyperbinary.expansions_upto`` stream per sweep, which builds each
-D(n) from its halving neighbours and keeps only the chain the next n
-reads.  hrs and hbar tally each D(n) for only the polynomials they
-compare: hrs runs the ``h_q_enum`` and ``h_rs_enum`` passes (digit
-sums; twos zipped with nonleading zeros), hbar the ``hbar_st_enum``
-pass (twos zipped with ones).
+library.  Sweeps are single threaded and iterate in increasing order,
+so reports are deterministic; each owns private memo dicts, one per
+memoized function.
 
 ``hbar`` deserves a word: the literal halving recurrence usually quoted
 for the (ones, twos) generating function drops a factor in the odd case

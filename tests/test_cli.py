@@ -51,6 +51,7 @@ TEXT_GOLDENS = [
     (["hyper", "--genfunc", "10"], "q^2 + 2q^3 + q^4 + q^5"),
     (["fence", "10"], "elements: 3\nx2 < x1\nx2 < x3"),
     (["fence", "--ideals", "10"], "{}\n{x2}\n{x1, x2}\n{x2, x3}\n{x1, x2, x3}"),
+    (["fence", "--ideals", "7"], "{}"),  # the empty ideal alone
     (["fence", "--rgf", "10"], "1 + q + 2q^2 + q^3"),
     (["matrix", "19"], "q^-1 + 2 + q + q^2 | q^-2 + q^-1\nq^-1 + 1 | q^-2"),
     (["matrix", "--prime", "2"], "1 | 0\nr | s"),
@@ -359,6 +360,23 @@ def test_input_too_large_for_memory_exits_three():
     assert proc.stdout == ""
     assert proc.stderr == "hyperq: input too large to compute in memory\n"
     assert "Traceback" not in proc.stderr
+
+
+#: past 2^63: a partial quotient repeats a bytes or str object that
+#: many times, and a sweep bound sizes a list
+HUGE_Q, HUGE_MAX = str(10**29), str(10**20)
+
+
+@pytest.mark.parametrize("argv", [
+    ["qrat", HUGE_Q + "/1"],
+    ["qrat", "1/" + HUGE_Q],
+    ["qrat", HUGE_Q + "/1", "--via", "graph"],
+    ["cwindex", HUGE_Q + "/1"],
+    ["cwindex", "1/" + HUGE_Q],
+    *[["verify", name, "--max", HUGE_MAX] for name in ("qrat", "mnent", "mnthm", "mprime", "all")],
+], ids=" ".join)
+def test_input_too_large_to_index_exits_three(argv):
+    assert run(argv) == (3, "", "hyperq: input too large to compute in memory\n")
 
 
 # --------------------------------------------------------------- entry point

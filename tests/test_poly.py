@@ -75,7 +75,7 @@ def test_ring_axioms_random():
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        assert a + ZERO == a
+        assert a + ZERO == ZERO + a == a
         assert a * ONE == a
         assert a - a == ZERO
         assert (-a) + a == ZERO
@@ -161,6 +161,7 @@ def test_bipoly_random_ring_axioms():
 
     for _ in range(150):
         a, b, c = rand_bi(), rand_bi(), rand_bi()
+        assert a + BiPoly.zero() == BiPoly.zero() + a == a
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
         assert (a * b).specialize(2, 1) == a.specialize(2, 1) * b.specialize(2, 1)

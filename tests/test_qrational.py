@@ -152,6 +152,11 @@ def test_qdeform_examples():
     assert qdeform(0, 7) == RatFunc.zero()
     with pytest.raises(ValueError):
         qdeform(1, 0)
+    # [0/s]_q is the stored pair 0/1, as the CLI prints it
+    zero = RatFunc.zero()
+    for s in range(1, 51):
+        v = qdeform(0, s)
+        assert repr(v) == repr(zero) and v.canonical().text() == zero.canonical().text(), s
 
 
 def test_qdeform_keeps_its_unreduced_representation():
@@ -269,10 +274,16 @@ def test_qdeform_cf_rejects_a_negative_partial_quotient():
             qdeform_cf(cf)
 
 
-@pytest.mark.parametrize("a, w", [(255, 1), (256, 2), (65535, 2), (65536, 3)])
+@pytest.mark.parametrize("a, w", [
+    (255, 1), (256, 2), (65535, 2), (65536, 3),
+    ([0, 256], 2), ([0, 0, 255], 1), ([1, 0, 65535], 3), ([3, 0, 0, 0, 255], 2),
+], ids=lambda v: ",".join(map(str, v)) if isinstance(v, list) else None)
 def test_qdeform_cf_slot_width_follows_the_largest_continuant(monkeypatch, a, w):
     """[a] has the continuants 1 and a: 256^w - 1 stays in w bytes and
-    256^w takes w + 1."""
+    256^w takes w + 1.  With zero terms the largest continuant can end
+    up in Q rather than P: [0, 256] ends at (P, Q) = (1, 256)."""
+    cf = a if isinstance(a, list) else [a]
+    x = _cf_value(cf)
     seen = []
     width = qr.slot_width
 
@@ -281,9 +292,9 @@ def test_qdeform_cf_slot_width_follows_the_largest_continuant(monkeypatch, a, w)
         return seen[-1][1]
 
     monkeypatch.setattr(qr, "slot_width", spy)
-    v = qdeform_cf([a])
-    assert seen == [(a, w)]
-    assert _same_pair(v, RatFunc(qint(a), ONE))
+    v = qdeform_cf(cf)
+    assert seen == [(max(x.numerator, x.denominator), w)]
+    assert _same_pair(v, qdeform_cf_reference(cf))
 
 
 # ---------------------------------------------------------------- closure model
@@ -371,8 +382,10 @@ def test_qdeform_via_graph_domain():
             qdeform_via_graph(r, s)
 
 
-#: n of 100 to 600 bits, drawn bit length first
-BIG = st.integers(100, 600).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+#: n of 100 to 600 bits, drawn bit length first, every bit below the
+#: leading 1 from a seeded generator
+BIG = st.builds(lambda b, seed: 1 << (b - 1) | random.Random(seed).getrandbits(b - 1),
+                st.integers(100, 600), st.integers(0, 2**32))
 
 
 @settings(derandomize=True, deadline=None, max_examples=50, database=None)

@@ -1,5 +1,6 @@
 """Diatomic sequence, its q-analogue, and the rational enumeration."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -125,8 +126,11 @@ def test_packed_walk_matches_halving():
 
 
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
-@given(st.integers(8, 1101).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)))
+@given(st.builds(lambda b, seed: 1 << (b - 1) | random.Random(seed).getrandbits(b - 1),
+                 st.integers(8, 1101), st.integers(0, 2**32)))
 def test_packed_walk_matches_halving_on_large_n(n):
+    """n of 8 to 1101 bits, every bit below the leading 1 from a
+    seeded generator."""
     _same_values(n)
 
 
