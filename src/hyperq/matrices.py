@@ -19,7 +19,9 @@ satisfy M'(n) (1, 1)^T = (h_rs(n-1), h_rs(n))^T.  One class body,
 and ``BiMat2`` over ``BiPoly``.  For each row-sum identity,
 ``row_sum_check`` and ``m_prime_check`` return its two sides at one n,
 and ``row_sum_checks`` and ``m_prime_checks`` at every n up to a limit,
-which ``verify mnthm`` and ``verify mprime`` run.
+which ``verify mnthm`` and ``verify mprime`` run; ``entries_checks`` is
+the range form of "M(n) equals ``entries_formula(n)``", which
+``verify mnent`` runs.
 
 ``m_of``, ``m_prime_of`` and the ranges run on packed integers.
 Reading L as qL = [[q, 0], [q, 1]] turns M(n) into M~(n) = q^z M(n),
@@ -37,21 +39,27 @@ a range (``_packed_range``); ``m_of`` and ``m_prime_of`` take one per
 bit of n (``_packed_word``), with limit n and ``stern.fusc_width``.
 ``m_range``, ``m_prime_range``, ``m_of`` and ``m_prime_of`` decode
 every entry (``poly.unpack``, ``poly.unpack_bi``); the ``@`` fold of
-``word_of(n)`` is left to the tests.  ``row_sum_checks`` decodes only
-the two row sums, shifted back by q^-z, against ``row_sums_formula``;
-``m_prime_checks`` packs the oracle pair (h_rs(n-1), h_rs(n)) the same
-way (``poly.pack_bi``, one row of the ``BiPoly`` per K slots), each
-distinct oracle object once, and compares integers: a match yields
-the integer pair as both sides.  A mismatch, or an oracle value that
-does not fit the packing (a coefficient outside [0, 256^w), a negative
-exponent or an s-degree of K or more), yields the ``BiPoly`` pairs
-instead, the row sums decoded (``poly.unpack_bi``).
+``word_of(n)`` is left to the tests.  The three range checks pack the
+oracle side instead, each distinct oracle object once (``_pack_once``),
+and compare integers: ``row_sum_checks`` packs the two h_q values of
+``_row_sums_index(n)`` and ``entries_checks`` the four of
+``_entries_index(n)``, each shifted by its monomial factor and q^z
+(``_h_q_packed``), and ``m_prime_checks`` packs (h_rs(n-1), h_rs(n))
+(``poly.pack_bi``, one row of the ``BiPoly`` per K slots).  A match
+yields the packed integers as both sides.  A mismatch, or an oracle
+value that does not fit the packing (a coefficient outside [0, 256^w),
+a negative exponent after the shift, or an s-degree of K or more),
+yields the two sides as polynomials instead, the packed side decoded:
+``row_sums_formula(n)`` and the row sums of M(n), M(n) and
+``entries_formula(n)``, or the ``BiPoly`` pairs.
 """
 
 from __future__ import annotations
 
+import struct
+
 from .hyperbinary import _BI_ONE, _BI_ZERO, _X1, _X2, _zeros, h_q, h_rs
-from .poly import BiPoly, LaurentPoly, ONE, ZERO, pack_bi, qpow, slot_width, unpack, unpack_bi
+from .poly import BiPoly, LaurentPoly, ONE, ZERO, pack, pack_bi, qpow, slot_width, unpack, unpack_bi
 from .stern import fusc_range, fusc_width
 
 
@@ -175,41 +183,52 @@ def m_range(limit: int) -> list[Mat2 | None]:
     return out
 
 
-def entries_formula(n: int, memo: dict[int, LaurentPoly] | None = None) -> Mat2:
-    """M(n) assembled from h_q values without any matrix product.
+def _entries_index(n: int) -> tuple:
+    """(m, e) for each entry of M(n), row major, the entry being q^e h_q(m).
 
     With k+1 binary digits, j leading ones, and n' built from the
     expansion with the first j-1 ones removed, the four entries are
     monomial multiples of h_q at n'-1, n', n - 2^k - 1 and n - 2^k; for
-    n = 2^(k+1) - 1 the first column degenerates to (q^k, 0)^T.
+    n = 2^(k+1) - 1 the first column degenerates to (q^k, 0)^T, that is
+    (q^k h_q(0), h_q(-1))^T.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if memo is None:
-        memo = {}
     k = n.bit_length() - 1
     top = 1 << k
-    b_ = h_q(n - top - 1, memo).shift(-k + 1)
-    d_ = h_q(n - top, memo).shift(-k)
     # the first 0 of n is the leading 1 of its complement in k + 1 bits,
     # with e digits after it, so n' is 1 followed by n's last e digits
     e = (n ^ (2 * top - 1)).bit_length() - 1
     if e < 0:
-        return Mat2(qpow(k), b_, ZERO, d_)
-    j = k - e
-    nprime = (1 << e) | (n & ((1 << e) - 1))
-    a_ = h_q(nprime - 1, memo).shift(-k + 2 * j - 1)
-    c_ = h_q(nprime, memo).shift(-k + 2 * j - 2)
-    return Mat2(a_, b_, c_, d_)
+        a, c = (0, k), (-1, 0)
+    else:
+        j = k - e
+        nprime = (1 << e) | (n & ((1 << e) - 1))
+        a, c = (nprime - 1, -k + 2 * j - 1), (nprime, -k + 2 * j - 2)
+    return a, (n - top - 1, -k + 1), c, (n - top, -k)
+
+
+def entries_formula(n: int, memo: dict[int, LaurentPoly] | None = None) -> Mat2:
+    """M(n) assembled from h_q values without any matrix product: the
+    entries of ``_entries_index(n)``."""
+    if memo is None:
+        memo = {}
+    return Mat2(*[h_q(m, memo).shift(e) for m, e in _entries_index(n)])
+
+
+def _row_sums_index(n: int) -> tuple:
+    """(m, e) for each row sum of M(n), the sum being q^e h_q(m)."""
+    k = n.bit_length() - 1
+    return (n - 1, -k), (n, -k - 1)
 
 
 def row_sums_formula(n: int, memo: dict[int, LaurentPoly] | None = None
                      ) -> tuple[LaurentPoly, LaurentPoly]:
-    """(q^-k h_q(n-1), q^-k-1 h_q(n)), which M(n) (1,1)^T equals."""
+    """(q^-k h_q(n-1), q^-k-1 h_q(n)), which M(n) (1,1)^T equals: the
+    sums of ``_row_sums_index(n)``."""
     if memo is None:
         memo = {}
-    k = n.bit_length() - 1
-    return h_q(n - 1, memo).shift(-k), h_q(n, memo).shift(-k - 1)
+    return tuple([h_q(m, memo).shift(e) for m, e in _row_sums_index(n)])
 
 
 def row_sum_check(n: int) -> tuple[tuple, tuple]:
@@ -220,15 +239,77 @@ def row_sum_check(n: int) -> tuple[tuple, tuple]:
     return row_sums_formula(n), m_of(n).column_sums_vector()
 
 
+def _pack_once(value, pack_one):
+    """n -> (v, pack_one(v)) for v = value(n), ``pack_one`` run once per
+    distinct object that ``value`` returns: a memoized recurrence hands
+    out one object per n, and some n share one (h_rs(2y-1) is the object
+    h_rs(y-1)).  The cache holds each value next to its packed form, so
+    no id is reused while it lives."""
+    cache: dict[int, tuple] = {}
+
+    def packed(n: int) -> tuple:
+        v = value(n)
+        hit = cache.get(id(v))
+        if hit is None:
+            hit = cache[id(v)] = v, pack_one(v)
+        return hit
+    return packed
+
+
+def _h_q_packed(w: int, memo: dict[int, LaurentPoly]):
+    """n, e -> q^e h_q(n) at q = 256^w, h_q(n) packed once
+    (``_pack_once``) and shifted per read; None where that integer would
+    not determine q^e h_q(n): a coefficient outside [0, 256^w), or a
+    negative exponent after the q^e shift."""
+    bits = 8 * w
+
+    def slots(p: LaurentPoly) -> int | None:
+        try:
+            return pack(p, w)
+        except (struct.error, OverflowError):
+            return None
+
+    packed = _pack_once(lambda n: h_q(n, memo), slots)
+
+    def at(n: int, e: int) -> int | None:
+        p, v = packed(n)
+        e += p._lo
+        return None if v is None or e < 0 else v << bits * e
+    return at
+
+
 def row_sum_checks(limit: int):
     """The two sides of ``row_sum_check(n)`` for n = 1..limit, in order:
-    M(n) (1,1)^T from the packed M~(n), only its row sums unpacked."""
+    the packed pair of M~(n) (1,1)^T as both sides where the two h_q
+    values of ``_row_sums_index(n)``, shifted by q^z as well, pack to it
+    (``_h_q_packed``), else ``row_sums_formula(n)`` and the row sums of
+    M(n), unpacked."""
     w, ms = _m_packed(limit)
     memo: dict[int, LaurentPoly] = {}
+    at = _h_q_packed(w, memo)
     for n in range(1, limit + 1):
         a, b, c, d = ms[n]
-        lo = -_zeros(n)
-        yield row_sums_formula(n, memo), (unpack(a + b, w, lo), unpack(c + d, w, lo))
+        sums, z = (a + b, c + d), _zeros(n)
+        if tuple([at(h, e + z) for h, e in _row_sums_index(n)]) == sums:
+            yield sums, sums
+        else:
+            yield row_sums_formula(n, memo), tuple(unpack(v, w, -z) for v in sums)
+
+
+def entries_checks(limit: int):
+    """The two sides of "M(n) equals ``entries_formula(n)``" for
+    n = 2..limit, in order: the packed M~(n) as both sides where the four
+    h_q values of ``_entries_index(n)``, shifted by q^z as well, pack to
+    it (``_h_q_packed``), else M(n), unpacked, and ``entries_formula(n)``."""
+    w, ms = _m_packed(limit)
+    memo: dict[int, LaurentPoly] = {}
+    at = _h_q_packed(w, memo)
+    for n in range(2, limit + 1):
+        m, z = ms[n], _zeros(n)
+        if tuple([at(h, e + z) for h, e in _entries_index(n)]) == m:
+            yield m, m
+        else:
+            yield Mat2(*[unpack(v, w, -z) for v in m]), entries_formula(n, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -276,21 +357,12 @@ def m_prime_checks(limit: int):
     values are 8,193 objects."""
     w, k, ms = _m_prime_packed(limit)
     memo: dict[int, BiPoly] = {}
-    # id -> (value, packed value); holding the value keeps its id unused
-    cache: dict[int, tuple[BiPoly, int | None]] = {}
-
-    def packed(n: int) -> int | None:
-        v = h_rs(n, memo)
-        hit = cache.get(id(v))
-        if hit is None:
-            hit = cache[id(v)] = v, pack_bi(v, w, k)
-        return hit[1]
-
-    below = packed(0)
+    packed = _pack_once(lambda n: h_rs(n, memo), lambda v: pack_bi(v, w, k))
+    below = packed(0)[1]
     for n in range(1, limit + 1):
         a, b, c, d = ms[n]
         sums = a + b, c + d
-        top, below = below, packed(n)
+        top, below = below, packed(n)[1]
         if (top, below) == sums:
             yield sums, sums
         else:

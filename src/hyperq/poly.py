@@ -21,8 +21,9 @@ polynomial evaluated at q = 256^w, w bytes per coefficient
 (``slot_width``), and build one ``LaurentPoly`` at the end (``unpack``);
 ``pack`` goes the other way.  ``pack_bi`` and ``unpack_bi`` do the same
 for a ``BiPoly`` at s = 256^w, r = 256^(w k), k above every s-degree,
-one row per k slots.  ``RatFunc`` equality multiplies packed integers
-when all four parts are nonnegative and both numerators nonzero.
+one row per k slots.  ``RatFunc`` equality short-circuits equal shapes
+and otherwise multiplies packed integers when all four parts are
+nonnegative and both numerators nonzero.
 
 All arithmetic is exact; there is no floating point anywhere.
 Instances are immutable by convention: every operation returns a fresh
@@ -432,7 +433,9 @@ class RatFunc:
     """A quotient num/den of Laurent polynomials, stored as given: a
     value, not a field element, with no arithmetic.  Equality (``==``,
     against another RatFunc only) is equality as rational functions, by
-    cross multiplication; the pair is never reduced.  When both
+    cross multiplication; the pair is never reduced.  Two quotients of
+    equal shape, the same coefficient tuples in num and in den and the
+    same num-over-den offset, are equal without a product.  When both
     numerators are nonzero and no part has a negative coefficient, the
     cross products are compared on packed integers: first their lowest
     exponents, then the products of the parts packed at q = 256^w
@@ -456,6 +459,8 @@ class RatFunc:
         if not isinstance(other, RatFunc):
             return NotImplemented
         a, b, c, d = self.num, other.den, other.num, self.den  # a/d == c/b
+        if a._c == c._c and b._c == d._c and a._lo - d._lo == c._lo - b._lo:
+            return True  # a/d = q^x c / q^x b
         if a._c and c._c and min(map(min, (a._c, b._c, c._c, d._c))) >= 0:
             # nonnegative, so no coefficient of a b or c d exceeds its
             # value at q = 1, and packed products have no carries

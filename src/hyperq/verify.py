@@ -9,10 +9,16 @@ mainbij and weightbij yield the two sides that the library's checks
 ``fence.iso_check`` and ``fence.weight_check`` return, and mnthm and
 mprime those of ``matrices.row_sum_checks`` and
 ``matrices.m_prime_checks``, the range forms of ``row_sum_check`` and
-``m_prime_check``, so each of those identities is written down in the
-library.  Sweeps are single threaded and iterate in increasing order,
-so reports are deterministic; each owns private memo dicts, one per
-memoized function.
+``m_prime_check``, and mnent those of ``matrices.entries_checks``, so
+each of those identities is written down in the library.  Those three
+pack each oracle value once and compare integers, decoding the
+polynomials only for a failure; qrat and gg compare ``RatFunc`` values,
+whose equality short-circuits two quotients of equal shape.  A bound
+above ``sys.maxsize`` (2^63 - 1 on a 64-bit build) raises
+``OverflowError`` before any check: no range or list can have that
+many entries.  Sweeps are single threaded and iterate in increasing
+order, so reports are deterministic; each owns private memo dicts, one
+per memoized function.
 
 ``hbar`` deserves a word: the literal halving recurrence usually quoted
 for the (ones, twos) generating function drops a factor in the odd case
@@ -24,6 +30,7 @@ first disagrees with enumeration.  Those notes are not failures.
 
 from __future__ import annotations
 
+import sys
 import time
 from functools import wraps
 from math import gcd
@@ -117,6 +124,8 @@ def _sweep(default: int, kind: str = "n", lo: int = 1, render=_text, notes=None)
 
         @wraps(checks)
         def run(bound: int = default) -> VerifyReport:
+            if bound > sys.maxsize:  # no range or list can have that many entries
+                raise OverflowError(f"bound {bound} is too large to index")
             t0 = time.perf_counter()
             failures: list[Failure] = []
             checked = 0
@@ -160,10 +169,8 @@ def verify_weightbij(max_n):
 @_sweep(16_384, lo=2, render=lambda m: " | ".join(e.text() for e in m.entries()))
 def verify_mnent(max_n):
     """entries_formula(n) equals the word product M(n) entrywise."""
-    ms = mx.m_range(max_n)
-    hq_memo: dict[int, LaurentPoly] = {}
-    for n in range(2, max_n + 1):
-        yield str(n), ms[n], mx.entries_formula(n, hq_memo)
+    for n, sides in enumerate(mx.entries_checks(max_n), 2):
+        yield str(n), *sides
 
 
 @_sweep(16_384)

@@ -363,7 +363,8 @@ def test_input_too_large_for_memory_exits_three():
 
 
 #: past 2^63: a partial quotient repeats a bytes or str object that
-#: many times, and a sweep bound sizes a list
+#: many times, and a sweep bound is refused before any check, whether or
+#: not the sweep sizes a list by it
 HUGE_Q, HUGE_MAX = str(10**29), str(10**20)
 
 
@@ -373,7 +374,8 @@ HUGE_Q, HUGE_MAX = str(10**29), str(10**20)
     ["qrat", HUGE_Q + "/1", "--via", "graph"],
     ["cwindex", HUGE_Q + "/1"],
     ["cwindex", "1/" + HUGE_Q],
-    *[["verify", name, "--max", HUGE_MAX] for name in ("qrat", "mnent", "mnthm", "mprime", "all")],
+    *[["verify", name, "--max", HUGE_MAX]
+      for name in ("qrat", "mnent", "mnthm", "mprime", "all", "gg", "hrs", "hbar", "mainbij", "weightbij")],
 ], ids=" ".join)
 def test_input_too_large_to_index_exits_three(argv):
     assert run(argv) == (3, "", "hyperq: input too large to compute in memory\n")

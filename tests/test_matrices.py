@@ -15,6 +15,7 @@ from hyperq.matrices import (
     Mat2,
     R,
     R_PRIME,
+    entries_checks,
     entries_formula,
     m_of,
     m_prime_check,
@@ -147,24 +148,34 @@ def _dense(p: LaurentPoly) -> tuple:
 def test_packed_ranges_match_word_products_where_the_packing_changes(limit):
     """Each range decodes its packed products with the slot width and K
     of its limit; the last n of the range have the largest values.  The
-    row sums are read from the same packed products."""
+    row sums and the entry formula's checks are read from the same packed
+    products, and match as packed integers."""
     ms, mps = m_range(limit), m_prime_range(limit)
     sums = list(row_sum_checks(limit))
+    entries = list(entries_checks(limit))
     primes = list(m_prime_checks(limit))
     w, k, _ = mx._m_prime_packed(limit)
-    assert len(sums) == len(primes) == limit
+    assert len(sums) == len(primes) == len(entries) + 1 == limit
     for n in range(limit - 3, limit + 1):
         m, mp = m_of(n), m_prime_of(n)
         assert [_dense(e) for e in ms[n].entries()] == [_dense(e) for e in m.entries()], n
         assert [e.terms() for e in mps[n].entries()] == [e.terms() for e in mp.entries()], n
         assert m == _fold(n, L, R) and mp == _fold(n, L_PRIME, R_PRIME), n
+        lo = -mx._zeros(n)
         expected, actual = sums[n - 1]
+        assert expected == actual, n
+        actual = tuple(unpack(v, w, lo) for v in actual)
         assert [_dense(e) for e in actual] == [_dense(e) for e in m.column_sums_vector()], n
-        assert (expected, actual) == row_sum_check(n)
+        assert actual == row_sums_formula(n) and row_sum_check(n) == (actual, actual)
+        expected, actual = entries[n - 2]
+        assert expected == actual, n
+        assert [_dense(unpack(v, w, lo)) for v in actual] == [_dense(e) for e in m.entries()], n
+        assert entries_formula(n) == m, n
         expected, actual = primes[n - 1]
         assert expected == actual, n
         assert tuple(unpack_bi(v, w, k) for v in actual) == mp.column_sums_vector(), n
     assert all(expected == actual for expected, actual in sums)
+    assert all(expected == actual for expected, actual in entries)
     assert all(expected == actual for expected, actual in primes)
 
 

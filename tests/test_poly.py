@@ -354,6 +354,23 @@ def test_dense_binary_ops_match_reference(da, db):
 
 
 @PROPERTY
+@given(_terms(), _terms(), st.integers(-20, 20), st.integers(-20, 20), st.integers(-2, 2))
+@example({}, {0: 1}, 0, 3, 1)  # zero numerators, a near miss
+@example({0: -1, 2: 5}, {-1: 2, 0: -3}, -4, 7, -1)  # signed, a near miss
+def test_ratfunc_equal_shapes_agree_with_cross_multiplication(dn, dd, x, y, miss):
+    """Quotients that share their coefficient tuples, q^y num / den and
+    q^(x + y) num / q^(x + miss) den: ``==`` agrees with cross
+    multiplication, which holds when num and den move alike (miss = 0)
+    or num is zero, and fails on every near miss."""
+    num, den = LaurentPoly(dn), LaurentPoly(dd)
+    assume(den)
+    a, c = RatFunc(num.shift(y), den), RatFunc(num.shift(x + y), den.shift(x + miss))
+    assert a.num._c == c.num._c and a.den._c == c.den._c
+    assert (a == c) == (a.num * c.den == c.num * a.den) == (not miss or not num)
+    assert (c == a) == (a == c)
+
+
+@PROPERTY
 @given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), _SMALL, max_size=8),
        st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), st.one_of(_SMALL, _WIDE),
                        max_size=2))

@@ -232,29 +232,18 @@ def _num(change):
     return lambda v: RatFunc(change(v.num), v.den)
 
 
-def _plant_mat(monkeypatch, at, change):
-    """``mx.m_range`` with ``change`` applied to M(at) alone."""
-    real = mx.m_range
-
-    def planted(limit):
-        ms = real(limit)
-        ms[at] = change(ms[at])
-        return ms
-
-    monkeypatch.setattr(mx, "m_range", planted)
-
-
-def _plant_packed(monkeypatch, name, at, entry):
-    """``mx.name``, a packed range, with one added to the lowest slot of
-    one entry of the packed M(at), after the whole range is built."""
+def _plant_packed(monkeypatch, name, at, entry, slot=0):
+    """``mx.name``, a packed range, with one added to one slot (the
+    lowest by default) of one entry of the packed M(at), after the whole
+    range is built."""
     real = getattr(mx, name)
 
     def planted(limit):
-        *head, ms = real(limit)
+        w, *head, ms = real(limit)
         m = list(ms[at])
-        m[entry] += 1
+        m[entry] += 1 << 8 * w * slot
         ms[at] = tuple(m)
-        return (*head, ms)
+        return (w, *head, ms)
 
     monkeypatch.setattr(mx, name, planted)
 
@@ -270,6 +259,11 @@ def _plant_stream(monkeypatch, at, change):
     monkeypatch.setattr(hb, "expansions_upto", planted)
 
 
+def _q_plus(terms):
+    """Add the given {exponent: coeff} terms to a LaurentPoly."""
+    return lambda p: p + LaurentPoly(terms)
+
+
 def _bi(terms):
     return BiPoly(dict(terms))
 
@@ -277,6 +271,16 @@ def _bi(terms):
 def _bi_plus(terms):
     """Add the given {(r-degree, s-degree): coeff} terms to a BiPoly."""
     return lambda p: p + _bi(terms)
+
+
+def _mnent_h6(p3, p2):
+    """The failures of mnent up to 16 for a changed h_q(6) = p, given
+    q^-3 p and q^-2 p rendered: n = 10, 11, 14 and 15 read it as c, a, d
+    and b, c and d as q^-3 p, a and b as q^-2 p."""
+    return [("10", "1 + q | q^-1 | q^-1 + 1 + q | q^-2 + q^-1", f"1 + q | q^-1 | {p3} | q^-2 + q^-1"),
+            ("11", "1 + q + q^2 | q^-1 + 1 | 1 | q^-1", f"{p2} | q^-1 + 1 | 1 | q^-1"),
+            ("14", "q^2 | 1 + q | q^2 | q^-1 + 1 + q", f"q^2 | 1 + q | q^2 | {p3}"),
+            ("15", "q^3 | 1 + q + q^2 | 0 | 1", f"q^3 | {p2} | 0 | 1")]
 
 
 #: id -> (sweep, bound, checks, planting, failures); each plants one small
@@ -295,14 +299,13 @@ PLANTS = {
     "gg-oracle": ("gg", 6, 11, lambda mp: _plant(mp, qr, "qdeform", (5, 3), _num(_up)),
                   [("5/3", "(q + q^2 + 2q^3 + q^4) / (1 + q + q^2)",
                     "(1 + q + 2q^2 + q^3) / (1 + q + q^2)")]),
-    # claim side: the word product M(6); oracle side: the entry formula
-    "mnent-claim": ("mnent", 16, 15,
-                    lambda mp: _plant_mat(mp, 6, lambda m: mx.Mat2(_one_more(m.a), m.b, m.c, m.d)),
+    # claim side: the slot of q^2 in a of M~(6) = q M(6), which is q
+    # once shifted back; oracle side: h_q(6), which n = 10, 11, 14 and 15
+    # read as c, a, d and b
+    "mnent-claim": ("mnent", 16, 15, lambda mp: _plant_packed(mp, "_m_packed", 6, 0, slot=2),
                     [("6", "2q | 1 | q | q^-1 + 1", "q | 1 | q | q^-1 + 1")]),
-    "mnent-oracle": ("mnent", 16, 15,
-                     lambda mp: _plant(mp, mx, "entries_formula", (6,),
-                                       lambda m: mx.Mat2(m.a, m.b, m.c, _up(m.d))),
-                     [("6", "q | 1 | q | q^-1 + 1", "q | 1 | q | 1 + q")]),
+    "mnent-oracle": ("mnent", 16, 15, lambda mp: _plant(mp, mx, "h_q", (6,), _up),
+                     _mnent_h6("1 + q + q^2", "q + q^2 + q^3")),
     # claim side: the fence formula for h_q(5); oracle side: the recurrence
     "weightbij-claim": ("weightbij", 8, 8, lambda mp: _plant(mp, fe, "h_q_fence", (5,), _one_more),
                         [("5", "2q^2 + q^3", "q^2 + q^3")]),
@@ -376,6 +379,27 @@ PLANTS = {
                           lambda mp: _plant(mp, mx, "h_rs", (6,), _bi_plus({(-1, 2): 1})),
                           [("6", "(s + r, r^-1 s^2 + s + r s + r^2)", "(s + r, s + r s + r^2)"),
                            ("7", "(r^-1 s^2 + s + r s + r^2, 1)", "(s + r s + r^2, 1)")]),
+    # h_q(6) = q^2 + q^3 + q^4 changed so that it no longer fits the
+    # packing of M~(n) (q = 256) yet packs to the true value: 256 q^2 in
+    # place of q^3, and q^3 - 256 q^2 added; and 1 added, which every n
+    # that reads h_q(6) shifts below q^0 (by q^-1 or q^-2), so a packing
+    # that dropped the slots below q^0 would match.  Each n that reads
+    # one is compared as LaurentPoly
+    "mnthm-coefficient": ("mnthm", 8, 8, lambda mp: _plant(mp, mx, "h_q", (6,), _q_plus({2: 256, 3: -1})),
+                          [("6", "(1 + q, 257q^-1 + q)", "(1 + q, q^-1 + 1 + q)"),
+                           ("7", "(257 + q^2, 1)", "(1 + q + q^2, 1)")]),
+    "mnthm-negative": ("mnthm", 8, 8, lambda mp: _plant(mp, mx, "h_q", (6,), _q_plus({2: -256, 3: 1})),
+                       [("6", "(1 + q, -255q^-1 + 2 + q)", "(1 + q, q^-1 + 1 + q)"),
+                        ("7", "(-255 + 2q + q^2, 1)", "(1 + q + q^2, 1)")]),
+    "mnthm-negative-q": ("mnthm", 8, 8, lambda mp: _plant(mp, mx, "h_q", (6,), _q_plus({0: 1})),
+                         [("6", "(1 + q, q^-3 + q^-1 + 1 + q)", "(1 + q, q^-1 + 1 + q)"),
+                          ("7", "(q^-2 + 1 + q + q^2, 1)", "(1 + q + q^2, 1)")]),
+    "mnent-coefficient": ("mnent", 16, 15, lambda mp: _plant(mp, mx, "h_q", (6,), _q_plus({2: 256, 3: -1})),
+                          _mnent_h6("257q^-1 + q", "257 + q^2")),
+    "mnent-negative": ("mnent", 16, 15, lambda mp: _plant(mp, mx, "h_q", (6,), _q_plus({2: -256, 3: 1})),
+                       _mnent_h6("-255q^-1 + 2 + q", "-255 + 2q + q^2")),
+    "mnent-negative-q": ("mnent", 16, 15, lambda mp: _plant(mp, mx, "h_q", (6,), _q_plus({0: 1})),
+                         _mnent_h6("q^-3 + q^-1 + 1 + q", "q^-2 + 1 + q + q^2")),
 }
 
 
