@@ -47,16 +47,15 @@ and compare integers: ``row_sum_checks`` packs the two h_q values of
 (``_h_q_packed``), and ``m_prime_checks`` packs (h_rs(n-1), h_rs(n))
 (``poly.pack_bi``, one row of the ``BiPoly`` per K slots).  A match
 yields the packed integers as both sides.  A mismatch, or an oracle
-value that does not fit the packing (a coefficient outside [0, 256^w),
-a negative exponent after the shift, or an s-degree of K or more),
-yields the two sides as polynomials instead, the packed side decoded:
+value that does not fit the packing (a coefficient outside [0, 256^w)
+or an s-degree of K or more, for which ``poly.pack`` and ``pack_bi``
+return None, or a negative exponent after the shift), yields the two
+sides as polynomials instead, the packed side decoded:
 ``row_sums_formula(n)`` and the row sums of M(n), M(n) and
 ``entries_formula(n)``, or the ``BiPoly`` pairs.
 """
 
 from __future__ import annotations
-
-import struct
 
 from .hyperbinary import _BI_ONE, _BI_ZERO, _X1, _X2, _zeros, h_q, h_rs
 from .poly import BiPoly, LaurentPoly, ONE, ZERO, pack, pack_bi, qpow, slot_width, unpack, unpack_bi
@@ -259,17 +258,10 @@ def _pack_once(value, pack_one):
 def _h_q_packed(w: int, memo: dict[int, LaurentPoly]):
     """n, e -> q^e h_q(n) at q = 256^w, h_q(n) packed once
     (``_pack_once``) and shifted per read; None where that integer would
-    not determine q^e h_q(n): a coefficient outside [0, 256^w), or a
-    negative exponent after the q^e shift."""
+    not determine q^e h_q(n): a coefficient outside [0, 256^w), which
+    ``pack`` refuses, or a negative exponent after the q^e shift."""
     bits = 8 * w
-
-    def slots(p: LaurentPoly) -> int | None:
-        try:
-            return pack(p, w)
-        except (struct.error, OverflowError):
-            return None
-
-    packed = _pack_once(lambda n: h_q(n, memo), slots)
+    packed = _pack_once(lambda n: h_q(n, memo), lambda p: pack(p, w))
 
     def at(n: int, e: int) -> int | None:
         p, v = packed(n)

@@ -19,11 +19,12 @@ schoolbook convolutions, row by row for a ``BiPoly``.  Recurrences with
 nonnegative coefficients can instead run on packed integers, each
 polynomial evaluated at q = 256^w, w bytes per coefficient
 (``slot_width``), and build one ``LaurentPoly`` at the end (``unpack``);
-``pack`` goes the other way.  ``pack_bi`` and ``unpack_bi`` do the same
-for a ``BiPoly`` at s = 256^w, r = 256^(w k), k above every s-degree,
-one row per k slots.  ``RatFunc`` equality short-circuits equal shapes
-and otherwise multiplies packed integers when all four parts are
-nonnegative and both numerators nonzero.
+``pack`` goes the other way, and returns None for a polynomial that
+has no packed form.  ``pack_bi`` and ``unpack_bi`` do the same for a
+``BiPoly`` at s = 256^w, r = 256^(w k), k above every s-degree, one row
+per k slots.  This module alone decides whether a value fits its slots.
+``RatFunc`` equality short-circuits equal shapes and otherwise compares
+the two cross products.
 
 All arithmetic is exact; there is no floating point anywhere.
 Instances are immutable by convention: every operation returns a fresh
@@ -148,11 +149,9 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self._c, other._c
-        if not (a and b):
-            return self if a else other
         lo = min(self._lo, other._lo)
-        return _trimmed(lo, _row_add((0,) * (self._lo - lo) + a, (0,) * (other._lo - lo) + b))
+        return _trimmed(lo, _row_add((0,) * (self._lo - lo) + self._c,
+                                     (0,) * (other._lo - lo) + other._c))
 
     def __neg__(self) -> "LaurentPoly":
         return _dense(self._lo, tuple(map(int.__neg__, self._c)))
@@ -255,16 +254,19 @@ def unpack(v: int, w: int, lo: int = 0) -> LaurentPoly:
     return _dense(lo + low, c)
 
 
-def pack(p: LaurentPoly, w: int) -> int:
+def pack(p: LaurentPoly, w: int) -> int | None:
     """c_0 + c_1 256^w + ... for p = q^lo * (c_0 + c_1 q + ...), each
     0 <= c_i < 256^w: p at q = 256^w with its q^lo dropped, the inverse
     of ``unpack(v, w, lo)``.  The slots are one little-endian
     ``struct.pack`` when ``_NATIVE_SLOTS`` has w, w-byte ``to_bytes``
-    otherwise, read as one integer; a coefficient outside its slot
-    raises ``struct.error`` or ``OverflowError``."""
+    otherwise, read as one integer.  None when a coefficient is outside
+    [0, 256^w): it has no slot, and the integer would not determine p."""
     c, fmt = p._c, _NATIVE_SLOTS.get(w)
-    b = (struct.pack(f"<{len(c)}{fmt}", *c) if fmt
-         else b"".join(map(int.to_bytes, c, repeat(w), repeat("little"))))
+    try:
+        b = (struct.pack(f"<{len(c)}{fmt}", *c) if fmt
+             else b"".join(map(int.to_bytes, c, repeat(w), repeat("little"))))
+    except (struct.error, OverflowError):
+        return None
     return int.from_bytes(b, "little")
 
 
@@ -338,8 +340,6 @@ class BiPoly:
     def __add__(self, other: "BiPoly") -> "BiPoly":
         if not isinstance(other, BiPoly):
             return NotImplemented
-        if not (self._rows and other._rows):
-            return self if self._rows else other
         a, b = (self, other) if self._i <= other._i else (other, self)
         ra, rb, j = a._rows, b._rows, min(a._j, b._j)
         if a._j != b._j:  # read every row from the lower s-offset
@@ -407,17 +407,16 @@ def pack_bi(p: BiPoly, w: int, k: int) -> int | None:
     """p at s = X = 256^w, r = X^k: the ``BiPoly`` counterpart of
     ``pack``, with r^i s^j in slot i k + j, so the rows, each padded to
     k slots, are one ``pack``.  None when that value would not determine
-    p: a coefficient outside [0, X), or an exponent outside the slots
-    (either exponent negative, or an s-degree of k or more)."""
+    p: an exponent outside the slots (either exponent negative, or an
+    s-degree of k or more), or a coefficient outside [0, X), for which
+    ``pack`` returns None."""
     rows, pad, flat = p._rows, (0,) * k, []
     if p._i < 0 or p._j < 0 or p._j + max(map(len, rows), default=0) > k:
         return None
     for r in rows:
         flat += r + pad[len(r):]
-    try:
-        return pack(_dense(0, tuple(flat)), w) << 8 * w * (p._i * k + p._j)
-    except (struct.error, OverflowError):
-        return None
+    v = pack(_dense(0, tuple(flat)), w)
+    return None if v is None else v << 8 * w * (p._i * k + p._j)
 
 
 def unpack_bi(v: int, w: int, k: int) -> BiPoly:
@@ -435,14 +434,9 @@ class RatFunc:
     against another RatFunc only) is equality as rational functions, by
     cross multiplication; the pair is never reduced.  Two quotients of
     equal shape, the same coefficient tuples in num and in den and the
-    same num-over-den offset, are equal without a product.  When both
-    numerators are nonzero and no part has a negative coefficient, the
-    cross products are compared on packed integers: first their lowest
-    exponents, then the products of the parts packed at q = 256^w
-    (``pack``), w the ``slot_width`` of the larger product's value at
-    q = 1, which no coefficient of either product exceeds.  Signed or
-    zero parts take the two convolutions.  ``canonical()`` clears
-    negative exponents for display only."""
+    same num-over-den offset, are equal without a product; any others
+    compare the two cross products.
+    ``canonical()`` clears negative exponents for display only."""
 
     __slots__ = ("num", "den")
 
@@ -461,13 +455,6 @@ class RatFunc:
         a, b, c, d = self.num, other.den, other.num, self.den  # a/d == c/b
         if a._c == c._c and b._c == d._c and a._lo - d._lo == c._lo - b._lo:
             return True  # a/d = q^x c / q^x b
-        if a._c and c._c and min(map(min, (a._c, b._c, c._c, d._c))) >= 0:
-            # nonnegative, so no coefficient of a b or c d exceeds its
-            # value at q = 1, and packed products have no carries
-            if a._lo + b._lo != c._lo + d._lo:
-                return False
-            w = slot_width(max(sum(a._c) * sum(b._c), sum(c._c) * sum(d._c)))
-            return pack(a, w) * pack(b, w) == pack(c, w) * pack(d, w)
         return a * b == c * d
 
     def canonical(self) -> "RatFunc":

@@ -1,7 +1,6 @@
 """Exact-arithmetic polynomial layer: algebra and the pinned text format."""
 
 import random
-import struct
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -186,10 +185,10 @@ def test_ratfunc_equality_by_cross_multiplication():
 @pytest.mark.parametrize("native", [True, False], ids=["cast", "slices"])
 @pytest.mark.parametrize("w", range(1, 10))
 def test_ratfunc_packed_equality_at_the_slot_boundary(w, native, monkeypatch):
-    """Nonnegative quotients compare packed, with the slot width of the
-    larger cross product at q = 1: a coefficient of 256^w - 1 keeps its
-    slot, and one of 256^w takes a wider slot instead of carrying into
-    its neighbour."""
+    """Coefficients at the edge of a w-byte slot, with and without the
+    native casts: equality is decided by the shape or by the
+    convolution, so 256^w - 1 and 256^w - 2 differ, and 1 + 256^w q
+    differs from 1 + q^2, which it equals at q = 256^w."""
     if not native:
         monkeypatch.setattr(poly, "_NATIVE_SLOTS", {})
     top = 256**w - 1
@@ -203,16 +202,23 @@ def test_ratfunc_packed_equality_at_the_slot_boundary(w, native, monkeypatch):
 
 
 def test_ratfunc_equality_off_the_packed_path(monkeypatch):
-    """Quotients equal at q = 1 need not be equal.  A negative
-    coefficient or a zero numerator takes the convolution, and unequal
-    lowest exponents decide without a product."""
+    """Quotients equal at q = 1 need not be equal.  Nothing is packed:
+    unequal shapes take the convolution, whether the parts are signed,
+    zero, or nonnegative with coefficients that fill a w-byte slot."""
     assert RatFunc(qint(2), qint(3)) != RatFunc(ONE + qpow(2), qint(3))
     assert RatFunc(qint(2), qint(3)) != RatFunc(qint(4), qint(6))
 
-    def unused(p, w):
+    def unused(*args):
         raise AssertionError("packed")
 
     monkeypatch.setattr(poly, "pack", unused)
+    monkeypatch.setattr(poly, "slot_width", unused)
+    for w in (1, 2, 9):
+        top = 256**w - 1
+        full, carry = LaurentPoly({1: top}), LaurentPoly({0: 1, 1: top + 1})
+        assert RatFunc(full, ONE) != RatFunc(LaurentPoly({1: top - 1}), ONE)
+        assert RatFunc(carry, ONE) != RatFunc(ONE + qpow(2), ONE)
+        assert RatFunc(carry, qint(2)) == RatFunc(carry * qint(3), qint(2) * qint(3))
     minus = ONE - Q
     assert RatFunc(minus, ONE) == RatFunc(minus * qint(2), qint(2))
     assert RatFunc(minus, ONE) != RatFunc(ONE - qpow(2), ONE)
@@ -458,9 +464,9 @@ def test_slot_width_of_small_values_is_one_byte():
 def test_unpack_keeps_full_slots(w, native, monkeypatch):
     """A coefficient of exactly 256^w - 1 stays in its slot, next to
     zero, one and full neighbours, at every slot width, and ``pack``
-    puts it back; one of 256^w or below 0 has no slot.  Without the
-    native casts every width takes the byte slices, as on a big-endian
-    host."""
+    puts it back; one of 256^w or below 0 has no slot, and ``pack``
+    returns None for it.  Without the native casts every width takes
+    the byte slices, as on a big-endian host."""
     if not native:
         monkeypatch.setattr(poly, "_NATIVE_SLOTS", {})
     top = 256**w - 1
@@ -472,8 +478,7 @@ def test_unpack_keeps_full_slots(w, native, monkeypatch):
     assert pack(want, w) == _pack(coeffs, w)
     assert pack(ZERO, w) == 0
     for bad in (top + 1, -1):
-        with pytest.raises((struct.error, OverflowError)):
-            pack(LaurentPoly({0: 1, 2: bad}), w)
+        assert pack(LaurentPoly({0: 1, 2: bad}), w) is None
 
 
 @pytest.mark.parametrize("w", [1, 2, 3])
@@ -530,7 +535,7 @@ def test_unpack_matches_reference(w, lo, kinds, data):
        st.integers(-3, 3), st.integers(0, 20), st.integers(-1, 1))
 def test_ratfunc_packed_equality_matches_cross_multiplication(na, da, ka, lo, at, bump):
     """On nonnegative quotients and scaled or perturbed copies, ``==``
-    agrees with the convolution."""
+    agrees with the convolution, which decides every unequal shape."""
     num, den, k = (LaurentPoly(dict(enumerate(c, lo))) for c in (na, da, ka))
     assume(num and den and k)
     other_num = num * k + LaurentPoly({at + lo: bump})

@@ -7,7 +7,7 @@ import hyperq.hyperbinary as hb
 import hyperq.matrices as mx
 from hyperq import qrational as qr
 from hyperq import stern
-from hyperq.poly import BiPoly, LaurentPoly, RatFunc, qpow
+from hyperq.poly import ONE, BiPoly, LaurentPoly, RatFunc, qint, qpow
 from hyperq.verify import REGISTRY, VerifyReport, run_verify
 
 
@@ -413,4 +413,34 @@ def test_planted_defect_fails_where_planted(monkeypatch, plant):
     assert rep.checked == checks
     assert rep.failures == failures
     where, expected, actual = failures[0]
+    assert rep.lines()[1] == f"  at {where}: expected {expected}, got {actual}"
+
+
+def _scaled(num, den):
+    """A RatFunc with num and den multiplied by these polynomials."""
+    return lambda v: RatFunc(v.num * num, v.den * den)
+
+
+@pytest.mark.parametrize("name,bound,checks,at,failure", [
+    ("qrat", 16, 16, (3, 2),
+     ("5", "(1 + q + q^2) / (1 + q)", "(1 + 2q + 2q^2 + q^3) / (1 + q + q^2 + q^3)")),
+    ("gg", 6, 11, (5, 3),
+     ("5/3", "(1 + 2q + 3q^2 + 3q^3 + q^4) / (1 + q + 2q^2 + q^3 + q^4)",
+      "(1 + q + 2q^2 + q^3) / (1 + q + q^2)")),
+])
+def test_rational_sweeps_compare_values_not_shapes(monkeypatch, name, bound, checks, at, failure):
+    """qrat and gg compare values: ``qr.qdeform`` at one r/s with num and
+    den both multiplied by 1 + q has another shape and the same value,
+    and passes; with den multiplied by 1 + q^2 instead it fails there
+    alone."""
+    _plant(monkeypatch, qr, "qdeform", at, _scaled(qint(2), qint(2)))
+    (rep,) = run_verify(name, bound)
+    assert rep.checked == checks and rep.passed and rep.failures == []
+
+    monkeypatch.undo()
+    _plant(monkeypatch, qr, "qdeform", at, _scaled(qint(2), ONE + qpow(2)))
+    (rep,) = run_verify(name, bound)
+    assert rep.checked == checks
+    assert rep.failures == [failure]
+    where, expected, actual = failure
     assert rep.lines()[1] == f"  at {where}: expected {expected}, got {actual}"
