@@ -20,8 +20,9 @@ identity
 
 with d -> I one to one, and s(c) <= s(d) exactly when the ideal of c
 is contained in that of d.  ``iso_check`` decides the identity with one
-set comparison of digit strings packed in base 256 and, like
-``weight_check``, returns its two sides, which ``verify mainbij`` runs.
+set comparison of digit strings as bytes, their values in base 256,
+and, like ``weight_check``, returns its two sides, which ``verify
+mainbij`` runs.
 
 ``rgf`` is the rank generating function sum q^|I| over ideals, by the
 same fence scan on packed integers (``poly.unpack``).  The weight
@@ -35,9 +36,11 @@ functions, the identity's corollary.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 
 from .hyperbinary import (
     Digits,
+    _as_bytes,
     _prefix_length,
     digits_value,
     dot_source,
@@ -156,7 +159,7 @@ def _image(f: str, bottom: Digits) -> set[bytes]:
     return {v.to_bytes(k, "big") for v in values}
 
 
-def iso_check(n: int, elems: tuple[Digits, ...] | None = None) -> tuple[str, str]:
+def iso_check(n: int, elems: Sequence | None = None) -> tuple[str, str]:
     """Exhaustively confirm D(n) and the ideal lattice are the same order,
     as (expected, actual): ("order isomorphism", "order isomorphism")
     when it holds, else actual is the first failure ``_walk`` names.
@@ -168,44 +171,49 @@ def iso_check(n: int, elems: tuple[Digits, ...] | None = None) -> tuple[str, str
     domination with containment on every pair.
 
     The identity is checked as one comparison of sets of bytes.  Each d
-    is packed as bytes(d), its digits in base 256, and each ideal as
-    bottom + e(I) from ``_image``.  Every d is checked to use only the
-    digits 0, 1, 2, and the bottom, bottom + e(empty ideal), is one of
-    them, so bottom + e(I) has digits in -2..3.  Two strings of
-    one length whose digits differ by less than 256 in every position
-    have equal base-256 values only when they are equal, so equal byte
-    sets, with no two d packing alike, mean the identity holds.
+    is a bytes object whose byte values are its digits, so its value in
+    base 256, and each ideal gives bottom + e(I) from ``_image``.  Every
+    d is checked to use only the digits 0, 1, 2, and the bottom, bottom
+    + e(empty ideal), is one of them, so bottom + e(I) has digits in
+    -2..3.  Two strings of one length whose digits differ by less than
+    256 in every position have equal base-256 values only when they are
+    equal, so equal byte sets, with no two d alike, mean the identity
+    holds.
 
     Any other outcome, including digits that do not fit a byte, runs
     ``_walk``, the per-element prefix-sum check, which names the first
     failure.
 
     ``elems`` is D(n) when the caller already has it, say from
-    ``expansions_upto``; when omitted, ``expansions(n)`` lists it.  The
-    check takes the tuple as given, so a wrong listing fails.
+    ``expansions_upto``, whose bytes strings are read as they are; a
+    listing of int tuples, or of both forms, is converted once as a
+    whole.  When omitted, ``expansions(n)`` lists it.  The check takes
+    the listing as given, so a wrong listing fails.
     """
     if elems is None:
         elems = expansions(n)
     f = fence(n)
     bottom = min_element(n)
     try:
-        packed = set(map(bytes, elems))
-        if (len(packed) == len(elems) and packed == _image(f, bottom)
-                and not b"".join(packed).translate(None, _HYPERBINARY_DIGITS)):
+        strings = _as_bytes(elems)
+        distinct = set(strings)
+        if (len(distinct) == len(strings) and distinct == _image(f, bottom)
+                and not b"".join(strings).translate(None, _HYPERBINARY_DIGITS)):
             return _ISO, _ISO
     except (ValueError, OverflowError):
         pass
     return _ISO, _walk(elems, f, bottom)
 
 
-def _walk(elems: tuple[Digits, ...], f: str, bottom: Digits) -> str:
+def _walk(elems: Sequence, f: str, bottom: Digits) -> str:
     """The per-element check behind a failed ``iso_check``.  Each s(d)
     must equal s(bottom) beyond coordinate r and exceed it by a 0/1
     vector, the indicator of an ideal, on the first r; the indicators
     must be distinct and be all the ideals.  Returns the first failure
-    in that order.  When all of this holds, the set comparison failed
-    because some string is not over 0, 1, 2 or is no longer than the
-    fence, so the check still fails."""
+    in that order, naming a string by its digits as an int tuple,
+    whichever form it came in.  When all of this holds, the set
+    comparison failed because some string is not over 0, 1, 2 or is no
+    longer than the fence, so the check still fails."""
     r = len(f)
     s0 = s_vector(bottom)
 
@@ -213,9 +221,9 @@ def _walk(elems: tuple[Digits, ...], f: str, bottom: Digits) -> str:
     for d in elems:
         head, tail_ok = _reduce(d, s0, r)
         if head is None:
-            return f"{d}: reduced prefix sums not 0/1"
+            return f"{tuple(d)}: reduced prefix sums not 0/1"
         if not tail_ok:
-            return f"prefix sums of {d} leave the bottom's beyond position {r}"
+            return f"prefix sums of {tuple(d)} leave the bottom's beyond position {r}"
         masks.add(sum(1 << i for i, v in enumerate(head) if v))
     if len(masks) != len(elems):
         return "reduced prefix vectors collide"

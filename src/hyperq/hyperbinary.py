@@ -2,8 +2,14 @@
 
 A hyperbinary expansion of n is a digit string d_1 ... d_k over
 {0, 1, 2} with sum(d_i * 2^(k-i)) = n and k the length of the binary
-expansion of n.  Digit strings are plain tuples of ints, most
-significant digit first; n = 0 has the single empty expansion ().
+expansion of n.  The public functions take and return digit strings
+as plain tuples of ints, most significant digit first; n = 0 has the
+single empty expansion ().  Inside the D(n) stream, ``expansions_upto``,
+a digit string is a ``bytes`` object whose byte values are its digits
+0, 1, 2: appending a digit is then one copy of the string, and the
+tallies and ``fence.iso_check`` read a listing of them with ``bytes``
+methods that run in C.  ``expansions`` converts that form to int tuples
+once, at its return.
 
 The set D(n) of all expansions satisfies the recursion
 
@@ -43,7 +49,7 @@ a fusc_q memo.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 
 from .poly import BiPoly, LaurentPoly, qint, qpow
@@ -98,35 +104,41 @@ def digits_text(d: Digits) -> str:
 # enumeration
 
 
-def expansions(n: int, memo: dict[int, tuple[Digits, ...]] | None = None) -> tuple[Digits, ...]:
+def expansions(n: int, memo: dict[int, tuple[bytes, ...]] | None = None) -> tuple[Digits, ...]:
     """All hyperbinary expansions of n, lexicographically decreasing.
 
     The first entry is always the binary expansion, the last the bottom
-    element of the lattice.  ``memo`` maps m + 1 to D(m); without one,
-    D(n) is built from scratch.  To list D(n) for every n of a range in
-    increasing order, ``expansions_upto`` shares the work between
-    neighbours and holds only O(log n) of the lists.
+    element of the lattice.  ``memo`` maps m + 1 to D(m), each string
+    held as bytes; without one, D(n) is built from scratch.  To list
+    D(n) for every n of a range in increasing order,
+    ``expansions_upto`` shares the work between neighbours and holds
+    only O(log n) of the lists.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return halving(n + 1, _expansions_rule, (), ((),), memo)
+    return tuple(map(tuple, _listing(n, memo)))
 
 
-def expansions_upto(limit: int, start: int = 0) -> Iterator[tuple[Digits, ...]]:
-    """D(start), D(start + 1), ..., D(limit), each the tuple
-    ``expansions(n)`` returns.
+def _listing(n: int, memo: dict[int, tuple[bytes, ...]] | None = None) -> tuple[bytes, ...]:
+    """D(n) in ``expansions`` order, each string as bytes."""
+    return halving(n + 1, _expansions_rule, (), (b"",), memo)
 
-    One private memo is passed to ``expansions`` for the whole stream.
-    After each n it keeps only the pairs x, x + 1 for the prefixes
-    x = n + 2, (n + 2) >> 1, ..., 1 of the next argument, where the walk
-    of ``stern.halving`` for D(n + 1) starts.  So between two values the
-    stream holds at most 2 * (limit + 2).bit_length() lists, and it
-    builds about two new ones per n where ``expansions(n)`` alone
-    rebuilds its whole chain.
+
+def expansions_upto(limit: int, start: int = 0) -> Iterator[tuple[bytes, ...]]:
+    """D(start), D(start + 1), ..., D(limit), each the strings of
+    ``expansions(n)`` in its order, as bytes whose byte values are the
+    digits: ``tuple(map(bytes, expansions(n)))``.
+
+    One private memo serves the whole stream.  After each n it keeps
+    only the pairs x, x + 1 for the prefixes x = n + 2, (n + 2) >> 1,
+    ..., 1 of the next argument, where the walk of ``stern.halving`` for
+    D(n + 1) starts.  So between two values the stream holds at most
+    2 * (limit + 2).bit_length() lists, and it builds about two new ones
+    per n where ``expansions(n)`` alone rebuilds its whole chain.
     """
-    memo: dict[int, tuple[Digits, ...]] = {}
+    memo: dict[int, tuple[bytes, ...]] = {}
     for n in range(start, limit + 1):
-        yield expansions(n, memo)
+        yield _listing(n, memo)
         chain = set()
         x = n + 2
         while x:
@@ -135,20 +147,33 @@ def expansions_upto(limit: int, start: int = 0) -> Iterator[tuple[Digits, ...]]:
         memo = {x: d for x, d in memo.items() if x in chain}
 
 
-def _expansions_rule(x: int, f: dict[int, tuple[Digits, ...]]) -> tuple[Digits, ...]:
+def _expansions_rule(x: int, f: dict[int, tuple[bytes, ...]]) -> tuple[bytes, ...]:
     # D(x - 1) from D(m) = f[m + 1]: D(2m+1) appends 1 to D(m), which
     # keeps its order; D(2m) appends 0 to D(m) and 2 to D(m - 1)
     half = x >> 1
     if not x & 1:
-        return tuple([psi + (1,) for psi in f[half]])
-    k = (x - 1).bit_length()
-    out = [psi + (0,) for psi in f[half + 1]]
-    for chi in f[half]:
-        ext = chi + (2,)
-        # one leading zero of padding when half is a power of two
-        out.append((0,) * (k - len(ext)) + ext)
+        return tuple([psi + b"\1" for psi in f[half]])
+    out = [psi + b"\0" for psi in f[half + 1]]
+    if half & (half - 1):
+        out += [chi + b"\2" for chi in f[half]]
+    else:  # half a power of two: one leading zero of padding
+        out += [b"\0" + chi + b"\2" for chi in f[half]]
     out.sort(reverse=True)
     return tuple(out)
+
+
+def _as_bytes(elems: Sequence) -> Sequence[bytes]:
+    """A listing of digit strings with every string as bytes: the
+    listing itself when its strings all are, as ``expansions_upto``
+    yields them, else a tuple of all of them converted, int tuples and
+    bytes alike.  One ``join`` tells the two apart, since ``bytes`` of
+    a bytes object is a copy that costs more than the join.  A digit
+    outside 0..255 raises ValueError."""
+    try:
+        b"".join(elems)
+    except TypeError:
+        return tuple(map(bytes, elems))
+    return elems
 
 
 def h_count(n: int) -> int:
@@ -179,45 +204,45 @@ def stats(d: Digits) -> dict[str, int]:
 # handed through map/zip passes that run in C and feed one Counter, so
 # the polynomial is read off the counts without a Python call per
 # string.  ``elems`` is D(n) when the caller already has it, say from
-# ``expansions_upto``; when omitted, ``expansions(n)`` lists it.
+# ``expansions_upto``, whose strings the passes read as they are; a
+# listing of int tuples, or of both forms, is converted once as a
+# whole (``_as_bytes``).  When omitted, D(n) is listed.
 
 
-def h_q_enum(n: int, elems: tuple[Digits, ...] | None = None) -> LaurentPoly:
+def h_q_enum(n: int, elems: Sequence | None = None) -> LaurentPoly:
     """h_q(n) = sum of q^ell over D(n), with ell the digit sum: one
-    ``sum`` pass."""
+    ``sum`` pass, which reads bytes and int tuples alike."""
     if elems is None:
-        elems = expansions(n)
+        elems = _listing(n)
     return LaurentPoly(Counter(map(sum, elems)))
 
 
-def h_rs_enum(n: int, elems: tuple[Digits, ...] | None = None) -> BiPoly:
+def h_rs_enum(n: int, elems: Sequence | None = None) -> BiPoly:
     """h_rs(n) = sum of r^t s^z over D(n): a pass counting twos zipped
-    with one taking z as the zero count of the string, as bytes, with
-    its leading zeros stripped."""
-    if elems is None:
-        elems = expansions(n)
-    twos = map(tuple.count, elems, repeat(2))
-    zeros = map(bytes.count, map(bytes.lstrip, map(bytes, elems), repeat(b"\0")), repeat(0))
+    with one taking z as the zero count of the string with its leading
+    zeros stripped."""
+    elems = _listing(n) if elems is None else _as_bytes(elems)
+    twos = map(bytes.count, elems, repeat(2))
+    zeros = map(bytes.count, map(bytes.lstrip, elems, repeat(b"\0")), repeat(0))
     return BiPoly(Counter(zip(twos, zeros)))
 
 
-def hbar_st_enum(n: int, elems: tuple[Digits, ...] | None = None) -> BiPoly:
+def hbar_st_enum(n: int, elems: Sequence | None = None) -> BiPoly:
     """hbar_st(n) = sum of s^p1 t^p2 over D(n): a pass counting twos
     zipped with one counting ones."""
-    if elems is None:
-        elems = expansions(n)
-    twos = map(tuple.count, elems, repeat(2))
-    ones = map(tuple.count, elems, repeat(1))
+    elems = _listing(n) if elems is None else _as_bytes(elems)
+    twos = map(bytes.count, elems, repeat(2))
+    ones = map(bytes.count, elems, repeat(1))
     return BiPoly(Counter(zip(twos, ones)))
 
 
-def enum_polys(n: int, elems: tuple[Digits, ...] | None = None
+def enum_polys(n: int, elems: Sequence | None = None
                ) -> tuple[LaurentPoly, BiPoly, BiPoly]:
     """(h_q(n), h_rs(n), hbar_st(n)) straight from the enumeration:
-    D(n) is listed at most once and each of ``h_q_enum``, ``h_rs_enum``
-    and ``hbar_st_enum`` runs its own passes over it."""
-    if elems is None:
-        elems = expansions(n)
+    D(n) is listed, or a given listing converted, at most once, and each
+    of ``h_q_enum``, ``h_rs_enum`` and ``hbar_st_enum`` runs its own
+    passes over it."""
+    elems = _listing(n) if elems is None else _as_bytes(elems)
     return h_q_enum(n, elems), h_rs_enum(n, elems), hbar_st_enum(n, elems)
 
 

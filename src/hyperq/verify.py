@@ -153,7 +153,10 @@ def verify_qrat(max_n):
 
 @_sweep(4096)
 def verify_mainbij(max_n):
-    """D(n) is order isomorphic to the ideal lattice of the fence."""
+    """D(n) is order isomorphic to the ideal lattice of the fence.  D(n)
+    comes from one ``expansions_upto`` stream for the sweep, its strings
+    as bytes, which ``iso_check`` compares as a set with the images of
+    the ideals."""
     for n, elems in enumerate(hb.expansions_upto(max_n, 1), 1):
         yield str(n), *iso_check(n, elems)
 
@@ -191,9 +194,10 @@ def verify_mprime(max_n):
 def verify_hrs(max_n):
     """Enumeration equals recurrence for h_q and h_rs, and the closed
     forms match enumeration on every applicable n in range.  D(n) comes
-    from one ``expansions_upto`` stream for the sweep; per n the
-    ``h_q_enum`` pass sums each string's digits and the ``h_rs_enum``
-    pass pairs its twos with its nonleading zeros, and hbar_st is not
+    from one ``expansions_upto`` stream for the sweep, its strings as
+    bytes; per n the ``h_q_enum`` pass sums each string's digits and the
+    ``h_rs_enum`` pass pairs its twos with its nonleading zeros, both
+    with ``bytes`` methods on the strings as given, and hbar_st is not
     tallied."""
     hq_memo: dict[int, LaurentPoly] = {}
     hrs_memo: dict[int, BiPoly] = {}
@@ -252,9 +256,10 @@ def verify_hbar(max_n):
     specializes (s -> q, t -> q^2) to h_q; the literal textbook
     recurrence readings are diagnosed in the notes.  One check per n
     compares (enumeration, h_q) with (recurrence, its specialization).
-    D(n) comes from one ``expansions_upto`` stream for the sweep, and
-    its tally is the ``hbar_st_enum`` pass alone (twos zipped with
-    ones); h_q comes from the recurrence."""
+    D(n) comes from one ``expansions_upto`` stream for the sweep, its
+    strings as bytes, and its tally is the ``hbar_st_enum`` pass alone
+    (``bytes.count`` of twos zipped with that of ones); h_q comes from
+    the recurrence."""
     hq_memo: dict[int, LaurentPoly] = {}
     hbar_memo: dict[int, BiPoly] = {}
     for n, elems in enumerate(hb.expansions_upto(max_n)):

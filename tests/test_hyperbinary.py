@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 import hyperq.hyperbinary as hb
-from hyperq.fence import fence
+from hyperq.fence import fence, iso_check
 from hyperq.hyperbinary import (
     HBAR_NAMES,
     binary_expansion,
@@ -36,6 +36,8 @@ from hyperq.hyperbinary import (
 )
 from hyperq.poly import BiPoly, LaurentPoly
 from hyperq.stern import fusc
+
+ISO = "order isomorphism"
 
 
 # ------------------------------------------------------------ digit plumbing
@@ -123,8 +125,13 @@ def test_set_recursion_exact():
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 2048])
 def test_expansions_upto_lists_every_n_in_order(limit):
-    assert list(expansions_upto(limit)) == [expansions(n) for n in range(limit + 1)]
-    assert list(expansions_upto(limit, 1)) == [expansions(n) for n in range(1, limit + 1)]
+    """The stream's strings are those of ``expansions(n)``, in its order,
+    as bytes whose byte values are the digits."""
+    def listed(n):
+        return tuple(map(bytes, expansions(n)))
+
+    assert list(expansions_upto(limit)) == [listed(n) for n in range(limit + 1)]
+    assert list(expansions_upto(limit, 1)) == [listed(n) for n in range(1, limit + 1)]
 
 
 def test_expansions_upto_builds_about_two_lists_per_n(monkeypatch):
@@ -161,6 +168,21 @@ def test_enum_polys_reads_a_given_listing():
     for n in range(0, 301):
         assert enum_polys(n, expansions(n, memo)) == enum_polys(n)
     assert hbar_st_enum(10, expansions(10)[:-1]) != hbar_st_enum(10)
+
+
+def test_listing_checks_read_every_form_alike():
+    """A listing of int tuples, of bytes, or of both (every other string
+    converted) gives the same tallies and the same ``iso_check``."""
+    memo = {}
+    for n in range(0, 301):
+        ints = expansions(n, memo)
+        strings = tuple(map(bytes, ints))
+        mixed = tuple(d if i % 2 else bytes(d) for i, d in enumerate(ints))
+        assert enum_polys(n, ints) == enum_polys(n, strings) == enum_polys(n, mixed), n
+        assert iso_check(n, ints) == iso_check(n, strings) == iso_check(n, mixed) == (ISO, ISO), n
+    broken = expansions(10)[:-1]
+    for elems in (broken, tuple(map(bytes, broken)), broken[:2] + tuple(map(bytes, broken[2:]))):
+        assert iso_check(10, elems) == (ISO, "image is not the set of ideals")
 
 
 def _stats_fold(elems):

@@ -533,7 +533,7 @@ def test_unpack_matches_reference(w, lo, kinds, data):
        st.lists(st.integers(0, 300), min_size=1, max_size=12),
        st.lists(st.integers(0, 300), min_size=1, max_size=6),
        st.integers(-3, 3), st.integers(0, 20), st.integers(-1, 1))
-def test_ratfunc_packed_equality_matches_cross_multiplication(na, da, ka, lo, at, bump):
+def test_ratfunc_equality_matches_cross_multiplication(na, da, ka, lo, at, bump):
     """On nonnegative quotients and scaled or perturbed copies, ``==``
     agrees with the convolution, which decides every unequal shape."""
     num, den, k = (LaurentPoly(dict(enumerate(c, lo))) for c in (na, da, ka))

@@ -259,6 +259,12 @@ def _plant_stream(monkeypatch, at, change):
     monkeypatch.setattr(hb, "expansions_upto", planted)
 
 
+def _d10_bytes(ds):
+    """D(10) from the stream with its top, 1010, made 1011, as bytes."""
+    assert ds[0] == b"\1\0\1\0"
+    return (b"\1\0\1\1",) + ds[1:]
+
+
 def _q_plus(terms):
     """Add the given {exponent: coeff} terms to a LaurentPoly."""
     return lambda p: p + LaurentPoly(terms)
@@ -317,6 +323,17 @@ PLANTS = {
                       lambda mp: _plant_stream(mp, 10, lambda ds: ((1, 0, 1, 1),) + ds[1:]),
                       [("10", "order isomorphism",
                         "prefix sums of (1, 0, 1, 1) leave the bottom's beyond position 3")]),
+    # the same digit up in the stream's own form, bytes: it fails
+    # mainbij with the same line, and the tallies of hrs and hbar at 10
+    "mainbij-claim-bytes": ("mainbij", 16, 16, lambda mp: _plant_stream(mp, 10, _d10_bytes),
+                            [("10", "order isomorphism",
+                              "prefix sums of (1, 0, 1, 1) leave the bottom's beyond position 3")]),
+    "hrs-claim-bytes": ("hrs", 16, 45, lambda mp: _plant_stream(mp, 10, _d10_bytes),
+                        [("10", "3q^3 + q^4 + q^5", "q^2 + 2q^3 + q^4 + q^5"),
+                         ("10", "s + r s + r s^2 + r^2 + r^2 s", "s^2 + r s + r s^2 + r^2 + r^2 s")]),
+    "hbar-claim-bytes": ("hbar", 16, 17, lambda mp: _plant_stream(mp, 10, _d10_bytes),
+                         [("10", "(s^3 + 2t s + t^2 + t^2 s, q^2 + 2q^3 + q^4 + q^5)",
+                           "(s^2 + 2t s + t^2 + t^2 s, q^2 + 2q^3 + q^4 + q^5)")]),
     "mainbij-oracle": ("mainbij", 16, 16,
                        lambda mp: _plant(mp, fe, "min_element", (10,), lambda d: (0, 2, 0, 2)),
                        [("10", "order isomorphism", "(0, 1, 2, 2): reduced prefix sums not 0/1")]),
