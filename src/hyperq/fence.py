@@ -40,6 +40,7 @@ from collections.abc import Sequence
 
 from .hyperbinary import (
     Digits,
+    _SEP,
     _as_bytes,
     _prefix_length,
     digits_value,
@@ -195,10 +196,10 @@ def iso_check(n: int, elems: Sequence | None = None) -> tuple[str, str]:
     f = fence(n)
     bottom = min_element(n)
     try:
-        strings = _as_bytes(elems)
+        strings, joined = _as_bytes(elems)
         distinct = set(strings)
         if (len(distinct) == len(strings) and distinct == _image(f, bottom)
-                and not b"".join(strings).translate(None, _HYPERBINARY_DIGITS)):
+                and joined.translate(None, _HYPERBINARY_DIGITS) == _SEP * (len(strings) - 1)):
             return _ISO, _ISO
     except (ValueError, OverflowError):
         pass

@@ -7,9 +7,9 @@ as plain tuples of ints, most significant digit first; n = 0 has the
 single empty expansion ().  Inside the D(n) stream, ``expansions_upto``,
 a digit string is a ``bytes`` object whose byte values are its digits
 0, 1, 2: appending a digit is then one copy of the string, and the
-tallies and ``fence.iso_check`` read a listing of them with ``bytes``
-methods that run in C.  ``expansions`` converts that form to int tuples
-once, at its return.
+tallies and ``fence.iso_check`` read a listing of them as one joined
+``bytes`` object, with methods that run in C.  ``expansions`` converts
+that form to int tuples once, at its return.
 
 The set D(n) of all expansions satisfies the recursion
 
@@ -120,7 +120,9 @@ def expansions(n: int, memo: dict[int, tuple[bytes, ...]] | None = None) -> tupl
 
 
 def _listing(n: int, memo: dict[int, tuple[bytes, ...]] | None = None) -> tuple[bytes, ...]:
-    """D(n) in ``expansions`` order, each string as bytes."""
+    """D(n) in ``expansions`` order, each string as bytes; D(-1) is empty."""
+    if n < -1:
+        raise ValueError("n must be >= -1")
     return halving(n + 1, _expansions_rule, (), (b"",), memo)
 
 
@@ -134,17 +136,21 @@ def expansions_upto(limit: int, start: int = 0) -> Iterator[tuple[bytes, ...]]:
     ..., 1 of the next argument, where the walk of ``stern.halving`` for
     D(n + 1) starts.  So between two values the stream holds at most
     2 * (limit + 2).bit_length() lists, and it builds about two new ones
-    per n where ``expansions(n)`` alone rebuilds its whole chain.
+    per n where ``expansions(n)`` alone rebuilds its whole chain.  The
+    memo is updated in place: the prefixes a of n + 1 and b = a + 1 of
+    n + 2 differ on the trailing ones of n + 1 and agree below, so only
+    the a of those levels leave, and never 1, 2 or 3, which every chain
+    holds.
     """
+    if start < 0:
+        raise ValueError("start must be >= 0")
     memo: dict[int, tuple[bytes, ...]] = {}
     for n in range(start, limit + 1):
         yield _listing(n, memo)
-        chain = set()
-        x = n + 2
-        while x:
-            chain.update((x, x + 1))
-            x >>= 1
-        memo = {x: d for x, d in memo.items() if x in chain}
+        a, b = n + 1, n + 2
+        while a != b and a > 3:
+            memo.pop(a, None)
+            a, b = a >> 1, b >> 1
 
 
 def _expansions_rule(x: int, f: dict[int, tuple[bytes, ...]]) -> tuple[bytes, ...]:
@@ -162,18 +168,23 @@ def _expansions_rule(x: int, f: dict[int, tuple[bytes, ...]]) -> tuple[bytes, ..
     return tuple(out)
 
 
-def _as_bytes(elems: Sequence) -> Sequence[bytes]:
-    """A listing of digit strings with every string as bytes: the
-    listing itself when its strings all are, as ``expansions_upto``
-    yields them, else a tuple of all of them converted, int tuples and
-    bytes alike.  One ``join`` tells the two apart, since ``bytes`` of
-    a bytes object is a copy that costs more than the join.  A digit
-    outside 0..255 raises ValueError."""
+#: the byte between the strings of a joined listing: no hyperbinary digit
+_SEP = b"\3"
+
+
+def _as_bytes(elems: Sequence) -> tuple[Sequence[bytes], bytes]:
+    """A listing of digit strings with every string as bytes, and those
+    strings joined with ``_SEP`` between them.  The listing is itself
+    when its strings all are bytes, as ``expansions_upto`` yields them,
+    else a tuple of all of them converted, int tuples and bytes alike.
+    The join tells the two apart, since ``bytes`` of a bytes object is a
+    copy that costs more than the join.  A digit outside 0..255 raises
+    ValueError."""
     try:
-        b"".join(elems)
+        return elems, _SEP.join(elems)
     except TypeError:
-        return tuple(map(bytes, elems))
-    return elems
+        elems = tuple(map(bytes, elems))
+        return elems, _SEP.join(elems)
 
 
 def h_count(n: int) -> int:
@@ -200,49 +211,92 @@ def stats(d: Digits) -> dict[str, int]:
     return {"ell": p1 + 2 * p2, "p1": p1, "p2": p2, "t": p2, "z": d.count(0) - lead}
 
 
-# The enumeration tallies.  Each reads every string of the listing it is
-# handed through map/zip passes that run in C and feed one Counter, so
-# the polynomial is read off the counts without a Python call per
-# string.  ``elems`` is D(n) when the caller already has it, say from
-# ``expansions_upto``, whose strings the passes read as they are; a
-# listing of int tuples, or of both forms, is converted once as a
-# whole (``_as_bytes``).  When omitted, D(n) is listed.
+# The enumeration tallies.  Each reads the listing it is handed, or D(n)
+# when it is handed none, as its strings joined (``_as_bytes``).  When
+# every string has one length k < _BASE and only the digits 0, 1, 2,
+# ``_window_sums`` weighs each digit with one ``translate``, sums each
+# string's weights with one product and counts the sums with one
+# Counter: a fixed number of C calls per listing, which covers the D(n)
+# stream for every 0 < n < 2^15.  Any other listing takes the general
+# path, C passes that call ``bytes`` methods once per string.
+
+#: a weight x + _BASE y holds two digit counts x, y <= k < _BASE, and k
+#: weights of at most _BASE each sum to less than 256.  Each table
+#: weighs the digits 0, 1, 2 and the separator by 0.
+_BASE = 16
+_HQ_WEIGHTS = bytes((0, 1, 2)).ljust(256, b"\0")  # ell = p1 + 2 p2
+_RS_WEIGHTS = bytes((1, 0, _BASE)).ljust(256, b"\0")  # z + _BASE t
+_RS_LEAD = bytes((0, 0, _BASE)).ljust(256, b"\0")  # a leading zero is free
+_HBAR_WEIGHTS = bytes((0, 1, _BASE)).ljust(256, b"\0")  # p1 + _BASE p2
+
+
+def _window_sums(strings: Sequence[bytes], joined: bytes, table: bytes,
+                 lead: bytes | None = None) -> Counter | None:
+    """The Counter of the strings' weights, each the sum of ``table``
+    over its digits (of ``lead`` on its first digit when given), or None
+    when the listing needs the general path.  The weights of ``joined``,
+    read as one little-endian integer, times the repunit of k bytes hold
+    in each byte the sum of the k bytes up to it, at byte
+    j (k + 1) + k - 1 string j's sum; no k weights reach 256, so no byte
+    carries.  ``lead`` frees one leading zero, so two or more take the
+    general path."""
+    m = len(strings)
+    k = (len(joined) + 1) // m - 1 if m else 0
+    if not (0 < k < _BASE and len(joined) == m * (k + 1) - 1
+            and joined.translate(None, b"\0\1\2") == joined[k::k + 1] == _SEP * (m - 1)):
+        return None  # a _SEP off the stride, or a byte that is no digit
+    if lead is not None and (joined.startswith(b"\0\0") or _SEP + b"\0\0" in joined):
+        return None
+    weights = joined.translate(table)
+    if lead is not None:
+        weights = bytearray(weights)
+        weights[::k + 1] = joined[::k + 1].translate(lead)
+    sums = int.from_bytes(weights, "little") * ((256 ** k - 1) // 255)
+    return Counter(sums.to_bytes(len(joined) + k, "little")[k - 1::k + 1])
 
 
 def h_q_enum(n: int, elems: Sequence | None = None) -> LaurentPoly:
-    """h_q(n) = sum of q^ell over D(n), with ell the digit sum: one
-    ``sum`` pass, which reads bytes and int tuples alike."""
-    if elems is None:
-        elems = _listing(n)
-    return LaurentPoly(Counter(map(sum, elems)))
+    """h_q(n) = sum of q^ell over D(n), with ell the digit sum: the
+    window sums of the digits, or one ``sum`` per string."""
+    strings, joined = _as_bytes(_listing(n) if elems is None else elems)
+    sums = _window_sums(strings, joined, _HQ_WEIGHTS)
+    return LaurentPoly(Counter(map(sum, strings)) if sums is None else sums)
 
 
 def h_rs_enum(n: int, elems: Sequence | None = None) -> BiPoly:
-    """h_rs(n) = sum of r^t s^z over D(n): a pass counting twos zipped
-    with one taking z as the zero count of the string with its leading
-    zeros stripped."""
-    elems = _listing(n) if elems is None else _as_bytes(elems)
-    twos = map(bytes.count, elems, repeat(2))
-    zeros = map(bytes.count, map(bytes.lstrip, elems, repeat(b"\0")), repeat(0))
-    return BiPoly(Counter(zip(twos, zeros)))
+    """h_rs(n) = sum of r^t s^z over D(n): the window sums of
+    z + _BASE t, a zero weighing 1 except in the first position, or a
+    pass counting twos zipped with one taking z as the zero count of
+    the string with its leading zeros stripped."""
+    strings, joined = _as_bytes(_listing(n) if elems is None else elems)
+    sums = _window_sums(strings, joined, _RS_WEIGHTS, _RS_LEAD)
+    if sums is None:
+        twos = map(bytes.count, strings, repeat(2))
+        zeros = map(bytes.count, map(bytes.lstrip, strings, repeat(b"\0")), repeat(0))
+        return BiPoly(Counter(zip(twos, zeros)))
+    return BiPoly({divmod(w, _BASE): c for w, c in sums.items()})
 
 
 def hbar_st_enum(n: int, elems: Sequence | None = None) -> BiPoly:
-    """hbar_st(n) = sum of s^p1 t^p2 over D(n): a pass counting twos
-    zipped with one counting ones."""
-    elems = _listing(n) if elems is None else _as_bytes(elems)
-    twos = map(bytes.count, elems, repeat(2))
-    ones = map(bytes.count, elems, repeat(1))
-    return BiPoly(Counter(zip(twos, ones)))
+    """hbar_st(n) = sum of s^p1 t^p2 over D(n): the window sums of
+    p1 + _BASE p2, or a pass counting twos zipped with one counting
+    ones."""
+    strings, joined = _as_bytes(_listing(n) if elems is None else elems)
+    sums = _window_sums(strings, joined, _HBAR_WEIGHTS)
+    if sums is None:
+        twos = map(bytes.count, strings, repeat(2))
+        ones = map(bytes.count, strings, repeat(1))
+        return BiPoly(Counter(zip(twos, ones)))
+    return BiPoly({divmod(w, _BASE): c for w, c in sums.items()})
 
 
 def enum_polys(n: int, elems: Sequence | None = None
                ) -> tuple[LaurentPoly, BiPoly, BiPoly]:
     """(h_q(n), h_rs(n), hbar_st(n)) straight from the enumeration:
     D(n) is listed, or a given listing converted, at most once, and each
-    of ``h_q_enum``, ``h_rs_enum`` and ``hbar_st_enum`` runs its own
-    passes over it."""
-    elems = _listing(n) if elems is None else _as_bytes(elems)
+    of ``h_q_enum``, ``h_rs_enum`` and ``hbar_st_enum`` reads it on its
+    own."""
+    elems = _listing(n) if elems is None else _as_bytes(elems)[0]
     return h_q_enum(n, elems), h_rs_enum(n, elems), hbar_st_enum(n, elems)
 
 

@@ -195,10 +195,9 @@ def verify_hrs(max_n):
     """Enumeration equals recurrence for h_q and h_rs, and the closed
     forms match enumeration on every applicable n in range.  D(n) comes
     from one ``expansions_upto`` stream for the sweep, its strings as
-    bytes; per n the ``h_q_enum`` pass sums each string's digits and the
-    ``h_rs_enum`` pass pairs its twos with its nonleading zeros, both
-    with ``bytes`` methods on the strings as given, and hbar_st is not
-    tallied."""
+    bytes; per n ``h_q_enum`` counts each string's digit sum and
+    ``h_rs_enum`` its twos and nonleading zeros, each in a fixed number
+    of C calls over the joined listing, and hbar_st is not tallied."""
     hq_memo: dict[int, LaurentPoly] = {}
     hrs_memo: dict[int, BiPoly] = {}
     for n, elems in enumerate(hb.expansions_upto(max_n)):
@@ -257,9 +256,9 @@ def verify_hbar(max_n):
     recurrence readings are diagnosed in the notes.  One check per n
     compares (enumeration, h_q) with (recurrence, its specialization).
     D(n) comes from one ``expansions_upto`` stream for the sweep, its
-    strings as bytes, and its tally is the ``hbar_st_enum`` pass alone
-    (``bytes.count`` of twos zipped with that of ones); h_q comes from
-    the recurrence."""
+    strings as bytes, and its tally is ``hbar_st_enum`` alone (each
+    string's ones and twos, counted in a fixed number of C calls over
+    the joined listing); h_q comes from the recurrence."""
     hq_memo: dict[int, LaurentPoly] = {}
     hbar_memo: dict[int, BiPoly] = {}
     for n, elems in enumerate(hb.expansions_upto(max_n)):

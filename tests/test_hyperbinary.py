@@ -5,6 +5,8 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperq.hyperbinary as hb
 from hyperq.fence import fence, iso_check
@@ -21,7 +23,9 @@ from hyperq.hyperbinary import (
     h_q,
     h_q_closed_form,
     h_q_closed_form_applies,
+    h_q_enum,
     h_rs,
+    h_rs_enum,
     hbar_st,
     hbar_st_enum,
     join,
@@ -134,6 +138,43 @@ def test_expansions_upto_lists_every_n_in_order(limit):
     assert list(expansions_upto(limit, 1)) == [listed(n) for n in range(1, limit + 1)]
 
 
+def _chain(x):
+    """The pairs x, x + 1 for x and each of its prefixes."""
+    out = set()
+    while x:
+        out.update((x, x + 1))
+        x >>= 1
+    return out
+
+
+@pytest.mark.parametrize("start", [0, 1, 511, 512, 513, 1023, 1024, 4095])
+def test_expansions_upto_from_any_start(start):
+    """From any start, across the powers of two where D(n) gains a
+    digit, the stream lists ``expansions(n)``, and the memo it updates
+    in place holds the keys of a model that, after each n, keeps only
+    those in the chain of n + 2."""
+    stream, model = expansions_upto(start + 70, start), {}
+    for n, elems in enumerate(stream, start):
+        assert elems == hb._listing(n, model) == tuple(map(bytes, expansions(n)))
+        assert stream.gi_frame.f_locals["memo"].keys() == model.keys(), n
+        keep = _chain(n + 2)
+        model = {x: d for x, d in model.items() if x in keep}
+
+
+def test_negative_arguments_raise():
+    # the stream used to yield (b"",) as D(-2), and to spin below that
+    for start in (-1, -2, -3):
+        with pytest.raises(ValueError):
+            next(expansions_upto(2, start))
+    for tally in (h_q_enum, h_rs_enum, hbar_st_enum, enum_polys, hb._listing):
+        with pytest.raises(ValueError):
+            tally(-2)
+    assert hb._listing(-1) == ()
+    assert enum_polys(-1) == (LaurentPoly(), BiPoly.zero(), BiPoly.zero())
+    # a given listing is read as it is, whatever n
+    assert enum_polys(-5, expansions(10)) == enum_polys(10)
+
+
 def test_expansions_upto_builds_about_two_lists_per_n(monkeypatch):
     calls = 0
     rule = hb._expansions_rule
@@ -214,6 +255,46 @@ def test_tallies_equal_a_fold_of_stats_on_any_listing(elems):
     """Leading zeros are free however many there are, as in ``stats``;
     the tallies read the strings, not the n they are handed."""
     assert enum_polys(0, elems) == _stats_fold(elems)
+
+
+def _string(k):
+    """A digit string of length k that starts with no, one or several
+    zeros, or with a 2."""
+    return st.tuples(st.sampled_from(((), (0,), (0, 0), (0, 0, 0), (2,))),
+                     st.lists(st.sampled_from((0, 1, 2)), min_size=k, max_size=k),
+                     ).map(lambda p: (p[0] + tuple(p[1]))[:k])
+
+
+_UNIFORM = st.one_of(st.integers(1, 20), st.integers(1, 300)).flatmap(
+    lambda k: st.lists(_string(k), min_size=1, max_size=6))
+_MIXED = st.lists(st.integers(0, 20).flatmap(_string), min_size=0, max_size=6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(st.one_of(_UNIFORM, _MIXED))
+def test_both_tally_paths_equal_a_fold_of_stats(elems):
+    """Window sums where every string has one length k < 16, the general
+    passes elsewhere; both agree with ``stats`` string by string."""
+    strings, joined = hb._as_bytes(elems)
+    uniform = len(set(map(len, elems))) == 1 and 0 < len(elems[0]) < 16
+    assert (hb._window_sums(strings, joined, hb._HQ_WEIGHTS) is None) != uniform
+    double_zero = any(d[:2] == (0, 0) for d in elems)
+    assert (hb._window_sums(strings, joined, hb._RS_WEIGHTS, hb._RS_LEAD) is None) != (
+        uniform and not double_zero)
+    assert enum_polys(0, elems) == enum_polys(0, strings) == _stats_fold(elems)
+
+
+def test_the_stream_takes_the_window_sums(monkeypatch):
+    """Every D(n) of the stream, n <= 300, is tallied by window sums:
+    the general passes, patched to raise, never run."""
+    def general(*_):
+        raise AssertionError("general path")
+
+    monkeypatch.setattr(hb, "repeat", general)  # the count and strip passes
+    monkeypatch.setattr(hb, "sum", general, raising=False)  # h_q's digit sums
+    memo = {}
+    for n, elems in enumerate(expansions_upto(300, 1), 1):
+        assert enum_polys(n, elems) == _stats_fold(expansions(n, memo)), n
 
 
 def test_every_tally_reads_every_string():
