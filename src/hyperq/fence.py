@@ -27,10 +27,15 @@ mainbij`` runs.
 ``rgf`` is the rank generating function sum q^|I| over ideals, by the
 same fence scan on packed integers (``poly.unpack``).  The weight
 identity h_q(n) = q^(r+s) * rgf(1/q), with s the number of ones in the
-binary expansion of n, is stated once, by ``weight_check``: it returns
-the identity's two sides, and ``verify weightbij`` runs it.
-``qcw_fence`` writes cw_q(n) as a quotient of two rank generating
-functions, the identity's corollary.
+binary expansion of n, is stated once, by ``weight_check``, which
+returns the identity's two sides at one n.  ``weight_checks`` yields
+them for n = 1..limit, and ``verify weightbij`` runs it.  The fence of
+n is a binary prefix of n, so one scan step per prefix
+(``_dual_rgf_range``) gives q^r rgf(1/q), each ideal weighed by the
+elements it leaves out, for every fence in range on packed integers;
+each h_q value is packed once and compared as an integer, and only a
+failure is decoded.  ``qcw_fence`` writes cw_q(n) as a quotient of two
+rank generating functions, the identity's corollary.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from .hyperbinary import (
     min_element,
     s_vector,
 )
-from .poly import LaurentPoly, RatFunc, slot_width, unpack
+from .poly import LaurentPoly, RatFunc, pack, slot_width, unpack
 
 
 def fence(n: int) -> str:
@@ -249,8 +254,70 @@ def weight_check(n: int, memo: dict[int, LaurentPoly] | None = None
     """The two sides of h_q(n) = q^(r+s) * rgf(1/q), with r the fence
     size and s the number of ones in the binary expansion of n, as
     (expected, actual) = (h_q_fence(n), h_q(n)); ``verify weightbij``
-    compares them.  ``memo`` is an h_q memo."""
+    compares them for every n through ``weight_checks``.  ``memo`` is
+    an h_q memo."""
     return h_q_fence(n), h_q(n, memo)
+
+
+def _dual_rgf_range(limit: int, step: int) -> list[int]:
+    """[R(0), ..., R(limit)] at q = 2^step: R(m) is ``rgf`` of the dual
+    of the word bin(m)[2:], every letter after the first flipped.  The
+    complement of an ideal is an ideal of the dual fence, so R(m) sums
+    q^(r - |I|) over the ideals I of the word, each weighed by the
+    elements it leaves out.
+
+    The word of m is the word of m >> 1 and one letter more, so the
+    (out, inn) classes of ``_scan`` at m are one scan step from those
+    at m >> 1, the letter flipped: one step per m, as
+    ``matrices._packed_range`` takes for M~(n).  m = 0 holds (1, 0),
+    from which the leading 1 of every m steps to the scan's start
+    (1, q); R(0) = 1, the empty fence."""
+    states = [(1, 0)] * (limit + 1)
+    for m in range(1, limit + 1):
+        out, inn = states[m >> 1]
+        states[m] = (out, (out + inn) << step) if m & 1 else (out + inn, inn << step)
+    return [out + inn for out, inn in states]
+
+
+def _packed_weights(limit: int) -> tuple[int, list[int]]:
+    """(w, [c(0), ..., c(limit)]) with c(n) = q^-s h_q_fence(n) at
+    q = 256^w, w = ``matrices._width(limit)``.  The fence of n is the
+    word of m = n >> (t + 1), t the trailing ones of n (m = 0 when n is
+    all ones), so c(n) = R(m) of ``_dual_rgf_range``, and m <= n >> 1.
+    At q = 1, R(m) counts the ideals of the fence of 2m, fusc(2m + 1),
+    and each class of the scan at m at most that many, so every
+    coefficient fits a slot."""
+    from .matrices import _width  # not at import: ``qrat --via graph`` loads fence alone
+
+    w = _width(limit)
+    sums = _dual_rgf_range(limit >> 1, 8 * w)
+    return w, [sums[n >> (~n & (n + 1)).bit_length()] for n in range(limit + 1)]
+
+
+def weight_checks(limit: int):
+    """The two sides of ``weight_check(n)`` for n = 1..limit, in order;
+    nothing when limit < 1.  The claim is the packed c(n) of
+    ``_packed_weights``, q^s h_q_fence(n) with its q^s dropped.  The
+    oracle h_q(n) is packed once per object
+    (``matrices._pack_once``): where it packs to c(n) and its lowest
+    exponent is s, the number of ones of n, c(n) is both sides.
+    Otherwise, a mismatch or an h_q(n) that ``poly.pack`` refuses, the
+    sides are c(n) decoded (``poly.unpack``, q^s put back) and
+    h_q(n)."""
+    if limit < 1:
+        return
+    from .matrices import _pack_once
+
+    w, claims = _packed_weights(limit)
+    memo: dict[int, LaurentPoly] = {}
+    packed = _pack_once(lambda n: h_q(n, memo), lambda p: pack(p, w))
+    for n in range(1, limit + 1):
+        c, s = claims[n], n.bit_count()
+        p, v = packed(n)
+        if v == c and p._lo == s:
+            yield c, c
+        else:
+            yield unpack(c, w, s), p
 
 
 def qcw_fence(n: int) -> RatFunc:

@@ -275,7 +275,9 @@ def row_sum_checks(limit: int):
     the packed pair of M~(n) (1,1)^T as both sides where the two h_q
     values of ``_row_sums_index(n)``, shifted by q^z as well, pack to it
     (``_h_q_packed``), else ``row_sums_formula(n)`` and the row sums of
-    M(n), unpacked."""
+    M(n), unpacked.  Nothing when limit < 1."""
+    if limit < 1:
+        return
     w, ms = _m_packed(limit)
     memo: dict[int, LaurentPoly] = {}
     at = _h_q_packed(w, memo)
@@ -292,7 +294,10 @@ def entries_checks(limit: int):
     """The two sides of "M(n) equals ``entries_formula(n)``" for
     n = 2..limit, in order: the packed M~(n) as both sides where the four
     h_q values of ``_entries_index(n)``, shifted by q^z as well, pack to
-    it (``_h_q_packed``), else M(n), unpacked, and ``entries_formula(n)``."""
+    it (``_h_q_packed``), else M(n), unpacked, and ``entries_formula(n)``.
+    Nothing when limit < 2."""
+    if limit < 2:
+        return
     w, ms = _m_packed(limit)
     memo: dict[int, LaurentPoly] = {}
     at = _h_q_packed(w, memo)
@@ -346,7 +351,9 @@ def m_prime_checks(limit: int):
     h_rs(n)) packs to it, else the two ``BiPoly`` pairs.  Each distinct
     oracle object is packed once: the even step returns its operand, so
     h_rs(2y-1) is the object h_rs(y-1), and up to 16,384 the 16,385
-    values are 8,193 objects."""
+    values are 8,193 objects.  Nothing when limit < 1."""
+    if limit < 1:
+        return
     w, k, ms = _m_prime_packed(limit)
     memo: dict[int, BiPoly] = {}
     packed = _pack_once(lambda n: h_rs(n, memo), lambda v: pack_bi(v, w, k))

@@ -5,15 +5,17 @@ its range; ``_sweep`` registers it and turns it into ``verify_<name>
 (bound)``, which times the checks, counts them, compares the two sides
 and returns a ``VerifyReport``.  Everything is exact arithmetic; a
 failure records where it happened plus expected/actual renderings.
-mainbij and weightbij yield the two sides that the library's checks
-``fence.iso_check`` and ``fence.weight_check`` return, and mnthm and
-mprime those of ``matrices.row_sum_checks`` and
-``matrices.m_prime_checks``, the range forms of ``row_sum_check`` and
-``m_prime_check``, and mnent those of ``matrices.entries_checks``, so
-each of those identities is written down in the library.  Those three
-pack each oracle value once and compare integers, decoding the
-polynomials only for a failure; qrat and gg compare ``RatFunc`` values,
-whose equality short-circuits two quotients of equal shape.  A bound
+mainbij yields the two sides that the library's check
+``fence.iso_check`` returns, weightbij those of ``fence.weight_checks``,
+the range form of ``fence.weight_check``, mnthm and mprime those of
+``matrices.row_sum_checks`` and ``matrices.m_prime_checks``, the range
+forms of ``row_sum_check`` and ``m_prime_check``, and mnent those of
+``matrices.entries_checks``, so each of those identities is written
+down in the library.  Those four range forms pack each oracle value
+once and compare integers, decoding the polynomials only for a
+failure, and yield nothing below their range; qrat and gg compare
+``RatFunc`` values, whose equality short-circuits two quotients of
+equal shape.  A bound
 above ``sys.maxsize`` (2^63 - 1 on a 64-bit build) raises
 ``OverflowError`` before any check: no range or list can have that
 many entries.  Sweeps are single threaded and iterate in increasing
@@ -39,7 +41,7 @@ from . import hyperbinary as hb
 from . import matrices as mx
 from . import qrational as qr
 from . import stern
-from .fence import iso_check, weight_check
+from .fence import iso_check, weight_checks
 from .poly import BiPoly, LaurentPoly, RatFunc
 
 Failure = tuple[str, str, str]  # where, expected, actual
@@ -164,9 +166,8 @@ def verify_mainbij(max_n):
 @_sweep(16_384)
 def verify_weightbij(max_n):
     """h_q(n) = q^(r+s) * rgf(1/q) for 1 <= n <= max_n."""
-    hq_memo: dict[int, LaurentPoly] = {}
-    for n in range(1, max_n + 1):
-        yield str(n), *weight_check(n, hq_memo)
+    for n, sides in enumerate(weight_checks(max_n), 1):
+        yield str(n), *sides
 
 
 @_sweep(16_384, lo=2, render=lambda m: " | ".join(e.text() for e in m.entries()))

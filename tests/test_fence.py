@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import hyperq
 import hyperq.fence as fe
+import hyperq.matrices as mx
 from hyperq.fence import (
     cover_pairs,
     fence,
@@ -35,7 +36,7 @@ from hyperq.hyperbinary import (
     leq,
     min_element,
 )
-from hyperq.poly import ONE, Q, LaurentPoly
+from hyperq.poly import ONE, Q, LaurentPoly, unpack
 from hyperq.stern import cw_q
 
 
@@ -389,6 +390,25 @@ def test_weight_check_sweep_and_all_ones():
     for k in range(1, 12):
         n = 2**k - 1
         assert h_q(n) == LaurentPoly({k: 1})  # q^k: the degenerate case
+
+
+@pytest.mark.parametrize("limit, w", [(4096, 1), (4689, 1), (4690, 2)])
+def test_weight_checks_decode_to_the_fence_formula(limit, w):
+    """Every packed claim of ``weight_checks`` decodes, with q^s put
+    back, to ``h_q_fence(n)``, and every check's sides decode to those
+    of ``weight_check(n)``.  The slot width is one byte to 4689 and two
+    from 4690, where fusc(4691) = 256 is the first fusc to need them."""
+    assert mx._width(limit) == w
+    _, claims = fe._packed_weights(limit)
+    assert len(claims) == limit + 1 and claims[0] == 1  # h_q_fence(0) = 1
+    memo = {}
+    for n, (expected, actual) in enumerate(fe.weight_checks(limit), 1):
+        s = n.bit_count()
+        assert type(expected) is int and expected is actual == claims[n]
+        decoded = unpack(expected, w, s)
+        assert decoded == fe.h_q_fence(n), n
+        assert (decoded, decoded) == weight_check(n, memo), n
+    assert n == limit
 
 
 # ---------------------------------------------------------- q-enumeration tie

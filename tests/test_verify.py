@@ -5,6 +5,7 @@ import pytest
 import hyperq.fence as fe
 import hyperq.hyperbinary as hb
 import hyperq.matrices as mx
+import hyperq.verify as verify_module
 from hyperq import qrational as qr
 from hyperq import stern
 from hyperq.poly import ONE, BiPoly, LaurentPoly, RatFunc, qint, qpow
@@ -40,6 +41,25 @@ def test_run_verify_all_covers_registry():
     assert by_name["qrat"].hi == 32
     assert by_name["mnent"].hi == 32 and by_name["mnent"].checked == 31
     assert by_name["gg"].hi == 50
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_every_sweep_passes_an_empty_range(bound):
+    """Below its range every sweep checks nothing and passes; hrs and
+    hbar start at n = 0, so at bound 0 they check n = 0 alone, and under
+    ``all`` gg keeps its own bound.  The packed matrix and weight ranges
+    size nothing for an empty range."""
+    for name in REGISTRY:
+        (rep,) = run_verify(name, bound)
+        assert rep.passed and rep.failures == [] and rep.hi == bound
+        assert rep.checked == {("hrs", 0): 3, ("hbar", 0): 1}.get((name, bound), 0)
+    for rep in run_verify("all", bound):
+        assert rep.passed
+        if rep.theorem not in ("hrs", "hbar", "gg"):
+            assert rep.checked == 0 and rep.hi == bound
+    assert [list(mx.row_sum_checks(bound)), list(mx.entries_checks(bound)),
+            list(mx.m_prime_checks(bound)), list(fe.weight_checks(bound))] == [[]] * 4
+    assert list(mx.entries_checks(1)) == []
 
 
 def test_unknown_name_raises():
@@ -122,10 +142,12 @@ def test_hrs_checked_counts_enums_and_closed_forms():
 
 
 def test_runner_counts_and_renders_failures(monkeypatch):
-    monkeypatch.setattr(fe, "h_q_fence", lambda n: LaurentPoly({0: 1}))
+    # weightbij with every packed claim 0: each n fails, its claim
+    # decoded as the zero polynomial
+    monkeypatch.setattr(fe, "_packed_weights", lambda limit: (1, [0] * (limit + 1)))
     (rep,) = run_verify("weightbij", 3)
     assert rep.checked == 3 and not rep.passed
-    assert rep.failures[0] == ("1", "1", "q")
+    assert rep.failures[0] == ("1", "0", "q")
     assert len(rep.failures) == 3
 
     # hbar: one check per n, both sides rendered as pairs
@@ -232,20 +254,25 @@ def _num(change):
     return lambda v: RatFunc(change(v.num), v.den)
 
 
-def _plant_packed(monkeypatch, name, at, entry, slot=0):
-    """``mx.name``, a packed range, with one added to one slot (the
-    lowest by default) of one entry of the packed M(at), after the whole
-    range is built."""
-    real = getattr(mx, name)
+def _plant_packed(monkeypatch, name, at, entry=None, slot=0, module=mx):
+    """``module.name``, a packed range (w, ..., values), with one added
+    to one slot (the lowest by default) of values[at], or of its entry
+    ``entry`` when values[at] is a packed matrix, after the whole range
+    is built."""
+    real = getattr(module, name)
 
     def planted(limit):
         w, *head, ms = real(limit)
-        m = list(ms[at])
-        m[entry] += 1 << 8 * w * slot
-        ms[at] = tuple(m)
+        unit = 1 << 8 * w * slot
+        if entry is None:
+            ms[at] += unit
+        else:
+            m = list(ms[at])
+            m[entry] += unit
+            ms[at] = tuple(m)
         return (w, *head, ms)
 
-    monkeypatch.setattr(mx, name, planted)
+    monkeypatch.setattr(module, name, planted)
 
 
 def _plant_stream(monkeypatch, at, change):
@@ -312,11 +339,20 @@ PLANTS = {
                     [("6", "2q | 1 | q | q^-1 + 1", "q | 1 | q | q^-1 + 1")]),
     "mnent-oracle": ("mnent", 16, 15, lambda mp: _plant(mp, mx, "h_q", (6,), _up),
                      _mnent_h6("1 + q + q^2", "q + q^2 + q^3")),
-    # claim side: the fence formula for h_q(5); oracle side: the recurrence
-    "weightbij-claim": ("weightbij", 8, 8, lambda mp: _plant(mp, fe, "h_q_fence", (5,), _one_more),
+    # claim side: the lowest slot of the packed q^-2 h_q_fence(5), a
+    # per-n value (n = 2 has the same fence, "1", and the same scan
+    # state); oracle side: the recurrence
+    "weightbij-claim": ("weightbij", 8, 8,
+                        lambda mp: _plant_packed(mp, "_packed_weights", 5, module=fe),
                         [("5", "2q^2 + q^3", "q^2 + q^3")]),
     "weightbij-oracle": ("weightbij", 8, 8, lambda mp: _plant(mp, fe, "h_q", (6,), _up),
                          [("6", "q^2 + q^3 + q^4", "q^3 + q^4 + q^5")]),
+    # h_q(6) = q^2 + q^3 + q^4 with 256 q^2 in place of q^3: it packs to
+    # the true value at q = 256, but ``pack`` refuses it, so n = 6 is
+    # compared as LaurentPoly, the packed claim decoded
+    "weightbij-coefficient": ("weightbij", 8, 8,
+                              lambda mp: _plant(mp, fe, "h_q", (6,), _q_plus({2: 256, 3: -1})),
+                              [("6", "q^2 + q^3 + q^4", "257q^2 + q^4")]),
     # claim side: the last digit of 1010 in D(10) up by one; oracle side:
     # the bottom of D(10), 0122, replaced by 0202, one cover above it
     "mainbij-claim": ("mainbij", 16, 16,
@@ -431,6 +467,37 @@ def test_planted_defect_fails_where_planted(monkeypatch, plant):
     assert rep.failures == failures
     where, expected, actual = failures[0]
     assert rep.lines()[1] == f"  at {where}: expected {expected}, got {actual}"
+
+
+def test_weightbij_report_matches_the_per_n_route(monkeypatch):
+    """The report of ``weight_checks`` equals that of ``weight_check``
+    run per n, also where a planted h_q(6) fails n = 6, once refused by
+    ``pack`` and once packed at the wrong lowest exponent: a failure
+    renders the packed claim decoded as ``h_q_fence(n)`` renders."""
+    def per_n(limit):
+        memo = {}
+        return (fe.weight_check(n, memo) for n in range(1, limit + 1))
+
+    def snap(reports):
+        return [{k: v for k, v in r.to_dict().items() if k != "elapsed_s"} for r in reports]
+
+    for change in (None, _q_plus({2: 256, 3: -1}), _up):
+        monkeypatch.undo()
+        if change is not None:
+            _plant(monkeypatch, fe, "h_q", (6,), change)
+        ranged = run_verify("weightbij", 4096)
+        monkeypatch.setattr(verify_module, "weight_checks", per_n)
+        assert snap(ranged) == snap(run_verify("weightbij", 4096))
+        assert ranged[0].passed == (change is None)
+
+
+def test_weightbij_takes_the_packed_path_at_its_default_bound():
+    """Every check of ``verify weightbij`` to 16,384 compares integers:
+    both sides are the one packed claim."""
+    limit = REGISTRY["weightbij"][1]
+    sides = list(fe.weight_checks(limit))
+    assert len(sides) == limit == 16_384
+    assert all(type(e) is int and e is a for e, a in sides)
 
 
 def _scaled(num, den):
