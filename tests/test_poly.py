@@ -182,12 +182,16 @@ def test_ratfunc_equality_by_cross_multiplication():
     assert RatFunc.zero() == RatFunc(ZERO, qint(3))
 
 
+@pytest.mark.parametrize("native", [True, False], ids=["cast", "slices"])
 @pytest.mark.parametrize("w", range(1, 10))
-def test_ratfunc_equality_at_the_slot_boundary(w):
-    """Coefficients at the edge of a w-byte slot: equality is decided by
-    the shape or by the convolution, so 256^w - 1 and 256^w - 2 differ,
-    and 1 + 256^w q differs from 1 + q^2, which it equals at
-    q = 256^w."""
+def test_ratfunc_packed_equality_at_the_slot_boundary(w, native, monkeypatch):
+    """Coefficients at the edge of a w-byte slot, with and without the
+    native casts: equality is decided by the shape or by the
+    convolution, never by packed integers, so the answer is the same
+    either way; 256^w - 1 and 256^w - 2 differ, and 1 + 256^w q differs
+    from 1 + q^2, which it equals at q = 256^w."""
+    if not native:
+        monkeypatch.setattr(poly, "_NATIVE_SLOTS", {})
     top = 256**w - 1
     full = LaurentPoly({1: top})
     assert RatFunc(full, ONE) == RatFunc(full.shift(1), Q)
