@@ -33,9 +33,10 @@ them for n = 1..limit, and ``verify weightbij`` runs it.  The fence of
 n is a binary prefix of n, so one scan step per prefix
 (``_dual_rgf_range``) gives q^r rgf(1/q), each ideal weighed by the
 elements it leaves out, for every fence in range on packed integers;
-each h_q value is packed once and compared as an integer, and only a
-failure is decoded.  ``qcw_fence`` writes cw_q(n) as a quotient of two
-rank generating functions, the identity's corollary.
+each h_q value of one ``hyperbinary.h_q_range`` is packed once and
+compared as an integer, and only a failure is decoded.  ``qcw_fence``
+writes cw_q(n) as a quotient of two rank generating functions, the
+identity's corollary.
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ from .hyperbinary import (
     dot_source,
     expansions,
     h_q,
+    h_q_range,
     min_element,
     s_vector,
 )
-from .poly import LaurentPoly, RatFunc, pack, slot_width, unpack
+from .poly import LaurentPoly, RatFunc, _pack_each, pack, slot_width, unpack
 
 
 def fence(n: int) -> str:
@@ -298,23 +300,20 @@ def weight_checks(limit: int):
     """The two sides of ``weight_check(n)`` for n = 1..limit, in order;
     nothing when limit < 1.  The claim is the packed c(n) of
     ``_packed_weights``, q^s h_q_fence(n) with its q^s dropped.  The
-    oracle h_q(n) is packed once per object
-    (``matrices._pack_once``): where it packs to c(n) and its lowest
-    exponent is s, the number of ones of n, c(n) is both sides.
-    Otherwise, a mismatch or an h_q(n) that ``poly.pack`` refuses, the
-    sides are c(n) decoded (``poly.unpack``, q^s put back) and
-    h_q(n)."""
+    oracle h_q(n) is read from one ``h_q_range``, its entries packed once
+    per object (``poly._pack_each``): where h_q(n) packs to c(n) and
+    its lowest exponent is s, the number of ones of n, c(n) is both
+    sides.  Otherwise, a mismatch or an h_q(n) that ``poly.pack``
+    refuses, the sides are c(n) decoded (``poly.unpack``, q^s put back)
+    and h_q(n)."""
     if limit < 1:
         return
-    from .matrices import _pack_once
-
     w, claims = _packed_weights(limit)
-    memo: dict[int, LaurentPoly] = {}
-    packed = _pack_once(lambda n: h_q(n, memo), lambda p: pack(p, w))
+    hs = h_q_range(limit)
+    vs = _pack_each(hs, lambda p: pack(p, w))
     for n in range(1, limit + 1):
-        c, s = claims[n], n.bit_count()
-        p, v = packed(n)
-        if v == c and p._lo == s:
+        c, s, p = claims[n], n.bit_count(), hs[n + 1]
+        if vs[n + 1] == c and p._lo == s:
             yield c, c
         else:
             yield unpack(c, w, s), p

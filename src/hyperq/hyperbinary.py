@@ -43,7 +43,9 @@ So each recurrence, and the list D(n) itself, is one rule for
 ``stern.halving`` at n + 1, whose walk carries the pair F(m), F(m + 1)
 down the prefixes m of n + 1.  Memo dicts are caller owned, exactly as
 in stern, one table per recurrence and keyed by n + 1: an h_q memo is
-a fusc_q memo.
+a fusc_q memo.  ``h_q_range`` and ``h_rs_range`` list every value up to
+a limit, bottom up (``stern.halving_range``), indexed by n + 1 as the
+memos are.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 
-from .poly import BiPoly, LaurentPoly, qint, qpow
-from .stern import digit_rule, fusc, fusc_q, halving
+from .poly import ONE, ZERO, BiPoly, LaurentPoly, qint, qpow
+from .stern import _FUSC_Q_RULE, digit_rule, fusc, fusc_q, halving, halving_range
 
 Digits = tuple[int, ...]
 
@@ -308,6 +310,13 @@ def h_q(n: int, memo: dict[int, LaurentPoly] | None = None) -> LaurentPoly:
     return fusc_q(n + 1, memo)
 
 
+def h_q_range(limit: int) -> list[LaurentPoly]:
+    """[h_q(-1), h_q(0), ..., h_q(limit)], h_q(n) at index n + 1."""
+    if limit < -1:
+        raise ValueError("limit must be >= -1")
+    return halving_range(limit + 1, _FUSC_Q_RULE, ZERO, ONE)
+
+
 # F(0) and F(1) of the bivariate recurrences, built once
 _BI_ZERO = BiPoly.zero()
 _BI_ONE = BiPoly.one()
@@ -330,6 +339,15 @@ def h_rs(n: int, memo: dict[int, BiPoly] | None = None) -> BiPoly:
     if n < -1:
         raise ValueError("h_rs is defined for n >= -1")
     return halving(n + 1, _H_RS_RULE, _BI_ZERO, _BI_ONE, memo)
+
+
+def h_rs_range(limit: int) -> list[BiPoly]:
+    """[h_rs(-1), h_rs(0), ..., h_rs(limit)], h_rs(n) at index n + 1.
+    The even step returns its operand, so h_rs(2y - 1) is the object
+    h_rs(y - 1)."""
+    if limit < -1:
+        raise ValueError("limit must be >= -1")
+    return halving_range(limit + 1, _H_RS_RULE, _BI_ZERO, _BI_ONE)
 
 
 HBAR_NAMES = ("t", "s")

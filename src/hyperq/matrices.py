@@ -39,12 +39,13 @@ a range (``_packed_range``); ``m_of`` and ``m_prime_of`` take one per
 bit of n (``_packed_word``), with limit n and ``stern.fusc_width``.
 ``m_range``, ``m_prime_range``, ``m_of`` and ``m_prime_of`` decode
 every entry (``poly.unpack``, ``poly.unpack_bi``); the ``@`` fold of
-``word_of(n)`` is left to the tests.  The three range checks pack the
-oracle side instead, each distinct oracle object once (``_pack_once``),
-and compare integers: ``row_sum_checks`` packs the two h_q values of
+``word_of(n)`` is left to the tests.  The three range checks read the
+oracle side from one bottom-up range, ``hyperbinary.h_q_range`` or
+``h_rs_range``, pack each distinct object of it once (``_pack_each``)
+and compare integers: ``row_sum_checks`` reads the two h_q values of
 ``_row_sums_index(n)`` and ``entries_checks`` the four of
 ``_entries_index(n)``, each shifted by its monomial factor and q^z
-(``_h_q_packed``), and ``m_prime_checks`` packs (h_rs(n-1), h_rs(n))
+(``_h_q_at``), and ``m_prime_checks`` reads (h_rs(n-1), h_rs(n))
 (``poly.pack_bi``, one row of the ``BiPoly`` per K slots).  A match
 yields the packed integers as both sides.  A mismatch, or an oracle
 value that does not fit the packing (a coefficient outside [0, 256^w)
@@ -52,13 +53,15 @@ or an s-degree of K or more, for which ``poly.pack`` and ``pack_bi``
 return None, or a negative exponent after the shift), yields the two
 sides as polynomials instead, the packed side decoded:
 ``row_sums_formula(n)`` and the row sums of M(n), M(n) and
-``entries_formula(n)``, or the ``BiPoly`` pairs.
+``entries_formula(n)``, or the ``BiPoly`` pairs, the oracle read from
+the same range.
 """
 
 from __future__ import annotations
 
-from .hyperbinary import _BI_ONE, _BI_ZERO, _X1, _X2, _zeros, h_q, h_rs
-from .poly import BiPoly, LaurentPoly, ONE, ZERO, pack, pack_bi, qpow, slot_width, unpack, unpack_bi
+from .hyperbinary import _BI_ONE, _BI_ZERO, _X1, _X2, _zeros, h_q, h_q_range, h_rs, h_rs_range
+from .poly import (BiPoly, LaurentPoly, ONE, ZERO, _pack_each, pack, pack_bi, qpow, slot_width,
+                   unpack, unpack_bi)
 from .stern import fusc_range, fusc_width
 
 
@@ -238,55 +241,34 @@ def row_sum_check(n: int) -> tuple[tuple, tuple]:
     return row_sums_formula(n), m_of(n).column_sums_vector()
 
 
-def _pack_once(value, pack_one):
-    """n -> (v, pack_one(v)) for v = value(n), ``pack_one`` run once per
-    distinct object that ``value`` returns: a memoized recurrence hands
-    out one object per n, and some n share one (h_rs(2y-1) is the object
-    h_rs(y-1)).  The cache holds each value next to its packed form, so
-    no id is reused while it lives."""
-    cache: dict[int, tuple] = {}
-
-    def packed(n: int) -> tuple:
-        v = value(n)
-        hit = cache.get(id(v))
-        if hit is None:
-            hit = cache[id(v)] = v, pack_one(v)
-        return hit
-    return packed
-
-
-def _h_q_packed(w: int, memo: dict[int, LaurentPoly]):
-    """n, e -> q^e h_q(n) at q = 256^w, h_q(n) packed once
-    (``_pack_once``) and shifted per read; None where that integer would
-    not determine q^e h_q(n): a coefficient outside [0, 256^w), which
-    ``pack`` refuses, or a negative exponent after the q^e shift."""
-    bits = 8 * w
-    packed = _pack_once(lambda n: h_q(n, memo), lambda p: pack(p, w))
-
-    def at(n: int, e: int) -> int | None:
-        p, v = packed(n)
-        e += p._lo
-        return None if v is None or e < 0 else v << bits * e
-    return at
+def _h_q_at(hs: list, vs: list, bits: int, m: int, e: int) -> int | None:
+    """q^e h_q(m) at q = 2^bits, from ``hs = h_q_range`` and its entries
+    packed, ``vs``; None where that integer would not determine
+    q^e h_q(m): a coefficient outside [0, 2^bits), which ``pack``
+    refuses, or a negative exponent after the q^e shift."""
+    v, e = vs[m + 1], e + hs[m + 1]._lo
+    return None if v is None or e < 0 else v << bits * e
 
 
 def row_sum_checks(limit: int):
     """The two sides of ``row_sum_check(n)`` for n = 1..limit, in order:
     the packed pair of M~(n) (1,1)^T as both sides where the two h_q
     values of ``_row_sums_index(n)``, shifted by q^z as well, pack to it
-    (``_h_q_packed``), else ``row_sums_formula(n)`` and the row sums of
-    M(n), unpacked.  Nothing when limit < 1."""
+    (``_h_q_at``), else ``row_sums_formula(n)`` and the row sums of
+    M(n), unpacked.  The h_q values are read from one ``h_q_range``,
+    also on a failure.  Nothing when limit < 1."""
     if limit < 1:
         return
     w, ms = _m_packed(limit)
-    memo: dict[int, LaurentPoly] = {}
-    at = _h_q_packed(w, memo)
+    hs = h_q_range(limit)
+    vs, bits, memo = _pack_each(hs, lambda p: pack(p, w)), 8 * w, None
     for n in range(1, limit + 1):
         a, b, c, d = ms[n]
         sums, z = (a + b, c + d), _zeros(n)
-        if tuple([at(h, e + z) for h, e in _row_sums_index(n)]) == sums:
+        if tuple([_h_q_at(hs, vs, bits, m, e + z) for m, e in _row_sums_index(n)]) == sums:
             yield sums, sums
         else:
+            memo = memo or dict(enumerate(hs))
             yield row_sums_formula(n, memo), tuple(unpack(v, w, -z) for v in sums)
 
 
@@ -294,18 +276,24 @@ def entries_checks(limit: int):
     """The two sides of "M(n) equals ``entries_formula(n)``" for
     n = 2..limit, in order: the packed M~(n) as both sides where the four
     h_q values of ``_entries_index(n)``, shifted by q^z as well, pack to
-    it (``_h_q_packed``), else M(n), unpacked, and ``entries_formula(n)``.
+    it (``_h_q_at``), else M(n), unpacked, and ``entries_formula(n)``.
+    The h_q values are read from one ``h_q_range``, also on a failure.
+    The range ends at the largest m read.  Each m read for n is below
+    2^k, the top bit of n; with 2^K the top bit of the limit, the
+    largest is n' = n - 2^(K-1) at n = min(limit, 2^K + 2^(K-1) - 1).
     Nothing when limit < 2."""
     if limit < 2:
         return
     w, ms = _m_packed(limit)
-    memo: dict[int, LaurentPoly] = {}
-    at = _h_q_packed(w, memo)
+    top = 1 << (limit.bit_length() - 1)
+    hs = h_q_range(min(limit - top // 2, top - 1))
+    vs, bits, memo = _pack_each(hs, lambda p: pack(p, w)), 8 * w, None
     for n in range(2, limit + 1):
         m, z = ms[n], _zeros(n)
-        if tuple([at(h, e + z) for h, e in _entries_index(n)]) == m:
+        if tuple([_h_q_at(hs, vs, bits, h, e + z) for h, e in _entries_index(n)]) == m:
             yield m, m
         else:
+            memo = memo or dict(enumerate(hs))
             yield Mat2(*[unpack(v, w, -z) for v in m]), entries_formula(n, memo)
 
 
@@ -348,21 +336,19 @@ def m_prime_check(n: int) -> tuple[tuple, tuple]:
 def m_prime_checks(limit: int):
     """The two sides of ``m_prime_check(n)`` for n = 1..limit, in order:
     the packed pair of M'(n) (1,1)^T as both sides where (h_rs(n-1),
-    h_rs(n)) packs to it, else the two ``BiPoly`` pairs.  Each distinct
-    oracle object is packed once: the even step returns its operand, so
-    h_rs(2y-1) is the object h_rs(y-1), and up to 16,384 the 16,385
-    values are 8,193 objects.  Nothing when limit < 1."""
+    h_rs(n)) packs to it, else the two ``BiPoly`` pairs, all read from
+    one ``h_rs_range``.  Each distinct object of the range is packed
+    once (``_pack_each``): up to 16,384 its 16,385 values are 8,193
+    objects.  Nothing when limit < 1."""
     if limit < 1:
         return
     w, k, ms = _m_prime_packed(limit)
-    memo: dict[int, BiPoly] = {}
-    packed = _pack_once(lambda n: h_rs(n, memo), lambda v: pack_bi(v, w, k))
-    below = packed(0)[1]
+    hs = h_rs_range(limit)
+    vs = _pack_each(hs, lambda v: pack_bi(v, w, k))
     for n in range(1, limit + 1):
         a, b, c, d = ms[n]
         sums = a + b, c + d
-        top, below = below, packed(n)[1]
-        if (top, below) == sums:
+        if (vs[n], vs[n + 1]) == sums:
             yield sums, sums
         else:
-            yield (h_rs(n - 1, memo), h_rs(n, memo)), tuple(unpack_bi(v, w, k) for v in sums)
+            yield (hs[n], hs[n + 1]), tuple(unpack_bi(v, w, k) for v in sums)

@@ -18,16 +18,18 @@ Both recurrences are evaluated by one walk over the bits of n from
 the top, carrying the values at m and m + 1 for the prefix m read so
 far: ``_fusc_pair`` on integers, and ``halving`` for any rule of this
 shape.  Neither recurses, so n of thousands of bits is fine.
+``halving_range`` takes the same rule bottom up, every value of a range
+once, with no walk.
 
 ``_fusc_pair`` walks fusc_q too, on packed integers at q = 256^w (w from
 ``fusc_width``): fusc_q, cw_q and hyperbinary.h_q take that walk without
-a memo, and ``halving`` on ``LaurentPoly``, faster over a range, with one.
+a memo, and ``halving`` on ``LaurentPoly`` with one.
 
-Memo dicts are owned by the caller: verification sweeps pass one dict
-for the whole sweep and drop it afterwards, so repeated sweeps never
-share state and single calls stay allocation-light.  There is one memo
-table per recurrence: fusc_q, cw_q and hyperbinary.h_q all use the
-fusc_q table, keyed by the argument of fusc_q.
+Memo dicts are owned by the caller: a sweep that passes one uses one
+dict for the whole sweep and drops it afterwards, so repeated sweeps
+never share state and single calls stay allocation-light.  There is
+one memo table per recurrence: fusc_q, cw_q and hyperbinary.h_q all
+use the fusc_q table, keyed by the argument of fusc_q.
 """
 
 from __future__ import annotations
@@ -67,17 +69,8 @@ def fusc_width(n: int) -> int:
 
 
 def fusc_range(limit: int) -> list[int]:
-    """[fusc(0), ..., fusc(limit)] bottom up."""
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
-    out = [0] * (limit + 1)
-    if limit >= 1:
-        out[1] = 1
-    for n in range(1, limit // 2 + 1):
-        out[2 * n] = out[n]
-        if 2 * n + 1 <= limit:
-            out[2 * n + 1] = out[n] + out[n + 1]
-    return out
+    """[fusc(0), ..., fusc(limit)] bottom up (``halving_range``)."""
+    return halving_range(limit, _FUSC_RULE, 0, 1)
 
 
 def halving(n: int, rule, zero, one, memo: dict | None = None):
@@ -115,6 +108,18 @@ def halving(n: int, rule, zero, one, memo: dict | None = None):
     return f[n]
 
 
+def halving_range(limit: int, rule, zero, one) -> list:
+    """[F(0), ..., F(limit)] for the F of ``halving``, bottom up: one
+    ``rule(x, f)`` call per x >= 2, with the list so far as f, which
+    holds every value the rule reads."""
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+    f = [zero, one][:limit + 1]
+    for x in range(2, limit + 1):
+        f.append(rule(x, f))
+    return f
+
+
 def digit_rule(w0, w1, w2):
     """The ``halving`` rule F(2y) = w1 F(y), F(2y+1) = w0 F(y+1) + w2 F(y),
     where w_d weighs appending the digit d: with F(x) = f(x - 1), the
@@ -133,7 +138,8 @@ def digit_rule(w0, w1, w2):
     return rule
 
 
-#: fusc_q weighs each digit d by q^d
+#: fusc weighs each digit by 1, fusc_q each digit d by q^d
+_FUSC_RULE = digit_rule(1, 1, 1)
 _FUSC_Q_RULE = digit_rule(ONE, qpow(1), qpow(2))
 
 

@@ -11,16 +11,17 @@ the range form of ``fence.weight_check``, mnthm and mprime those of
 ``matrices.row_sum_checks`` and ``matrices.m_prime_checks``, the range
 forms of ``row_sum_check`` and ``m_prime_check``, and mnent those of
 ``matrices.entries_checks``, so each of those identities is written
-down in the library.  Those four range forms pack each oracle value
-once and compare integers, decoding the polynomials only for a
-failure, and yield nothing below their range; qrat and gg compare
-``RatFunc`` values, whose equality short-circuits two quotients of
-equal shape.  A bound
+down in the library.  Those four range forms read their oracle from one
+bottom-up range (``hyperbinary.h_q_range`` or ``h_rs_range``), pack
+each of its objects once and compare integers, decoding the
+polynomials only for a failure, and yield nothing below their range;
+qrat and gg compare ``RatFunc`` values, whose equality short-circuits
+two quotients of equal shape.  A bound
 above ``sys.maxsize`` (2^63 - 1 on a 64-bit build) raises
 ``OverflowError`` before any check: no range or list can have that
 many entries.  Sweeps are single threaded and iterate in increasing
-order, so reports are deterministic; each owns private memo dicts, one
-per memoized function.
+order, so reports are deterministic.  Each builds its own state: a
+range, or private memo dicts, one per memoized function.
 
 ``hbar`` deserves a word: the literal halving recurrence usually quoted
 for the (ones, twos) generating function drops a factor in the odd case

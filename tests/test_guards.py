@@ -15,6 +15,8 @@ GUARDS = [
     (hb.h_count, -1, "n must be >= 0"),
     (hb.h_rs, -2, "h_rs is defined for n >= -1"),
     (hb.hbar_st, -2, "hbar_st is defined for n >= -1"),
+    (hb.h_q_range, -2, "limit must be >= -1"),
+    (hb.h_rs_range, -2, "limit must be >= -1"),
     (hb.h_q_closed_form, -1, "n must be >= 0"),
     (hb.h_q_closed_form_applies, -1, "n must be >= 0"),
     (hb.min_element, -1, "n must be >= 0"),

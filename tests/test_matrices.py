@@ -144,6 +144,18 @@ def _dense(p: LaurentPoly) -> tuple:
     return p._lo, p._c
 
 
+def test_entries_checks_build_h_q_as_far_as_they_read(monkeypatch):
+    """``entries_checks(limit)`` asks ``h_q_range`` for the largest m
+    that ``_entries_index(n)`` reads for some n <= limit, no further."""
+    asked, real = [], mx.h_q_range
+    monkeypatch.setattr(mx, "h_q_range", lambda limit: asked.append(limit) or real(limit))
+    reach = 0
+    for limit in range(2, 400):
+        reach = max(reach, *(m for m, _ in mx._entries_index(limit)))
+        assert len(list(entries_checks(limit))) == limit - 1
+        assert asked.pop() == reach, limit
+
+
 @pytest.mark.parametrize("limit", PACKING_LIMITS)
 def test_packed_ranges_match_word_products_where_the_packing_changes(limit):
     """Each range decodes its packed products with the slot width and K

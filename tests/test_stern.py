@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperq import hyperbinary as hb
 from hyperq.hyperbinary import h_count, h_q, h_q_enum
-from hyperq.poly import LaurentPoly, RatFunc
-from hyperq.stern import cw, cw_q, digit_rule, fusc, fusc_q, fusc_range, halving
+from hyperq.poly import ONE, ZERO, LaurentPoly, RatFunc
+from hyperq.stern import (_FUSC_Q_RULE, _FUSC_RULE, cw, cw_q, digit_rule, fusc, fusc_q, fusc_range,
+                          halving, halving_range)
 
 
 def _poly(*exps_coeffs: tuple[int, int]) -> LaurentPoly:
@@ -225,6 +227,40 @@ def test_digit_rule_with_unit_weights_is_fusc():
         assert halving(n, rule, 0, 1, memo) == halving(n, rule, 0, 1) == fusc(n)
     n = 2**1100 + 2**551 + 3
     assert halving(n, rule, 0, 1) == fusc(n)
+
+
+#: every halving rule of the package, with its F(0) and F(1)
+RULES = {
+    "fusc": (_FUSC_RULE, 0, 1),
+    "fusc_q": (_FUSC_Q_RULE, ZERO, ONE),
+    "h_rs": (hb._H_RS_RULE, hb._BI_ZERO, hb._BI_ONE),
+    "hbar_st": (hb._HBAR_ST_RULE, hb._BI_ZERO, hb._BI_ONE),
+    "expansions": (hb._expansions_rule, (), (b"",)),
+}
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4097])
+@pytest.mark.parametrize("name", RULES)
+def test_halving_range_matches_halving(name, limit):
+    """``halving_range`` lists what ``halving`` returns at each x up to
+    the limit, calling the rule once per x >= 2, in increasing order."""
+    rule, zero, one = RULES[name]
+    calls = []
+
+    def counted(x, f):
+        calls.append(x)
+        return rule(x, f)
+
+    memo = {}
+    assert halving_range(limit, counted, zero, one) == [
+        halving(x, rule, zero, one, memo) for x in range(limit + 1)]
+    assert calls == list(range(2, limit + 1))
+
+
+def test_halving_range_refuses_a_negative_limit():
+    with pytest.raises(ValueError) as info:
+        halving_range(-1, _FUSC_Q_RULE, ZERO, ONE)
+    assert str(info.value) == "limit must be >= 0"
 
 
 def test_fusc_q_past_the_recursion_limit():

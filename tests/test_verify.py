@@ -275,6 +275,20 @@ def _plant_packed(monkeypatch, name, at, entry=None, slot=0, module=mx):
     monkeypatch.setattr(module, name, planted)
 
 
+def _plant_range(monkeypatch, module, name, at, change):
+    """``module.name``, a range indexed by n + 1 (``hb.h_q_range``,
+    ``hb.h_rs_range``), with ``change`` applied to the value of n = at
+    alone, entry at + 1, after the whole range is built."""
+    real = getattr(module, name)
+
+    def planted(limit):
+        out = real(limit)
+        out[at + 1] = change(out[at + 1])
+        return out
+
+    monkeypatch.setattr(module, name, planted)
+
+
 def _plant_stream(monkeypatch, at, change):
     """``hb.expansions_upto`` with ``change`` applied to D(at) alone."""
     real = hb.expansions_upto
@@ -337,7 +351,7 @@ PLANTS = {
     # read as c, a, d and b
     "mnent-claim": ("mnent", 16, 15, lambda mp: _plant_packed(mp, "_m_packed", 6, 0, slot=2),
                     [("6", "2q | 1 | q | q^-1 + 1", "q | 1 | q | q^-1 + 1")]),
-    "mnent-oracle": ("mnent", 16, 15, lambda mp: _plant(mp, mx, "h_q", (6,), _up),
+    "mnent-oracle": ("mnent", 16, 15, lambda mp: _plant_range(mp, mx, "h_q_range", 6, _up),
                      _mnent_h6("1 + q + q^2", "q + q^2 + q^3")),
     # claim side: the lowest slot of the packed q^-2 h_q_fence(5), a
     # per-n value (n = 2 has the same fence, "1", and the same scan
@@ -345,13 +359,13 @@ PLANTS = {
     "weightbij-claim": ("weightbij", 8, 8,
                         lambda mp: _plant_packed(mp, "_packed_weights", 5, module=fe),
                         [("5", "2q^2 + q^3", "q^2 + q^3")]),
-    "weightbij-oracle": ("weightbij", 8, 8, lambda mp: _plant(mp, fe, "h_q", (6,), _up),
+    "weightbij-oracle": ("weightbij", 8, 8, lambda mp: _plant_range(mp, fe, "h_q_range", 6, _up),
                          [("6", "q^2 + q^3 + q^4", "q^3 + q^4 + q^5")]),
     # h_q(6) = q^2 + q^3 + q^4 with 256 q^2 in place of q^3: it packs to
     # the true value at q = 256, but ``pack`` refuses it, so n = 6 is
     # compared as LaurentPoly, the packed claim decoded
     "weightbij-coefficient": ("weightbij", 8, 8,
-                              lambda mp: _plant(mp, fe, "h_q", (6,), _q_plus({2: 256, 3: -1})),
+                              lambda mp: _plant_range(mp, fe, "h_q_range", 6, _q_plus({2: 256, 3: -1})),
                               [("6", "q^2 + q^3 + q^4", "257q^2 + q^4")]),
     # claim side: the last digit of 1010 in D(10) up by one; oracle side:
     # the bottom of D(10), 0122, replaced by 0202, one cover above it
@@ -400,36 +414,40 @@ PLANTS = {
                      [("6", "(s + r, s + r s + r^2)", "(s + r, 1 + s + r s + r^2)")]),
     # oracle side of the packed matrix sweeps: h_q(6) and h_rs(6), which
     # n = 6 reads as its bottom row sum and n = 7 as its top one
-    "mnthm-oracle": ("mnthm", 8, 8, lambda mp: _plant(mp, mx, "h_q", (6,), _one_more),
+    "mnthm-oracle": ("mnthm", 8, 8, lambda mp: _plant_range(mp, mx, "h_q_range", 6, _one_more),
                      [("6", "(1 + q, 2q^-1 + 1 + q)", "(1 + q, q^-1 + 1 + q)"),
                       ("7", "(2 + q + q^2, 1)", "(1 + q + q^2, 1)")]),
-    "mprime-oracle": ("mprime", 8, 8, lambda mp: _plant(mp, mx, "h_rs", (6,), _bi_plus({(0, 1): 1})),
+    "mprime-oracle": ("mprime", 8, 8,
+                      lambda mp: _plant_range(mp, mx, "h_rs_range", 6, _bi_plus({(0, 1): 1})),
                       [("6", "(s + r, 2s + r s + r^2)", "(s + r, s + r s + r^2)"),
                        ("7", "(2s + r s + r^2, 1)", "(s + r s + r^2, 1)")]),
     # oracle values that break the packing of M'(n) up to 8 (s = X = 256,
     # r = X^5) yet pack to the true value: r s^5 for r^2, 256 r for r s,
     # and s^2 - 256 s added; each n that reads one is compared as BiPoly
     "mprime-s-degree": ("mprime", 8, 8,
-                        lambda mp: _plant(mp, mx, "h_rs", (6,), _bi_plus({(1, 5): 1, (2, 0): -1})),
+                        lambda mp: _plant_range(mp, mx, "h_rs_range", 6,
+                                                _bi_plus({(1, 5): 1, (2, 0): -1})),
                         [("6", "(s + r, s + r s + r s^5)", "(s + r, s + r s + r^2)"),
                          ("7", "(s + r s + r s^5, 1)", "(s + r s + r^2, 1)")]),
     "mprime-coefficient": ("mprime", 8, 8,
-                           lambda mp: _plant(mp, mx, "h_rs", (6,),
-                                             _bi_plus({(1, 0): 256, (1, 1): -1})),
+                           lambda mp: _plant_range(mp, mx, "h_rs_range", 6,
+                                                   _bi_plus({(1, 0): 256, (1, 1): -1})),
                            [("6", "(s + r, s + 256r + r^2)", "(s + r, s + r s + r^2)"),
                             ("7", "(s + 256r + r^2, 1)", "(s + r s + r^2, 1)")]),
     "mprime-negative": ("mprime", 8, 8,
-                        lambda mp: _plant(mp, mx, "h_rs", (6,), _bi_plus({(0, 2): 1, (0, 1): -256})),
+                        lambda mp: _plant_range(mp, mx, "h_rs_range", 6,
+                                                _bi_plus({(0, 2): 1, (0, 1): -256})),
                         [("6", "(s + r, -255s + s^2 + r s + r^2)", "(s + r, s + r s + r^2)"),
                          ("7", "(-255s + s^2 + r s + r^2, 1)", "(s + r s + r^2, 1)")]),
     # negative exponents: r^2 s^-4 sits in the slot of r s (2*5 - 4 = 6),
     # so it packs to the true value; r^-1 has no slot at all
     "mprime-negative-s": ("mprime", 8, 8,
-                          lambda mp: _plant(mp, mx, "h_rs", (6,), _bi_plus({(2, -4): 1, (1, 1): -1})),
+                          lambda mp: _plant_range(mp, mx, "h_rs_range", 6,
+                                                  _bi_plus({(2, -4): 1, (1, 1): -1})),
                           [("6", "(s + r, s + r^2 s^-4 + r^2)", "(s + r, s + r s + r^2)"),
                            ("7", "(s + r^2 s^-4 + r^2, 1)", "(s + r s + r^2, 1)")]),
     "mprime-negative-r": ("mprime", 8, 8,
-                          lambda mp: _plant(mp, mx, "h_rs", (6,), _bi_plus({(-1, 2): 1})),
+                          lambda mp: _plant_range(mp, mx, "h_rs_range", 6, _bi_plus({(-1, 2): 1})),
                           [("6", "(s + r, r^-1 s^2 + s + r s + r^2)", "(s + r, s + r s + r^2)"),
                            ("7", "(r^-1 s^2 + s + r s + r^2, 1)", "(s + r s + r^2, 1)")]),
     # h_q(6) = q^2 + q^3 + q^4 changed so that it no longer fits the
@@ -438,20 +456,24 @@ PLANTS = {
     # that reads h_q(6) shifts below q^0 (by q^-1 or q^-2), so a packing
     # that dropped the slots below q^0 would match.  Each n that reads
     # one is compared as LaurentPoly
-    "mnthm-coefficient": ("mnthm", 8, 8, lambda mp: _plant(mp, mx, "h_q", (6,), _q_plus({2: 256, 3: -1})),
+    "mnthm-coefficient": ("mnthm", 8, 8,
+                          lambda mp: _plant_range(mp, mx, "h_q_range", 6, _q_plus({2: 256, 3: -1})),
                           [("6", "(1 + q, 257q^-1 + q)", "(1 + q, q^-1 + 1 + q)"),
                            ("7", "(257 + q^2, 1)", "(1 + q + q^2, 1)")]),
-    "mnthm-negative": ("mnthm", 8, 8, lambda mp: _plant(mp, mx, "h_q", (6,), _q_plus({2: -256, 3: 1})),
+    "mnthm-negative": ("mnthm", 8, 8,
+                       lambda mp: _plant_range(mp, mx, "h_q_range", 6, _q_plus({2: -256, 3: 1})),
                        [("6", "(1 + q, -255q^-1 + 2 + q)", "(1 + q, q^-1 + 1 + q)"),
                         ("7", "(-255 + 2q + q^2, 1)", "(1 + q + q^2, 1)")]),
-    "mnthm-negative-q": ("mnthm", 8, 8, lambda mp: _plant(mp, mx, "h_q", (6,), _q_plus({0: 1})),
+    "mnthm-negative-q": ("mnthm", 8, 8, lambda mp: _plant_range(mp, mx, "h_q_range", 6, _q_plus({0: 1})),
                          [("6", "(1 + q, q^-3 + q^-1 + 1 + q)", "(1 + q, q^-1 + 1 + q)"),
                           ("7", "(q^-2 + 1 + q + q^2, 1)", "(1 + q + q^2, 1)")]),
-    "mnent-coefficient": ("mnent", 16, 15, lambda mp: _plant(mp, mx, "h_q", (6,), _q_plus({2: 256, 3: -1})),
+    "mnent-coefficient": ("mnent", 16, 15,
+                          lambda mp: _plant_range(mp, mx, "h_q_range", 6, _q_plus({2: 256, 3: -1})),
                           _mnent_h6("257q^-1 + q", "257 + q^2")),
-    "mnent-negative": ("mnent", 16, 15, lambda mp: _plant(mp, mx, "h_q", (6,), _q_plus({2: -256, 3: 1})),
+    "mnent-negative": ("mnent", 16, 15,
+                       lambda mp: _plant_range(mp, mx, "h_q_range", 6, _q_plus({2: -256, 3: 1})),
                        _mnent_h6("-255q^-1 + 2 + q", "-255 + 2q + q^2")),
-    "mnent-negative-q": ("mnent", 16, 15, lambda mp: _plant(mp, mx, "h_q", (6,), _q_plus({0: 1})),
+    "mnent-negative-q": ("mnent", 16, 15, lambda mp: _plant_range(mp, mx, "h_q_range", 6, _q_plus({0: 1})),
                          _mnent_h6("q^-3 + q^-1 + 1 + q", "q^-2 + 1 + q + q^2")),
 }
 
@@ -485,6 +507,7 @@ def test_weightbij_report_matches_the_per_n_route(monkeypatch):
         monkeypatch.undo()
         if change is not None:
             _plant(monkeypatch, fe, "h_q", (6,), change)
+            _plant_range(monkeypatch, fe, "h_q_range", 6, change)
         ranged = run_verify("weightbij", 4096)
         monkeypatch.setattr(verify_module, "weight_checks", per_n)
         assert snap(ranged) == snap(run_verify("weightbij", 4096))
@@ -498,6 +521,34 @@ def test_weightbij_takes_the_packed_path_at_its_default_bound():
     sides = list(fe.weight_checks(limit))
     assert len(sides) == limit == 16_384
     assert all(type(e) is int and e is a for e, a in sides)
+
+
+@pytest.mark.parametrize("name,checks,count", [
+    ("mnthm", mx.row_sum_checks, 16_384),
+    ("mnent", mx.entries_checks, 16_383),
+    ("mprime", mx.m_prime_checks, 16_384),
+])
+def test_matrix_sweeps_take_the_packed_path_at_their_default_bound(name, checks, count):
+    """Every check of ``verify mnthm``, ``mnent`` and ``mprime`` to
+    16,384 compares integers: both sides are the one tuple of packed
+    integers from the claim."""
+    sides = list(checks(REGISTRY[name][1]))
+    assert len(sides) == count
+    assert all(e is a and all(type(v) is int for v in e) for e, a in sides)
+
+
+def test_mprime_packs_a_planted_entry_on_its_own(monkeypatch):
+    """In a true range h_rs(13) is the object h_rs(6); an entry h_rs(6)
+    planted in the range fails n = 6 and 7, which read it, and not
+    n = 13 and 14, which read h_rs(13) and stay on the packed path."""
+    hs = hb.h_rs_range(16)
+    assert hs[14] is hs[7]
+    _plant_range(monkeypatch, mx, "h_rs_range", 6, _bi_plus({(0, 1): 1}))
+    (rep,) = run_verify("mprime", 16)
+    assert rep.checked == 16
+    assert [where for where, _, _ in rep.failures] == ["6", "7"]
+    sides = list(mx.m_prime_checks(16))
+    assert [n for n, (e, a) in enumerate(sides, 1) if e is not a] == [6, 7]
 
 
 def _scaled(num, den):
