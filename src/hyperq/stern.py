@@ -129,7 +129,7 @@ def digit_rule(w0, w1, w2):
     one is the other operand itself, so with w1 = 1 F(2y) is the object
     F(y)."""
 
-    def rule(x: int, f: dict):
+    def rule(x: int, f: dict | list):
         half = x >> 1
         if x & 1:
             return w0 * f[half + 1] + w2 * f[half]
