@@ -43,9 +43,13 @@ So each recurrence, and the list D(n) itself, is one rule for
 ``stern.halving`` at n + 1, whose walk carries the pair F(m), F(m + 1)
 down the prefixes m of n + 1.  Memo dicts are caller owned, exactly as
 in stern, one table per recurrence and keyed by n + 1: an h_q memo is
-a fusc_q memo.  ``h_q_range`` and ``h_rs_range`` list every value up to
-a limit, bottom up (``stern.halving_range``), indexed by n + 1 as the
-memos are.
+a fusc_q memo.  ``h_q_range``, ``h_rs_range`` and ``hbar_st_range``
+list every value up to a limit, bottom up (``stern.halving_range``),
+indexed by n + 1 as the memos are.  ``_packed_tallies`` sums a
+listing's tallies as integers, each polynomial at q = 2^bits (for the
+bivariate ones, the second variable at 2^bits and the first at
+2^(16 bits)), which the ``hrs`` and ``hbar`` sweeps compare with the
+packed ranges.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
+from operator import lshift
 
 from .poly import ONE, ZERO, BiPoly, LaurentPoly, qint, qpow
 from .stern import _FUSC_Q_RULE, digit_rule, fusc, fusc_q, halving, halving_range
@@ -220,7 +225,10 @@ def stats(d: Digits) -> dict[str, int]:
 # string's weights with one product and counts the sums with one
 # Counter: a fixed number of C calls per listing, which covers the D(n)
 # stream for every 0 < n < 2^15.  Any other listing takes the general
-# path, C passes that call ``bytes`` methods once per string.
+# path, C passes that call ``bytes`` methods once per string.  The
+# ``*_enum`` tallies lay the Counter out as a polynomial;
+# ``_packed_tallies`` sums it as one integer instead, and checks the
+# listing once for several tables.
 
 #: a weight x + _BASE y holds two digit counts x, y <= k < _BASE, and k
 #: weights of at most _BASE each sum to less than 256.  Each table
@@ -232,8 +240,20 @@ _RS_LEAD = bytes((0, 0, _BASE)).ljust(256, b"\0")  # a leading zero is free
 _HBAR_WEIGHTS = bytes((0, 1, _BASE)).ljust(256, b"\0")  # p1 + _BASE p2
 
 
+def _stride(strings: Sequence[bytes], joined: bytes) -> int:
+    """k when every string has the one length 0 < k < _BASE and only
+    the digits 0, 1, 2, so that ``_window_sums`` can read the listing;
+    else 0 (a _SEP off the stride, or a byte that is no digit)."""
+    m = len(strings)
+    k = (len(joined) + 1) // m - 1 if m else 0
+    if (0 < k < _BASE and len(joined) == m * (k + 1) - 1
+            and joined.translate(None, b"\0\1\2") == joined[k::k + 1] == _SEP * (m - 1)):
+        return k
+    return 0
+
+
 def _window_sums(strings: Sequence[bytes], joined: bytes, table: bytes,
-                 lead: bytes | None = None) -> Counter | None:
+                 lead: bytes | None = None, k: int | None = None) -> Counter | None:
     """The Counter of the strings' weights, each the sum of ``table``
     over its digits (of ``lead`` on its first digit when given), or None
     when the listing needs the general path.  The weights of ``joined``,
@@ -241,13 +261,11 @@ def _window_sums(strings: Sequence[bytes], joined: bytes, table: bytes,
     in each byte the sum of the k bytes up to it, at byte
     j (k + 1) + k - 1 string j's sum; no k weights reach 256, so no byte
     carries.  ``lead`` frees one leading zero, so two or more take the
-    general path."""
-    m = len(strings)
-    k = (len(joined) + 1) // m - 1 if m else 0
-    if not (0 < k < _BASE and len(joined) == m * (k + 1) - 1
-            and joined.translate(None, b"\0\1\2") == joined[k::k + 1] == _SEP * (m - 1)):
-        return None  # a _SEP off the stride, or a byte that is no digit
-    if lead is not None and (joined.startswith(b"\0\0") or _SEP + b"\0\0" in joined):
+    general path.  ``k`` is ``_stride(strings, joined)``, passed by a
+    caller that tallies one listing more than once."""
+    if k is None:
+        k = _stride(strings, joined)
+    if not k or lead is not None and (joined.startswith(b"\0\0") or _SEP + b"\0\0" in joined):
         return None
     weights = joined.translate(table)
     if lead is not None:
@@ -255,6 +273,24 @@ def _window_sums(strings: Sequence[bytes], joined: bytes, table: bytes,
         weights[::k + 1] = joined[::k + 1].translate(lead)
     sums = int.from_bytes(weights, "little") * ((256 ** k - 1) // 255)
     return Counter(sums.to_bytes(len(joined) + k, "little")[k - 1::k + 1])
+
+
+def _packed_tallies(elems: Sequence, bits: int, *tables) -> list[int | None]:
+    """The tallies of one listing, one per (table, lead) pair of
+    ``tables`` as ``_window_sums`` takes them, each summed as an integer:
+    sum of c 2^(bits w) over its {w: c}, the polynomial of ``h_q_enum``
+    at q = 2^bits, or of ``h_rs_enum`` or ``hbar_st_enum`` at
+    s = 2^bits, r = t = 2^(bits _BASE).  The listing is joined and
+    checked once for them all.  None for a tally on the general path,
+    and for all of them when the listing has 2^bits strings or more, so
+    that a count could leave its slot."""
+    strings, joined = _as_bytes(elems)
+    k = 0 if len(strings) >> bits else _stride(strings, joined)
+    out = []
+    for table, lead in tables:
+        sums = _window_sums(strings, joined, table, lead, k)
+        out.append(None if sums is None else sum(map(lshift, sums.values(), map(bits.__mul__, sums))))
+    return out
 
 
 def h_q_enum(n: int, elems: Sequence | None = None) -> LaurentPoly:
@@ -362,6 +398,14 @@ def hbar_st(n: int, memo: dict[int, BiPoly] | None = None) -> BiPoly:
     if n < -1:
         raise ValueError("hbar_st is defined for n >= -1")
     return halving(n + 1, _HBAR_ST_RULE, _BI_ZERO, _BI_ONE, memo)
+
+
+def hbar_st_range(limit: int) -> list[BiPoly]:
+    """[hbar_st(-1), hbar_st(0), ..., hbar_st(limit)], hbar_st(n) at
+    index n + 1."""
+    if limit < -1:
+        raise ValueError("limit must be >= -1")
+    return halving_range(limit + 1, _HBAR_ST_RULE, _BI_ZERO, _BI_ONE)
 
 
 def h_q_closed_form(n: int) -> LaurentPoly:

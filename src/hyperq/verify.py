@@ -14,9 +14,13 @@ forms of ``row_sum_check`` and ``m_prime_check``, and mnent those of
 down in the library.  Those four range forms read their oracle from one
 bottom-up range (``hyperbinary.h_q_range`` or ``h_rs_range``), pack
 each of its objects once and compare integers, decoding the
-polynomials only for a failure, and yield nothing below their range;
-qrat and gg compare ``RatFunc`` values, whose equality short-circuits
-two quotients of equal shape.  A bound
+polynomials only for a failure, and yield nothing below their range.
+hrs and hbar do the same with their tallies over D(n): each is summed
+as one integer and compared with one packed entry of ``h_q_range``,
+``h_rs_range`` or ``hbar_st_range``, and the polynomials are built
+only for a failure or a listing off the window sums' path (D(0), and
+every D(n) with n >= 2^15).  qrat and gg compare ``RatFunc`` values,
+whose equality short-circuits two quotients of equal shape.  A bound
 above ``sys.maxsize`` (2^63 - 1 on a 64-bit build) raises
 ``OverflowError`` before any check: no range or list can have that
 many entries.  Sweeps are single threaded and iterate in increasing
@@ -43,7 +47,7 @@ from . import matrices as mx
 from . import qrational as qr
 from . import stern
 from .fence import iso_check, weight_checks
-from .poly import BiPoly, LaurentPoly, RatFunc
+from .poly import BiPoly, LaurentPoly, RatFunc, _pack_each, pack, pack_bi, slot_width
 
 Failure = tuple[str, str, str]  # where, expected, actual
 
@@ -192,22 +196,55 @@ def verify_mprime(max_n):
         yield str(n), *sides
 
 
+def _tally_width(max_n: int) -> int:
+    """The slot width w for the tallies over D(0), ..., D(max_n): each
+    coefficient counts expansions, so it is at most |D(n)| = fusc(n + 1)."""
+    return slot_width(max(stern.fusc_range(max_n + 1)))
+
+
+def _pack_at_lo(p: LaurentPoly, w: int) -> int | None:
+    """p at q = 256^w, its q^lo kept: ``pack`` shifted by lo; None where
+    ``pack`` refuses p or lo is negative."""
+    v = pack(p, w)
+    return None if v is None or p._lo < 0 else v << 8 * w * p._lo
+
+
+def _tally_check(n: int, tally: int | None, packed: int | None, enum, elems, value):
+    """One check of a tally over D(n) = elems against ``value``: the
+    packed tally as both sides where it is the packed value, else
+    ``enum(n, elems)`` and ``value``, so a failure renders polynomials."""
+    if tally is not None and tally == packed:
+        return str(n), tally, tally
+    return str(n), enum(n, elems), value
+
+
 @_sweep(4096, lo=0)
 def verify_hrs(max_n):
     """Enumeration equals recurrence for h_q and h_rs, and the closed
     forms match enumeration on every applicable n in range.  D(n) comes
     from one ``expansions_upto`` stream for the sweep, its strings as
-    bytes; per n ``h_q_enum`` counts each string's digit sum and
-    ``h_rs_enum`` its twos and nonleading zeros, each in a fixed number
-    of C calls over the joined listing, and hbar_st is not tallied."""
-    hq_memo: dict[int, LaurentPoly] = {}
-    hrs_memo: dict[int, BiPoly] = {}
+    bytes, joined and checked once per n; ``hb._packed_tallies`` sums
+    each string's digit sum, and its twos and nonleading zeros, as
+    integers, each in a fixed number of C calls over the joined
+    listing, and hbar_st is not tallied.  The recurrences come from one
+    ``h_q_range`` and ``h_rs_range``, each distinct object packed once
+    at the slot width of the largest |D(n)|; a tally that is not its
+    packed value, or that either side cannot pack, is compared as the
+    polynomial of ``h_q_enum`` or ``h_rs_enum``, as is the closed form."""
+    if max_n < 0:
+        return
+    w = _tally_width(max_n)
+    hq, hrs = hb.h_q_range(max_n), hb.h_rs_range(max_n)
+    vq = _pack_each(hq, lambda p: _pack_at_lo(p, w))
+    vrs = _pack_each(hrs, lambda p: pack_bi(p, w, hb._BASE))
+    tables = (hb._HQ_WEIGHTS, None), (hb._RS_WEIGHTS, hb._RS_LEAD)
     for n, elems in enumerate(hb.expansions_upto(max_n)):
-        hq_enum = hb.h_q_enum(n, elems)
-        yield str(n), hq_enum, hb.h_q(n, hq_memo)
-        yield str(n), hb.h_rs_enum(n, elems), hb.h_rs(n, hrs_memo)
+        tq, trs = hb._packed_tallies(elems, 8 * w, *tables)
+        yield _tally_check(n, tq, vq[n + 1], hb.h_q_enum, elems, hq[n + 1])
+        yield _tally_check(n, trs, vrs[n + 1], hb.h_rs_enum, elems, hrs[n + 1])
         if hb.h_q_closed_form_applies(n):
-            yield str(n), hq_enum, hb.h_q_closed_form(n)
+            closed = hb.h_q_closed_form(n)
+            yield _tally_check(n, tq, _pack_at_lo(closed, w), hb.h_q_enum, elems, closed)
 
 
 @_sweep(50, kind="r,s")
@@ -258,14 +295,27 @@ def verify_hbar(max_n):
     recurrence readings are diagnosed in the notes.  One check per n
     compares (enumeration, h_q) with (recurrence, its specialization).
     D(n) comes from one ``expansions_upto`` stream for the sweep, its
-    strings as bytes, and its tally is ``hbar_st_enum`` alone (each
-    string's ones and twos, counted in a fixed number of C calls over
-    the joined listing); h_q comes from the recurrence."""
-    hq_memo: dict[int, LaurentPoly] = {}
-    hbar_memo: dict[int, BiPoly] = {}
+    strings as bytes; ``hb._packed_tallies`` sums each string's ones and
+    twos as an integer, in a fixed number of C calls over the joined
+    listing.  The recurrence comes from one ``hbar_st_range``, each
+    value packed once at the slot width of the largest |D(n)|, and h_q
+    from one ``h_q_range``.  Where the tally is the packed recurrence
+    and the specialization is h_q, the packed tally is both sides; else
+    the tally is compared as the polynomial of ``hbar_st_enum``."""
+    if max_n < 0:
+        return
+    w = _tally_width(max_n)
+    hq, hbar = hb.h_q_range(max_n), hb.hbar_st_range(max_n)
+    vs = _pack_each(hbar, lambda p: pack_bi(p, w, hb._BASE))
+    table = hb._HBAR_WEIGHTS, None
     for n, elems in enumerate(hb.expansions_upto(max_n)):
-        rec = hb.hbar_st(n, hbar_memo)
-        yield str(n), (hb.hbar_st_enum(n, elems), hb.h_q(n, hq_memo)), (rec, rec.specialize(2, 1))
+        (tally,) = hb._packed_tallies(elems, 8 * w, table)
+        rec = hbar[n + 1]
+        spec = rec.specialize(2, 1)
+        if tally is not None and tally == vs[n + 1] and spec == hq[n + 1]:
+            yield str(n), tally, tally
+        else:
+            yield str(n), (hb.hbar_st_enum(n, elems), hq[n + 1]), (rec, spec)
 
 
 def run_verify(name: str, max_n: int | None = None) -> list[VerifyReport]:

@@ -17,6 +17,7 @@ GUARDS = [
     (hb.hbar_st, -2, "hbar_st is defined for n >= -1"),
     (hb.h_q_range, -2, "limit must be >= -1"),
     (hb.h_rs_range, -2, "limit must be >= -1"),
+    (hb.hbar_st_range, -2, "limit must be >= -1"),
     (hb.h_q_closed_form, -1, "n must be >= 0"),
     (hb.h_q_closed_form_applies, -1, "n must be >= 0"),
     (hb.min_element, -1, "n must be >= 0"),

@@ -395,14 +395,15 @@ def test_h_rs_examples_and_recurrence():
 
 @pytest.mark.parametrize("limit", [-1, 0, 4096])
 def test_h_q_and_h_rs_ranges_match_the_per_n_values(limit):
-    """``h_q_range`` and ``h_rs_range`` hold h(n) at index n + 1 for
-    every n from -1 to the limit: h_q against its packed walk, h_rs
-    against ``halving`` with no memo."""
-    hq, hrs = hb.h_q_range(limit), hb.h_rs_range(limit)
-    assert len(hq) == len(hrs) == limit + 2
+    """``h_q_range``, ``h_rs_range`` and ``hbar_st_range`` hold h(n) at
+    index n + 1 for every n from -1 to the limit: h_q against its packed
+    walk, h_rs and hbar_st against ``halving`` with no memo."""
+    hq, hrs, hbar = hb.h_q_range(limit), hb.h_rs_range(limit), hb.hbar_st_range(limit)
+    assert len(hq) == len(hrs) == len(hbar) == limit + 2
     for n in range(-1, limit + 1):
         assert hq[n + 1] == h_q(n)
         assert hrs[n + 1] == h_rs(n)
+        assert hbar[n + 1] == hbar_st(n)
 
 
 def test_hbar_examples_recurrence_and_specialization():

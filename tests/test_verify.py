@@ -1,5 +1,7 @@
 """The verification sweeps: registry, reports, determinism."""
 
+from collections import Counter
+
 import pytest
 
 import hyperq.fence as fe
@@ -150,24 +152,36 @@ def test_runner_counts_and_renders_failures(monkeypatch):
     assert rep.failures[0] == ("1", "0", "q")
     assert len(rep.failures) == 3
 
-    # hbar: one check per n, both sides rendered as pairs
-    monkeypatch.setattr(hb, "hbar_st_enum", lambda n, *_: BiPoly.zero())
+    # hbar: one check per n, both sides rendered as pairs; every tally
+    # empty, so each packed one is 0 and each fallback polynomial zero
+    monkeypatch.setattr(hb, "_window_sums", lambda *_: Counter())
     (rep,) = run_verify("hbar", 1)
     assert rep.checked == 2
     assert rep.failures == [("0", "(0, 1)", "(1, 1)"), ("1", "(0, q)", "(s, q)")]
+
+
+def _empty_sums(monkeypatch, table):
+    """``hb._window_sums`` with the tally under ``table`` empty for every
+    listing: the packed tally 0, and the polynomial built from it zero."""
+    real = hb._window_sums
+
+    def planted(strings, joined, tab, *rest):
+        return Counter() if tab is table else real(strings, joined, tab, *rest)
+
+    monkeypatch.setattr(hb, "_window_sums", planted)
 
 
 def test_hrs_compares_its_tallies_with_the_recurrences(monkeypatch):
     """hrs reads its enumeration side through the module's tallies, so a
     wrong tally fails against the recurrence (and, for h_q, the closed
     form) instead of the recurrence being compared with itself."""
-    monkeypatch.setattr(hb, "h_rs_enum", lambda n, *_: BiPoly.zero())
+    _empty_sums(monkeypatch, hb._RS_WEIGHTS)
     (rep,) = run_verify("hrs", 2)
     assert rep.checked == 9 and not rep.passed
     assert rep.failures == [("0", "0", "1"), ("1", "0", "1"), ("2", "0", "s + r")]
 
     monkeypatch.undo()
-    monkeypatch.setattr(hb, "h_q_enum", lambda n, *_: LaurentPoly())
+    _empty_sums(monkeypatch, hb._HQ_WEIGHTS)
     (rep,) = run_verify("hrs", 2)
     assert rep.checked == 9
     # per n: the recurrence, then the closed form (0, 1 and 2 all have one)
@@ -289,6 +303,27 @@ def _plant_range(monkeypatch, module, name, at, change):
     monkeypatch.setattr(module, name, planted)
 
 
+def _plant_sums(monkeypatch, table, at, change):
+    """``hb._window_sums`` with ``change`` applied to the Counter of
+    weights under ``table`` for D(at) alone, whose first string is the
+    binary expansion of at: the tally that the packed path sums and the
+    ``*_enum`` fallback lays out as a polynomial."""
+    real = hb._window_sums
+
+    def planted(strings, joined, tab, *rest):
+        out = real(strings, joined, tab, *rest)
+        if tab is table and out is not None and hb.digits_value(strings[0]) == at:
+            return change(out)
+        return out
+
+    monkeypatch.setattr(hb, "_window_sums", planted)
+
+
+def _count_plus(weights):
+    """Add the given {weight: count} to a Counter of window sums."""
+    return lambda c: c + Counter(weights)
+
+
 def _plant_stream(monkeypatch, at, change):
     """``hb.expansions_upto`` with ``change`` applied to D(at) alone."""
     real = hb.expansions_upto
@@ -387,24 +422,55 @@ PLANTS = {
     "mainbij-oracle": ("mainbij", 16, 16,
                        lambda mp: _plant(mp, fe, "min_element", (10,), lambda d: (0, 2, 0, 2)),
                        [("10", "order isomorphism", "(0, 1, 2, 2): reduced prefix sums not 0/1")]),
-    # claim side: the tallies of D(5) and D(6); an h_q tally fails both
-    # the recurrence and the closed form.  Oracle side: the recurrences
-    "hrs-claim-q": ("hrs", 8, 25, lambda mp: _plant(mp, hb, "h_q_enum", (5,), _one_more),
+    # claim side: the tallies of D(5) and D(6), the Counter of window
+    # sums that the packed path sums and the fallback lays out: one more
+    # of D(5)'s lowest digit sum, 2, and one more weight 1 (s alone,
+    # z + 16 t and p1 + 16 p2 alike).  An h_q tally fails both the
+    # recurrence and the closed form.  Oracle side: the recurrence
+    # ranges, at entry n + 1
+    "hrs-claim-q": ("hrs", 8, 25, lambda mp: _plant_sums(mp, hb._HQ_WEIGHTS, 5, _count_plus({2: 1})),
                     [("5", "2q^2 + q^3", "q^2 + q^3"), ("5", "2q^2 + q^3", "q^2 + q^3")]),
-    "hrs-claim-rs": ("hrs", 8, 25, lambda mp: _plant(mp, hb, "h_rs_enum", (6,), _bi_plus({(0, 1): 1})),
+    "hrs-claim-rs": ("hrs", 8, 25, lambda mp: _plant_sums(mp, hb._RS_WEIGHTS, 6, _count_plus({1: 1})),
                      [("6", "2s + r s + r^2", "s + r s + r^2")]),
-    "hrs-oracle-q": ("hrs", 8, 25, lambda mp: _plant(mp, hb, "h_q", (5,), _up),
+    "hrs-oracle-q": ("hrs", 8, 25, lambda mp: _plant_range(mp, hb, "h_q_range", 5, _up),
                      [("5", "q^2 + q^3", "q^3 + q^4")]),
-    "hrs-oracle-rs": ("hrs", 8, 25, lambda mp: _plant(mp, hb, "h_rs", (6,), _bi_plus({(1, 0): 1})),
+    "hrs-oracle-rs": ("hrs", 8, 25, lambda mp: _plant_range(mp, hb, "h_rs_range", 6, _bi_plus({(1, 0): 1})),
                       [("6", "s + r s + r^2", "s + r + r s + r^2")]),
+    # h_rs(6) = s + r s + r^2 with 256 r in place of r s: it packs to the
+    # true value at s = 256, r = 256^16, but ``pack_bi`` refuses it, so
+    # n = 6 is compared as BiPoly.  The range holds h_rs(13) as the object
+    # h_rs(6); the planted entry is a new object, so n = 13 still passes
+    "hrs-coefficient": ("hrs", 8, 25,
+                        lambda mp: _plant_range(mp, hb, "h_rs_range", 6, _bi_plus({(1, 0): 256, (1, 1): -1})),
+                        [("6", "s + r s + r^2", "s + 256r + r^2")]),
+    # D(5) = {101, 021} listed as 257 copies of 101: 257 q^2 sums to
+    # 256^2 + 256^3, the packed h_q(5) = q^2 + q^3 at one-byte slots, so
+    # a listing of 256 strings or more is compared as polynomials
+    "hrs-count": ("hrs", 8, 25, lambda mp: _plant_stream(mp, 5, lambda ds: (b"\1\0\1",) * 257),
+                  [("5", "257q^2", "q^2 + q^3"), ("5", "257s", "s + r"), ("5", "257q^2", "q^2 + q^3")]),
+    # h_q(5) = q^2 + q^3 with q^-1 added: a negative exponent has no slot
+    "hrs-negative-q": ("hrs", 8, 25, lambda mp: _plant_range(mp, hb, "h_q_range", 5, _q_plus({-1: 1})),
+                       [("5", "q^2 + q^3", "q^-1 + q^2 + q^3")]),
     # claim side: the (ones, twos) tally of D(6); oracle side: the
-    # recurrence, whose specialization to h_q moves with it
-    "hbar-claim": ("hbar", 8, 9, lambda mp: _plant(mp, hb, "hbar_st_enum", (6,), _bi_plus({(0, 1): 1})),
+    # recurrence, whose specialization to h_q moves with it, and h_q(6)
+    # itself, which the specialization is compared with
+    "hbar-claim": ("hbar", 8, 9, lambda mp: _plant_sums(mp, hb._HBAR_WEIGHTS, 6, _count_plus({1: 1})),
                    [("6", "(s + s^2 + t s + t^2, q^2 + q^3 + q^4)",
                      "(s^2 + t s + t^2, q^2 + q^3 + q^4)")]),
-    "hbar-oracle": ("hbar", 8, 9, lambda mp: _plant(mp, hb, "hbar_st", (6,), _bi_plus({(1, 0): 1})),
+    "hbar-oracle": ("hbar", 8, 9, lambda mp: _plant_range(mp, hb, "hbar_st_range", 6, _bi_plus({(1, 0): 1})),
                     [("6", "(s^2 + t s + t^2, q^2 + q^3 + q^4)",
                       "(s^2 + t + t s + t^2, 2q^2 + q^3 + q^4)")]),
+    "hbar-oracle-q": ("hbar", 8, 9, lambda mp: _plant_range(mp, hb, "h_q_range", 6, _one_more),
+                      [("6", "(s^2 + t s + t^2, 2q^2 + q^3 + q^4)",
+                        "(s^2 + t s + t^2, q^2 + q^3 + q^4)")]),
+    # hbar_st(6) = s^2 + t s + t^2 with 256 t in place of t s: the packed
+    # value is the true one, and ``pack_bi`` refuses it (its
+    # specialization moves too, so n = 6 fails on either count)
+    "hbar-coefficient": ("hbar", 8, 9,
+                         lambda mp: _plant_range(mp, hb, "hbar_st_range", 6,
+                                                 _bi_plus({(1, 0): 256, (1, 1): -1})),
+                         [("6", "(s^2 + t s + t^2, q^2 + q^3 + q^4)",
+                           "(s^2 + 256t + t^2, 257q^2 + q^4)")]),
     # claim side of the packed matrix sweeps: one more in the lowest slot
     # of a of M~(6) = q M(6), which is q^-1 once shifted back, and of d
     # of M'(6), the constant term
@@ -535,6 +601,43 @@ def test_matrix_sweeps_take_the_packed_path_at_their_default_bound(name, checks,
     sides = list(checks(REGISTRY[name][1]))
     assert len(sides) == count
     assert all(e is a and all(type(v) is int for v in e) for e, a in sides)
+
+
+@pytest.mark.parametrize("bound,width", [(4096, 1), (4690, 2)])
+@pytest.mark.parametrize("name", ["hrs", "hbar"])
+def test_tally_sweeps_take_the_packed_path(name, bound, width):
+    """Every check of ``verify hrs`` and ``hbar`` from n = 1 compares
+    integers: both sides are the one packed tally.  At the default 4096
+    each slot is one byte; at 4690 two, since |D(4690)| = fusc(4691) =
+    257.  D(0) is the empty string alone, which the window sums leave to
+    the general passes, so n = 0 compares equal polynomials."""
+    assert verify_module._tally_width(bound) == width
+    assert verify_module._tally_width(4689) == 1
+    checks = list(getattr(verify_module, f"verify_{name}").__wrapped__(bound))
+    assert len({where for where, _, _ in checks}) == bound + 1
+    assert all(type(e) is not int and e == a for where, e, a in checks if where == "0")
+    assert all(type(e) is int and e is a for where, e, a in checks if where != "0")
+
+
+@pytest.mark.parametrize("name", ["hrs", "hbar"])
+def test_tally_sweeps_match_on_the_general_path(monkeypatch, name):
+    """With ``_window_sums`` refusing every listing, as it refuses each
+    D(n) for n >= 2^15, hrs and hbar compare the polynomials of the
+    general tally passes, and report what the packed path reports, also
+    for a planted recurrence value that has no packed form."""
+    def snap():
+        (rep,) = run_verify(name, 300)
+        return {k: v for k, v in rep.to_dict().items() if k != "elapsed_s"}
+
+    packed = snap()
+    rng = "h_rs_range" if name == "hrs" else "hbar_st_range"
+    _plant_range(monkeypatch, hb, rng, 6, _bi_plus({(1, 0): 256, (1, 1): -1}))
+    planted = snap()
+    monkeypatch.setattr(hb, "_window_sums", lambda *_: None)
+    assert snap() == planted and [where for where, _, _ in planted["failures"]] == ["6"]
+    monkeypatch.undo()
+    monkeypatch.setattr(hb, "_window_sums", lambda *_: None)
+    assert snap() == packed and packed["passed"]
 
 
 def test_mprime_packs_a_planted_entry_on_its_own(monkeypatch):
