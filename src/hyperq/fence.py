@@ -32,11 +32,12 @@ returns the identity's two sides at one n.  ``weight_checks`` yields
 them for n = 1..limit, and ``verify weightbij`` runs it.  The fence of
 n is a binary prefix of n, so one scan step per prefix
 (``_dual_rgf_range``) gives q^r rgf(1/q), each ideal weighed by the
-elements it leaves out, for every fence in range on packed integers;
-each h_q value of one ``hyperbinary.h_q_range`` is packed once and
-compared as an integer, and only a failure is decoded.  ``qcw_fence``
-writes cw_q(n) as a quotient of two rank generating functions, the
-identity's corollary.
+elements it leaves out, for every fence in range on packed integers
+at q = 256^w, w = ``stern.range_width(limit)``.  Each, times q^s, is
+compared with its entry in one integer range at the same w,
+``hyperbinary.h_q_range(limit, w)``, and only a failure is decoded.
+``qcw_fence`` writes cw_q(n) as a quotient of two rank generating
+functions, the identity's corollary.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ from .hyperbinary import (
     min_element,
     s_vector,
 )
-from .poly import LaurentPoly, RatFunc, _pack_each, pack, slot_width, unpack
+from .poly import LaurentPoly, RatFunc, slot_width, unpack
+from .stern import range_width
 
 
 def fence(n: int) -> str:
@@ -283,15 +285,13 @@ def _dual_rgf_range(limit: int, step: int) -> list[int]:
 
 def _packed_weights(limit: int) -> tuple[int, list[int]]:
     """(w, [c(0), ..., c(limit)]) with c(n) = q^-s h_q_fence(n) at
-    q = 256^w, w = ``matrices._width(limit)``.  The fence of n is the
+    q = 256^w, w = ``stern.range_width(limit)``.  The fence of n is the
     word of m = n >> (t + 1), t the trailing ones of n (m = 0 when n is
     all ones), so c(n) = R(m) of ``_dual_rgf_range``, and m <= n >> 1.
     At q = 1, R(m) counts the ideals of the fence of 2m, fusc(2m + 1),
     and each class of the scan at m at most that many, so every
     coefficient fits a slot."""
-    from .matrices import _width  # not at import: ``qrat --via graph`` loads fence alone
-
-    w = _width(limit)
+    w = range_width(limit)
     sums = _dual_rgf_range(limit >> 1, 8 * w)
     return w, [sums[n >> (~n & (n + 1)).bit_length()] for n in range(limit + 1)]
 
@@ -299,24 +299,20 @@ def _packed_weights(limit: int) -> tuple[int, list[int]]:
 def weight_checks(limit: int):
     """The two sides of ``weight_check(n)`` for n = 1..limit, in order;
     nothing when limit < 1.  The claim is the packed c(n) of
-    ``_packed_weights``, q^s h_q_fence(n) with its q^s dropped.  The
-    oracle h_q(n) is read from one ``h_q_range``, its entries packed once
-    per object (``poly._pack_each``): where h_q(n) packs to c(n) and
-    its lowest exponent is s, the number of ones of n, c(n) is both
-    sides.  Otherwise, a mismatch or an h_q(n) that ``poly.pack``
-    refuses, the sides are c(n) decoded (``poly.unpack``, q^s put back)
-    and h_q(n)."""
+    ``_packed_weights``, h_q_fence(n) with its q^s dropped, s the number
+    of ones of n.  The oracle h_q(n) is read from one integer
+    ``h_q_range`` at the same slot width: where it is c(n) times q^s,
+    c(n) is both sides, else the sides are c(n) decoded
+    (``poly.unpack``, q^s put back) and h_q(n) decoded."""
     if limit < 1:
         return
     w, claims = _packed_weights(limit)
-    hs = h_q_range(limit)
-    vs = _pack_each(hs, lambda p: pack(p, w))
-    for n in range(1, limit + 1):
-        c, s, p = claims[n], n.bit_count(), hs[n + 1]
-        if vs[n + 1] == c and p._lo == s:
+    hs = h_q_range(limit, w)
+    for n, c in enumerate(claims[1:], 1):
+        if hs[n + 1] == c << 8 * w * n.bit_count():
             yield c, c
         else:
-            yield unpack(c, w, s), p
+            yield unpack(c, w, n.bit_count()), unpack(hs[n + 1], w)
 
 
 def qcw_fence(n: int) -> RatFunc:

@@ -45,11 +45,13 @@ down the prefixes m of n + 1.  Memo dicts are caller owned, exactly as
 in stern, one table per recurrence and keyed by n + 1: an h_q memo is
 a fusc_q memo.  ``h_q_range``, ``h_rs_range`` and ``hbar_st_range``
 list every value up to a limit, bottom up (``stern.halving_range``),
-indexed by n + 1 as the memos are.  ``_packed_tallies`` sums a
-listing's tallies as integers, each polynomial at q = 2^bits (for the
-bivariate ones, the second variable at 2^bits and the first at
-2^(16 bits)), which the ``hrs`` and ``hbar`` sweeps compare with the
-packed ranges.
+indexed by n + 1 as the memos are, on integers: each polynomial at
+q = X = 256^w, or for the bivariate ones the second variable at X and
+the first at X^K, every weight a power of X, so a step is two
+products by powers of two and an add.  ``_packed_tallies`` sums a
+listing's tallies as integers at the same X and K
+(``_tally_slots``), which the ``hrs`` and ``hbar`` sweeps compare with
+those ranges; ``poly.unpack`` and ``unpack_bi`` decode either.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 from operator import lshift
 
-from .poly import ONE, ZERO, BiPoly, LaurentPoly, qint, qpow
-from .stern import _FUSC_Q_RULE, digit_rule, fusc, fusc_q, halving, halving_range
+from .poly import BiPoly, LaurentPoly, qint, qpow
+from .stern import digit_rule, fusc, fusc_q, halving, halving_range, range_width
 
 Digits = tuple[int, ...]
 
@@ -275,21 +277,34 @@ def _window_sums(strings: Sequence[bytes], joined: bytes, table: bytes,
     return Counter(sums.to_bytes(len(joined) + k, "little")[k - 1::k + 1])
 
 
+def _tally_slots(limit: int) -> tuple[int, int, list[int], list[int]]:
+    """(w, K, q shifts, bivariate shifts) for the tallies over D(0), ...,
+    D(limit) and the integer ranges they are compared with.  Each
+    coefficient counts expansions, so w is ``stern.range_width(limit)``;
+    K, one more than the bit length of the limit, exceeds every
+    s-degree (ones, or nonleading zeros) in range.  A shift list gives
+    ``_packed_tallies`` the place 8 w (x + j y) of each window sum
+    x + _BASE y below 256: a count of s^x r^y at s = 256^w, r = 256^(w K)
+    for j = K, and of q^(x + _BASE y) at q = 256^w for j = _BASE."""
+    w, k = range_width(limit), limit.bit_length() + 1
+    return w, k, *([8 * w * (v % _BASE + j * (v // _BASE)) for v in range(256)] for j in (_BASE, k))
+
+
 def _packed_tallies(elems: Sequence, bits: int, *tables) -> list[int | None]:
-    """The tallies of one listing, one per (table, lead) pair of
-    ``tables`` as ``_window_sums`` takes them, each summed as an integer:
-    sum of c 2^(bits w) over its {w: c}, the polynomial of ``h_q_enum``
-    at q = 2^bits, or of ``h_rs_enum`` or ``hbar_st_enum`` at
-    s = 2^bits, r = t = 2^(bits _BASE).  The listing is joined and
-    checked once for them all.  None for a tally on the general path,
-    and for all of them when the listing has 2^bits strings or more, so
-    that a count could leave its slot."""
+    """The tallies of one listing, one per (table, lead, shifts) of
+    ``tables``, ``_window_sums`` taking the first two, each summed as an
+    integer: sum of c 2^shifts[v] over its {v: c} (``_tally_slots``), the
+    polynomial of ``h_q_enum`` at q = 2^bits, or of ``h_rs_enum`` or
+    ``hbar_st_enum`` at s = 2^bits, r = t = 2^(bits k).  The listing is
+    joined and checked once for them all.  None for a tally on the
+    general path, and for all of them when the listing has 2^bits
+    strings or more, so that a count could leave its slot."""
     strings, joined = _as_bytes(elems)
     k = 0 if len(strings) >> bits else _stride(strings, joined)
     out = []
-    for table, lead in tables:
-        sums = _window_sums(strings, joined, table, lead, k)
-        out.append(None if sums is None else sum(map(lshift, sums.values(), map(bits.__mul__, sums))))
+    for table, lead, shifts in tables:
+        c = _window_sums(strings, joined, table, lead, k)
+        out.append(None if c is None else sum(map(lshift, c.values(), map(shifts.__getitem__, c))))
     return out
 
 
@@ -346,11 +361,20 @@ def h_q(n: int, memo: dict[int, LaurentPoly] | None = None) -> LaurentPoly:
     return fusc_q(n + 1, memo)
 
 
-def h_q_range(limit: int) -> list[LaurentPoly]:
-    """[h_q(-1), h_q(0), ..., h_q(limit)], h_q(n) at index n + 1."""
+def _int_range(limit: int, w0: int, w1: int, w2: int) -> list[int]:
+    """[F(0), ..., F(limit + 1)] on integers for the digit weights
+    (w0, w1, w2): f(-1), ..., f(limit) at index n + 1."""
     if limit < -1:
         raise ValueError("limit must be >= -1")
-    return halving_range(limit + 1, _FUSC_Q_RULE, ZERO, ONE)
+    return halving_range(limit + 1, digit_rule(w0, w1, w2), 0, 1)
+
+
+def h_q_range(limit: int, w: int) -> list[int]:
+    """[h_q(-1), h_q(0), ..., h_q(limit)] at q = X = 256^w, h_q(n) at
+    index n + 1: the digit weights (1, X, X^2).  Every coefficient must
+    be below X (``stern.range_width(limit)``); ``poly.unpack(v, w)``
+    decodes an entry."""
+    return _int_range(limit, 1, 256 ** w, 256 ** (2 * w))
 
 
 # F(0) and F(1) of the bivariate recurrences, built once
@@ -377,13 +401,13 @@ def h_rs(n: int, memo: dict[int, BiPoly] | None = None) -> BiPoly:
     return halving(n + 1, _H_RS_RULE, _BI_ZERO, _BI_ONE, memo)
 
 
-def h_rs_range(limit: int) -> list[BiPoly]:
-    """[h_rs(-1), h_rs(0), ..., h_rs(limit)], h_rs(n) at index n + 1.
-    The even step returns its operand, so h_rs(2y - 1) is the object
-    h_rs(y - 1)."""
-    if limit < -1:
-        raise ValueError("limit must be >= -1")
-    return halving_range(limit + 1, _H_RS_RULE, _BI_ZERO, _BI_ONE)
+def h_rs_range(limit: int, w: int, k: int) -> list[int]:
+    """[h_rs(-1), h_rs(0), ..., h_rs(limit)] at s = X = 256^w, r = X^k,
+    h_rs(n) at index n + 1: the digit weights (X, 1, X^k).  Every
+    coefficient must be below X and every s-degree below k
+    (``limit.bit_length() + 1``); ``poly.unpack_bi(v, w, k)`` decodes an
+    entry."""
+    return _int_range(limit, 256 ** w, 1, 256 ** (w * k))
 
 
 HBAR_NAMES = ("t", "s")
@@ -400,12 +424,10 @@ def hbar_st(n: int, memo: dict[int, BiPoly] | None = None) -> BiPoly:
     return halving(n + 1, _HBAR_ST_RULE, _BI_ZERO, _BI_ONE, memo)
 
 
-def hbar_st_range(limit: int) -> list[BiPoly]:
-    """[hbar_st(-1), hbar_st(0), ..., hbar_st(limit)], hbar_st(n) at
-    index n + 1."""
-    if limit < -1:
-        raise ValueError("limit must be >= -1")
-    return halving_range(limit + 1, _HBAR_ST_RULE, _BI_ZERO, _BI_ONE)
+def hbar_st_range(limit: int, w: int, k: int) -> list[int]:
+    """[hbar_st(-1), ..., hbar_st(limit)] at s = X = 256^w, t = X^k, as
+    ``h_rs_range``: the digit weights (1, X, X^k)."""
+    return _int_range(limit, 1, 256 ** w, 256 ** (w * k))
 
 
 def h_q_closed_form(n: int) -> LaurentPoly:

@@ -29,7 +29,8 @@ z the number of zeros of n after its leading 1, a matrix of
 polynomials in q with nonnegative coefficients.  At q = 1 both M~(n)
 and M'(n) are the matrix of Stern's sequence, whose row sums are
 fusc(n) and fusc(n+1), so no coefficient of an entry or a row sum
-reaches 256^w for w = ``slot_width`` of the largest fusc in range.
+reaches 256^w for w = ``stern.range_width(limit)``, the slot width of
+the largest fusc in range.
 Each entry of M~(n) is then one integer, its value at q = 256^w, and
 each entry of M'(n) one integer at s = X = 256^w, r = X^K, where
 K = ``limit.bit_length() + 1`` exceeds every s-degree (one per
@@ -40,29 +41,26 @@ bit of n (``_packed_word``), with limit n and ``stern.fusc_width``.
 ``m_range``, ``m_prime_range``, ``m_of`` and ``m_prime_of`` decode
 every entry (``poly.unpack``, ``poly.unpack_bi``); the ``@`` fold of
 ``word_of(n)`` is left to the tests.  The three range checks read the
-oracle side from one bottom-up range, ``hyperbinary.h_q_range`` or
-``h_rs_range``, pack each distinct object of it once (``_pack_each``)
-and compare integers: ``row_sum_checks`` reads the two h_q values of
-``_row_sums_index(n)`` and ``entries_checks`` the four of
-``_entries_index(n)``, each shifted by its monomial factor and q^z
-(``_h_q_at``), and ``m_prime_checks`` reads (h_rs(n-1), h_rs(n))
-(``poly.pack_bi``, one row of the ``BiPoly`` per K slots).  A match
-yields the packed integers as both sides.  A mismatch, or an oracle
-value that does not fit the packing (a coefficient outside [0, 256^w)
-or an s-degree of K or more, for which ``poly.pack`` and ``pack_bi``
-return None, or a negative exponent after the shift), yields the two
-sides as polynomials instead, the packed side decoded:
-``row_sums_formula(n)`` and the row sums of M(n), M(n) and
-``entries_formula(n)``, or the ``BiPoly`` pairs, the oracle read from
-the same range.
+oracle side from one integer range at the same packing,
+``hyperbinary.h_q_range(limit, w)`` at q = 256^w or
+``h_rs_range(limit, w, K)`` at s = X, r = X^K, the recurrence run on
+integers, and compare integers: ``row_sum_checks`` reads the two h_q
+values of ``_row_sums_index(n)`` and ``entries_checks`` the four of
+``_entries_index(n)``, each shifted by its monomial factor and q^z,
+both sides shifted up by q^(k+1) so that no shift is negative
+(``_oracle_matches``), and ``m_prime_checks`` reads (h_rs(n-1),
+h_rs(n)) as they are.  A match yields the packed integers as both
+sides.  A mismatch yields the two sides as polynomials instead, both
+decoded from the same integers: ``row_sums_formula(n)`` and the row
+sums of M(n), M(n) and ``entries_formula(n)``, each formula over an
+h_q memo of the values it reads, or the ``BiPoly`` pairs.
 """
 
 from __future__ import annotations
 
 from .hyperbinary import _BI_ONE, _BI_ZERO, _X1, _X2, _zeros, h_q, h_q_range, h_rs, h_rs_range
-from .poly import (BiPoly, LaurentPoly, ONE, ZERO, _pack_each, pack, pack_bi, qpow, slot_width,
-                   unpack, unpack_bi)
-from .stern import fusc_range, fusc_width
+from .poly import BiPoly, LaurentPoly, ONE, ZERO, qpow, unpack, unpack_bi
+from .stern import fusc_width, range_width
 
 
 def _mat2(name: str, one, zero) -> type:
@@ -152,18 +150,10 @@ def _packed_word(n: int, u: int, r: int, s: int) -> tuple:
     return p
 
 
-def _width(limit: int) -> int:
-    """Bytes per coefficient slot for M~(n) and M'(n), n <= limit: their
-    row sums at q = 1 (r = s = 1) are fusc(n) and fusc(n+1)."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    return slot_width(max(fusc_range(limit + 1)))
-
-
 def _m_packed(limit: int) -> tuple[int, list]:
     """(w, [None, M~(1), ..., M~(limit)]) with M~(n) = q^z M(n) at
     q = 256^w, from the letters qL = [[q, 0], [q, 1]] and R."""
-    w = _width(limit)
+    w = range_width(limit)
     return w, _packed_range(limit, 8 * w, 8 * w, 0)
 
 
@@ -241,60 +231,60 @@ def row_sum_check(n: int) -> tuple[tuple, tuple]:
     return row_sums_formula(n), m_of(n).column_sums_vector()
 
 
-def _h_q_at(hs: list, vs: list, bits: int, m: int, e: int) -> int | None:
-    """q^e h_q(m) at q = 2^bits, from ``hs = h_q_range`` and its entries
-    packed, ``vs``; None where that integer would not determine
-    q^e h_q(m): a coefficient outside [0, 2^bits), which ``pack``
-    refuses, or a negative exponent after the q^e shift."""
-    v, e = vs[m + 1], e + hs[m + 1]._lo
-    return None if v is None or e < 0 else v << bits * e
+def _oracle_matches(hs: list, bits: int, n: int, index, claims: tuple) -> bool:
+    """Whether each packed claim v of M~(n) = q^z M(n) is q^(e + z)
+    h_q(m) at q = 2^bits, for the (m, e) of ``index`` and h_q(m) read
+    from ``hs = h_q_range``.  e + z may be negative, so both sides are
+    taken times q^(k + 1), k + 1 the bit length of n: no e is below
+    -k - 1."""
+    z, up = _zeros(n), n.bit_length()
+    return [hs[m + 1] << bits * (e + z + up) for m, e in index] == [v << bits * up for v in claims]
 
 
 def row_sum_checks(limit: int):
     """The two sides of ``row_sum_check(n)`` for n = 1..limit, in order:
     the packed pair of M~(n) (1,1)^T as both sides where the two h_q
-    values of ``_row_sums_index(n)``, shifted by q^z as well, pack to it
-    (``_h_q_at``), else ``row_sums_formula(n)`` and the row sums of
-    M(n), unpacked.  The h_q values are read from one ``h_q_range``,
-    also on a failure.  Nothing when limit < 1."""
+    values of ``_row_sums_index(n)``, read from one integer
+    ``h_q_range`` at the slot width of M~, match it
+    (``_oracle_matches``), else ``row_sums_formula(n)`` over those
+    values decoded and the row sums of M(n), unpacked.  Nothing when
+    limit < 1."""
     if limit < 1:
         return
     w, ms = _m_packed(limit)
-    hs = h_q_range(limit)
-    vs, bits, memo = _pack_each(hs, lambda p: pack(p, w)), 8 * w, None
-    for n in range(1, limit + 1):
-        a, b, c, d = ms[n]
-        sums, z = (a + b, c + d), _zeros(n)
-        if tuple([_h_q_at(hs, vs, bits, m, e + z) for m, e in _row_sums_index(n)]) == sums:
+    hs = h_q_range(limit, w)
+    for n, (a, b, c, d) in enumerate(ms[1:], 1):
+        sums, index = (a + b, c + d), _row_sums_index(n)
+        if _oracle_matches(hs, 8 * w, n, index, sums):
             yield sums, sums
-        else:
-            memo = memo or dict(enumerate(hs))
-            yield row_sums_formula(n, memo), tuple(unpack(v, w, -z) for v in sums)
+        else:  # an h_q memo of the values read, decoded
+            memo = {m + 1: unpack(hs[m + 1], w) for m, _ in index}
+            yield row_sums_formula(n, memo), tuple(unpack(v, w, -_zeros(n)) for v in sums)
 
 
 def entries_checks(limit: int):
     """The two sides of "M(n) equals ``entries_formula(n)``" for
     n = 2..limit, in order: the packed M~(n) as both sides where the four
-    h_q values of ``_entries_index(n)``, shifted by q^z as well, pack to
-    it (``_h_q_at``), else M(n), unpacked, and ``entries_formula(n)``.
-    The h_q values are read from one ``h_q_range``, also on a failure.
-    The range ends at the largest m read.  Each m read for n is below
-    2^k, the top bit of n; with 2^K the top bit of the limit, the
-    largest is n' = n - 2^(K-1) at n = min(limit, 2^K + 2^(K-1) - 1).
-    Nothing when limit < 2."""
+    h_q values of ``_entries_index(n)``, read from one integer
+    ``h_q_range`` at the slot width of M~, match it
+    (``_oracle_matches``), else M(n), unpacked, and
+    ``entries_formula(n)`` over those values decoded.  The range ends
+    at the largest m read.  Each m read for n is below 2^k, the top bit
+    of n; with 2^K the top bit of the limit, the largest is
+    n' = n - 2^(K-1) at n = min(limit, 2^K + 2^(K-1) - 1).  Nothing when
+    limit < 2."""
     if limit < 2:
         return
     w, ms = _m_packed(limit)
     top = 1 << (limit.bit_length() - 1)
-    hs = h_q_range(min(limit - top // 2, top - 1))
-    vs, bits, memo = _pack_each(hs, lambda p: pack(p, w)), 8 * w, None
+    hs = h_q_range(min(limit - top // 2, top - 1), w)
     for n in range(2, limit + 1):
-        m, z = ms[n], _zeros(n)
-        if tuple([_h_q_at(hs, vs, bits, h, e + z) for h, e in _entries_index(n)]) == m:
+        m, index = ms[n], _entries_index(n)
+        if _oracle_matches(hs, 8 * w, n, index, m):
             yield m, m
-        else:
-            memo = memo or dict(enumerate(hs))
-            yield Mat2(*[unpack(v, w, -z) for v in m]), entries_formula(n, memo)
+        else:  # an h_q memo of the values read, decoded
+            memo = {h + 1: unpack(hs[h + 1], w) for h, _ in index}
+            yield Mat2(*[unpack(v, w, -_zeros(n)) for v in m]), entries_formula(n, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +304,7 @@ def m_prime_of(n: int) -> BiMat2:
 
 def _m_prime_packed(limit: int) -> tuple[int, int, list]:
     """(w, K, [None, M'(1), ..., M'(limit)]) at s = X = 256^w, r = X^K."""
-    w, k = _width(limit), limit.bit_length() + 1
+    w, k = range_width(limit), limit.bit_length() + 1
     return w, k, _packed_range(limit, 0, 8 * w * k, 8 * w)
 
 
@@ -335,20 +325,17 @@ def m_prime_check(n: int) -> tuple[tuple, tuple]:
 
 def m_prime_checks(limit: int):
     """The two sides of ``m_prime_check(n)`` for n = 1..limit, in order:
-    the packed pair of M'(n) (1,1)^T as both sides where (h_rs(n-1),
-    h_rs(n)) packs to it, else the two ``BiPoly`` pairs, all read from
-    one ``h_rs_range``.  Each distinct object of the range is packed
-    once (``_pack_each``): up to 16,384 its 16,385 values are 8,193
-    objects.  Nothing when limit < 1."""
+    the packed pair of M'(n) (1,1)^T as both sides where the entries
+    h_rs(n-1), h_rs(n) of one integer ``h_rs_range``, at the s = X,
+    r = X^K of M'(n), are that pair, else the two ``BiPoly`` pairs, the
+    entries and the row sums decoded.  Nothing when limit < 1."""
     if limit < 1:
         return
     w, k, ms = _m_prime_packed(limit)
-    hs = h_rs_range(limit)
-    vs = _pack_each(hs, lambda v: pack_bi(v, w, k))
-    for n in range(1, limit + 1):
-        a, b, c, d = ms[n]
-        sums = a + b, c + d
-        if (vs[n], vs[n + 1]) == sums:
+    hs = h_rs_range(limit, w, k)
+    for n, (a, b, c, d) in enumerate(ms[1:], 1):
+        pair, sums = (hs[n], hs[n + 1]), (a + b, c + d)
+        if pair == sums:
             yield sums, sums
         else:
-            yield (hs[n], hs[n + 1]), tuple(unpack_bi(v, w, k) for v in sums)
+            yield tuple(unpack_bi(v, w, k) for v in pair), tuple(unpack_bi(v, w, k) for v in sums)

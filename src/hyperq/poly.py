@@ -22,8 +22,7 @@ polynomial evaluated at q = 256^w, w bytes per coefficient
 ``pack`` goes the other way, and returns None for a polynomial that
 has no packed form.  ``pack_bi`` and ``unpack_bi`` do the same for a
 ``BiPoly`` at s = 256^w, r = 256^(w k), k above every s-degree, one row
-per k slots, and ``_pack_each`` packs a list, each distinct object of
-it once.  This module alone decides whether a value fits its slots.
+per k slots.  This module alone decides whether a value fits its slots.
 ``RatFunc`` equality short-circuits equal shapes and otherwise compares
 the two cross products.
 
@@ -378,16 +377,9 @@ class BiPoly:
         return bool(self._rows)
 
     def specialize(self, w1: int, w2: int) -> LaurentPoly:
-        """Map each variable to a power of q: (e1, e2) -> q^(e1*w1 + e2*w2).
-        Term by term, unless w1 >= 0, w2 = 1 (hbar_st's (2, 1)): row k from k*w1."""
-        rows = self._rows
-        if w1 < 0 or w2 != 1 or not rows:
-            return sum((_dense(e1 * w1 + e2 * w2, (c,)) for (e1, e2), c in self.terms()), ZERO)
-        c = [0] * ((len(rows) - 1) * w1 + max(map(len, rows)))
-        for k, r in enumerate(rows):
-            for e, x in enumerate(r, k * w1):
-                c[e] += x
-        return _trimmed(self._i * w1 + self._j, tuple(c))
+        """Map each variable to a power of q, term by term:
+        (e1, e2) -> q^(e1*w1 + e2*w2)."""
+        return sum((_dense(e1 * w1 + e2 * w2, (c,)) for (e1, e2), c in self.terms()), ZERO)
 
     @property
     def eval_at_one(self) -> int:
@@ -427,16 +419,6 @@ def unpack_bi(v: int, w: int, k: int) -> BiPoly:
     i, lo = divmod(p._lo, k)
     c = (0,) * lo + p._c
     return _canon(i, 0, tuple(_rstrip(c[e:e + k]) for e in range(0, len(c), k)))
-
-
-def _pack_each(values: list, pack_one) -> list:
-    """[pack_one(v) for v in values], ``pack_one`` run once per distinct
-    object: a range may hold one object at several indices (h_rs(2y-1)
-    is the object h_rs(y-1)), and an entry replaced on its own is packed
-    on its own.  ``values`` holds every object, so no id is reused."""
-    packs = {id(v): v for v in values}
-    packs = {i: pack_one(v) for i, v in packs.items()}
-    return [packs[id(v)] for v in values]
 
 
 class RatFunc:

@@ -23,7 +23,10 @@ once, with no walk.
 
 ``_fusc_pair`` walks fusc_q too, on packed integers at q = 256^w (w from
 ``fusc_width``): fusc_q, cw_q and hyperbinary.h_q take that walk without
-a memo, and ``halving`` on ``LaurentPoly`` with one.
+a memo, and ``halving`` on ``LaurentPoly`` with one.  ``range_width`` is
+the slot width for a whole range, at which ``hyperbinary``'s ranges run
+``halving_range`` on integers, each ``digit_rule`` weight a power of
+256^w.
 
 Memo dicts are owned by the caller: a sweep that passes one uses one
 dict for the whole sweep and drops it afterwards, so repeated sweeps
@@ -66,6 +69,15 @@ def fusc_width(n: int) -> int:
     """Bytes per slot for the packed walks of n, here and in
     ``matrices``: ``slot_width`` of the larger of fusc(n), fusc(n+1)."""
     return slot_width(max(_fusc_pair(n)))
+
+
+def range_width(limit: int) -> int:
+    """Bytes per slot for the packed ranges to limit >= 0 in
+    ``matrices``, ``fence`` and ``hyperbinary``: ``slot_width`` of the largest
+    of fusc(0), ..., fusc(limit + 1), which bounds every coefficient of
+    M~(n) and M'(n) for n <= limit, and of h_q(n), h_rs(n) and
+    hbar_st(n), each a count of hyperbinary expansions."""
+    return slot_width(max(fusc_range(limit + 1)))
 
 
 def fusc_range(limit: int) -> list[int]:

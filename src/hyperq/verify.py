@@ -12,20 +12,23 @@ the range form of ``fence.weight_check``, mnthm and mprime those of
 forms of ``row_sum_check`` and ``m_prime_check``, and mnent those of
 ``matrices.entries_checks``, so each of those identities is written
 down in the library.  Those four range forms read their oracle from one
-bottom-up range (``hyperbinary.h_q_range`` or ``h_rs_range``), pack
-each of its objects once and compare integers, decoding the
-polynomials only for a failure, and yield nothing below their range.
-hrs and hbar do the same with their tallies over D(n): each is summed
-as one integer and compared with one packed entry of ``h_q_range``,
-``h_rs_range`` or ``hbar_st_range``, and the polynomials are built
+integer range (``hyperbinary.h_q_range`` or ``h_rs_range``, the
+recurrence run on integers at the claim's packing) and compare
+integers, decoding the polynomials only for a failure, and yield
+nothing below their range.  hrs and hbar do the same with their
+tallies over D(n): each is summed as one integer and compared with
+one entry of ``h_q_range``, ``h_rs_range`` or ``hbar_st_range`` at the
+slots of ``hyperbinary._tally_slots``, and the polynomials are built
 only for a failure or a listing off the window sums' path (D(0), and
-every D(n) with n >= 2^15).  qrat and gg compare ``RatFunc`` values,
-whose equality short-circuits two quotients of equal shape.  A bound
-above ``sys.maxsize`` (2^63 - 1 on a 64-bit build) raises
-``OverflowError`` before any check: no range or list can have that
-many entries.  Sweeps are single threaded and iterate in increasing
-order, so reports are deterministic.  Each builds its own state: a
-range, or private memo dicts, one per memoized function.
+every D(n) with n >= 2^15).  hbar compares two tallies, its ones and
+twos with ``hbar_st_range`` and its digit sums with ``h_q_range``, so
+it specializes no polynomial to pass.  qrat and gg compare
+``RatFunc`` values, whose equality short-circuits two quotients of
+equal shape.  A bound above ``sys.maxsize`` (2^63 - 1 on a 64-bit
+build) raises ``OverflowError`` before any check: no range or list can
+have that many entries.  Sweeps are single threaded and iterate in
+increasing order, so reports are deterministic.  Each builds its own
+state: a range, or private memo dicts, one per memoized function.
 
 ``hbar`` deserves a word: the literal halving recurrence usually quoted
 for the (ones, twos) generating function drops a factor in the odd case
@@ -47,7 +50,7 @@ from . import matrices as mx
 from . import qrational as qr
 from . import stern
 from .fence import iso_check, weight_checks
-from .poly import BiPoly, LaurentPoly, RatFunc, _pack_each, pack, pack_bi, slot_width
+from .poly import BiPoly, LaurentPoly, RatFunc, pack, unpack, unpack_bi
 
 Failure = tuple[str, str, str]  # where, expected, actual
 
@@ -196,26 +199,14 @@ def verify_mprime(max_n):
         yield str(n), *sides
 
 
-def _tally_width(max_n: int) -> int:
-    """The slot width w for the tallies over D(0), ..., D(max_n): each
-    coefficient counts expansions, so it is at most |D(n)| = fusc(n + 1)."""
-    return slot_width(max(stern.fusc_range(max_n + 1)))
-
-
-def _pack_at_lo(p: LaurentPoly, w: int) -> int | None:
-    """p at q = 256^w, its q^lo kept: ``pack`` shifted by lo; None where
-    ``pack`` refuses p or lo is negative."""
-    v = pack(p, w)
-    return None if v is None or p._lo < 0 else v << 8 * w * p._lo
-
-
-def _tally_check(n: int, tally: int | None, packed: int | None, enum, elems, value):
-    """One check of a tally over D(n) = elems against ``value``: the
-    packed tally as both sides where it is the packed value, else
-    ``enum(n, elems)`` and ``value``, so a failure renders polynomials."""
-    if tally is not None and tally == packed:
+def _tally_check(n: int, tally: int | None, value: int, enum, elems, decode, *slots):
+    """One check of a tally over D(n) = elems against the packed
+    ``value``: the tally as both sides where it is that integer, else
+    ``enum(n, elems)`` and ``decode(value, *slots)``, so a failure, or
+    a tally off the window sums' path, compares polynomials."""
+    if tally == value:
         return str(n), tally, tally
-    return str(n), enum(n, elems), value
+    return str(n), enum(n, elems), decode(value, *slots)
 
 
 @_sweep(4096, lo=0)
@@ -226,25 +217,23 @@ def verify_hrs(max_n):
     bytes, joined and checked once per n; ``hb._packed_tallies`` sums
     each string's digit sum, and its twos and nonleading zeros, as
     integers, each in a fixed number of C calls over the joined
-    listing, and hbar_st is not tallied.  The recurrences come from one
-    ``h_q_range`` and ``h_rs_range``, each distinct object packed once
-    at the slot width of the largest |D(n)|; a tally that is not its
-    packed value, or that either side cannot pack, is compared as the
-    polynomial of ``h_q_enum`` or ``h_rs_enum``, as is the closed form."""
+    listing, and hbar_st is not tallied.  The recurrences are the
+    integer ranges ``h_q_range`` and ``h_rs_range`` at the slot width of
+    the largest |D(n)|; a tally that is not its entry, or off the window
+    sums' path, is compared as the polynomial of ``h_q_enum`` or
+    ``h_rs_enum`` with the entry decoded, as is the closed form."""
     if max_n < 0:
         return
-    w = _tally_width(max_n)
-    hq, hrs = hb.h_q_range(max_n), hb.h_rs_range(max_n)
-    vq = _pack_each(hq, lambda p: _pack_at_lo(p, w))
-    vrs = _pack_each(hrs, lambda p: pack_bi(p, w, hb._BASE))
-    tables = (hb._HQ_WEIGHTS, None), (hb._RS_WEIGHTS, hb._RS_LEAD)
+    w, k, q_shifts, rs_shifts = hb._tally_slots(max_n)
+    hq, hrs = hb.h_q_range(max_n, w), hb.h_rs_range(max_n, w, k)
+    tables = (hb._HQ_WEIGHTS, None, q_shifts), (hb._RS_WEIGHTS, hb._RS_LEAD, rs_shifts)
     for n, elems in enumerate(hb.expansions_upto(max_n)):
         tq, trs = hb._packed_tallies(elems, 8 * w, *tables)
-        yield _tally_check(n, tq, vq[n + 1], hb.h_q_enum, elems, hq[n + 1])
-        yield _tally_check(n, trs, vrs[n + 1], hb.h_rs_enum, elems, hrs[n + 1])
+        yield _tally_check(n, tq, hq[n + 1], hb.h_q_enum, elems, unpack, w)
+        yield _tally_check(n, trs, hrs[n + 1], hb.h_rs_enum, elems, unpack_bi, w, k)
         if hb.h_q_closed_form_applies(n):
-            closed = hb.h_q_closed_form(n)
-            yield _tally_check(n, tq, _pack_at_lo(closed, w), hb.h_q_enum, elems, closed)
+            c = hb.h_q_closed_form(n)
+            yield _tally_check(n, tq, pack(c, w) << 8 * w * c.min_exp, hb.h_q_enum, elems, unpack, w)
 
 
 @_sweep(50, kind="r,s")
@@ -295,27 +284,35 @@ def verify_hbar(max_n):
     recurrence readings are diagnosed in the notes.  One check per n
     compares (enumeration, h_q) with (recurrence, its specialization).
     D(n) comes from one ``expansions_upto`` stream for the sweep, its
-    strings as bytes; ``hb._packed_tallies`` sums each string's ones and
-    twos as an integer, in a fixed number of C calls over the joined
-    listing.  The recurrence comes from one ``hbar_st_range``, each
-    value packed once at the slot width of the largest |D(n)|, and h_q
-    from one ``h_q_range``.  Where the tally is the packed recurrence
-    and the specialization is h_q, the packed tally is both sides; else
-    the tally is compared as the polynomial of ``hbar_st_enum``."""
+    strings as bytes; ``hb._packed_tallies`` sums each string's ones
+    and twos as one integer, and its digit sum p1 + 2 p2 as another, in
+    a fixed number of C calls over the joined listing.  They are
+    compared with the integer ranges ``hbar_st_range`` and
+    ``h_q_range``: given the first equality, the second is the
+    specialization's.  Where both hold the tally is both sides.  Off
+    the window sums' path the ones and twos are tallied as a polynomial
+    (``hbar_st_enum``), which is weighed p1 + 2 p2 as one integer, and
+    a passing n yields (tally, h_q) against (recurrence, h_q), both
+    entries decoded.  Only a failure specializes the recurrence
+    (``BiPoly.specialize``) to render its actual side."""
     if max_n < 0:
         return
-    w = _tally_width(max_n)
-    hq, hbar = hb.h_q_range(max_n), hb.hbar_st_range(max_n)
-    vs = _pack_each(hbar, lambda p: pack_bi(p, w, hb._BASE))
-    table = hb._HBAR_WEIGHTS, None
+    w, k, q_shifts, st_shifts = hb._tally_slots(max_n)
+    hq, hbar = hb.h_q_range(max_n, w), hb.hbar_st_range(max_n, w, k)
+    tables = (hb._HBAR_WEIGHTS, None, st_shifts), (hb._HQ_WEIGHTS, None, q_shifts)
     for n, elems in enumerate(hb.expansions_upto(max_n)):
-        (tally,) = hb._packed_tallies(elems, 8 * w, table)
-        rec = hbar[n + 1]
-        spec = rec.specialize(2, 1)
-        if tally is not None and tally == vs[n + 1] and spec == hq[n + 1]:
-            yield str(n), tally, tally
-        else:
-            yield str(n), (hb.hbar_st_enum(n, elems), hq[n + 1]), (rec, spec)
+        tallies = hb._packed_tallies(elems, 8 * w, *tables)
+        if tallies == [hbar[n + 1], hq[n + 1]]:
+            yield str(n), tallies[0], tallies[0]
+            continue
+        # a failure, or a listing off the window sums' path: the
+        # tallies as polynomials, and the ones and twos weighed p1 + 2 p2
+        rec, h = unpack_bi(hbar[n + 1], w, k), unpack(hq[n + 1], w)
+        expected = hb.hbar_st_enum(n, elems), h
+        weighed = sum(c << 8 * w * (j + 2 * i) for (i, j), c in expected[0].terms())
+        if tallies[0] is not None or expected[0] != rec or weighed != hq[n + 1]:
+            h = rec.specialize(2, 1)
+        yield str(n), expected, (rec, h)
 
 
 def run_verify(name: str, max_n: int | None = None) -> list[VerifyReport]:

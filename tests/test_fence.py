@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import hyperq
 import hyperq.fence as fe
-import hyperq.matrices as mx
 from hyperq.fence import (
     cover_pairs,
     fence,
@@ -37,7 +36,7 @@ from hyperq.hyperbinary import (
     min_element,
 )
 from hyperq.poly import ONE, Q, LaurentPoly, unpack
-from hyperq.stern import cw_q
+from hyperq.stern import cw_q, range_width
 
 
 # ------------------------------------------------------------------ structure
@@ -398,7 +397,7 @@ def test_weight_checks_decode_to_the_fence_formula(limit, w):
     back, to ``h_q_fence(n)``, and every check's sides decode to those
     of ``weight_check(n)``.  The slot width is one byte to 4689 and two
     from 4690, where fusc(4691) = 256 is the first fusc to need them."""
-    assert mx._width(limit) == w
+    assert range_width(limit) == w
     _, claims = fe._packed_weights(limit)
     assert len(claims) == limit + 1 and claims[0] == 1  # h_q_fence(0) = 1
     memo = {}

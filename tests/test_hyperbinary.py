@@ -38,8 +38,8 @@ from hyperq.hyperbinary import (
     stats,
     stats_rows,
 )
-from hyperq.poly import BiPoly, LaurentPoly
-from hyperq.stern import fusc
+from hyperq.poly import BiPoly, LaurentPoly, unpack, unpack_bi
+from hyperq.stern import fusc, range_width
 
 ISO = "order isomorphism"
 
@@ -396,14 +396,17 @@ def test_h_rs_examples_and_recurrence():
 @pytest.mark.parametrize("limit", [-1, 0, 4096])
 def test_h_q_and_h_rs_ranges_match_the_per_n_values(limit):
     """``h_q_range``, ``h_rs_range`` and ``hbar_st_range`` hold h(n) at
-    index n + 1 for every n from -1 to the limit: h_q against its packed
-    walk, h_rs and hbar_st against ``halving`` with no memo."""
-    hq, hrs, hbar = hb.h_q_range(limit), hb.h_rs_range(limit), hb.hbar_st_range(limit)
+    index n + 1 for every n from -1 to the limit, as integers at the
+    slot width of the range and K one more than the limit's bit length:
+    decoded, h_q against its packed walk, h_rs and hbar_st against
+    ``halving`` with no memo."""
+    w, k = range_width(max(limit, 0)), limit.bit_length() + 1
+    hq, hrs, hbar = hb.h_q_range(limit, w), hb.h_rs_range(limit, w, k), hb.hbar_st_range(limit, w, k)
     assert len(hq) == len(hrs) == len(hbar) == limit + 2
     for n in range(-1, limit + 1):
-        assert hq[n + 1] == h_q(n)
-        assert hrs[n + 1] == h_rs(n)
-        assert hbar[n + 1] == hbar_st(n)
+        assert unpack(hq[n + 1], w) == h_q(n)
+        assert unpack_bi(hrs[n + 1], w, k) == h_rs(n)
+        assert unpack_bi(hbar[n + 1], w, k) == hbar_st(n)
 
 
 def test_hbar_examples_recurrence_and_specialization():

@@ -148,7 +148,7 @@ def test_entries_checks_build_h_q_as_far_as_they_read(monkeypatch):
     """``entries_checks(limit)`` asks ``h_q_range`` for the largest m
     that ``_entries_index(n)`` reads for some n <= limit, no further."""
     asked, real = [], mx.h_q_range
-    monkeypatch.setattr(mx, "h_q_range", lambda limit: asked.append(limit) or real(limit))
+    monkeypatch.setattr(mx, "h_q_range", lambda limit, w: asked.append(limit) or real(limit, w))
     reach = 0
     for limit in range(2, 400):
         reach = max(reach, *(m for m, _ in mx._entries_index(limit)))

@@ -10,7 +10,7 @@ import hyperq.matrices as mx
 import hyperq.verify as verify_module
 from hyperq import qrational as qr
 from hyperq import stern
-from hyperq.poly import ONE, BiPoly, LaurentPoly, RatFunc, qint, qpow
+from hyperq.poly import ONE, BiPoly, LaurentPoly, RatFunc, pack, pack_bi, qint, qpow, unpack, unpack_bi
 from hyperq.verify import REGISTRY, VerifyReport, run_verify
 
 
@@ -290,17 +290,37 @@ def _plant_packed(monkeypatch, name, at, entry=None, slot=0, module=mx):
 
 
 def _plant_range(monkeypatch, module, name, at, change):
-    """``module.name``, a range indexed by n + 1 (``hb.h_q_range``,
-    ``hb.h_rs_range``), with ``change`` applied to the value of n = at
-    alone, entry at + 1, after the whole range is built."""
+    """``module.name``, an integer range indexed by n + 1
+    (``hb.h_q_range(limit, w)``, ``hb.h_rs_range(limit, w, k)``,
+    ``hb.hbar_st_range(limit, w, k)``), with ``change(v, w, *k)``
+    applied to the value v of n = at alone, entry at + 1, after the
+    whole range is built."""
     real = getattr(module, name)
 
-    def planted(limit):
-        out = real(limit)
-        out[at + 1] = change(out[at + 1])
+    def planted(limit, w, *k):
+        out = real(limit, w, *k)
+        out[at + 1] = change(out[at + 1], w, *k)
         return out
 
     monkeypatch.setattr(module, name, planted)
+
+
+def _poly(change):
+    """A range change: ``change`` applied to the entry's polynomial,
+    decoded and packed back (``unpack``/``pack``, or the ``_bi`` pair)."""
+    def changed(v, w, *k):
+        if k:
+            return pack_bi(change(unpack_bi(v, w, *k)), w, *k)
+        p = change(unpack(v, w))
+        return pack(p, w) << 8 * w * p.min_exp
+    return changed
+
+
+def _slot(e, delta):
+    """A range change: ``delta`` added in one slot of the entry, that of
+    q^e, or of r^i s^j (t^i s^j) for e = (i, j), slot i K + j.  A -1 in
+    an empty slot borrows from the slots above it."""
+    return lambda v, w, *k: v + (delta << 8 * w * (e[0] * k[0] + e[1] if k else e))
 
 
 def _plant_sums(monkeypatch, table, at, change):
@@ -386,7 +406,7 @@ PLANTS = {
     # read as c, a, d and b
     "mnent-claim": ("mnent", 16, 15, lambda mp: _plant_packed(mp, "_m_packed", 6, 0, slot=2),
                     [("6", "2q | 1 | q | q^-1 + 1", "q | 1 | q | q^-1 + 1")]),
-    "mnent-oracle": ("mnent", 16, 15, lambda mp: _plant_range(mp, mx, "h_q_range", 6, _up),
+    "mnent-oracle": ("mnent", 16, 15, lambda mp: _plant_range(mp, mx, "h_q_range", 6, _poly(_up)),
                      _mnent_h6("1 + q + q^2", "q + q^2 + q^3")),
     # claim side: the lowest slot of the packed q^-2 h_q_fence(5), a
     # per-n value (n = 2 has the same fence, "1", and the same scan
@@ -394,14 +414,14 @@ PLANTS = {
     "weightbij-claim": ("weightbij", 8, 8,
                         lambda mp: _plant_packed(mp, "_packed_weights", 5, module=fe),
                         [("5", "2q^2 + q^3", "q^2 + q^3")]),
-    "weightbij-oracle": ("weightbij", 8, 8, lambda mp: _plant_range(mp, fe, "h_q_range", 6, _up),
+    "weightbij-oracle": ("weightbij", 8, 8, lambda mp: _plant_range(mp, fe, "h_q_range", 6, _poly(_up)),
                          [("6", "q^2 + q^3 + q^4", "q^3 + q^4 + q^5")]),
-    # h_q(6) = q^2 + q^3 + q^4 with 256 q^2 in place of q^3: it packs to
-    # the true value at q = 256, but ``pack`` refuses it, so n = 6 is
-    # compared as LaurentPoly, the packed claim decoded
+    # h_q(6) = q^2 + q^3 + q^4 with one more in the slot of q^3 of the
+    # integer range entry: n = 6 is compared as LaurentPoly, the packed
+    # claim and the entry decoded
     "weightbij-coefficient": ("weightbij", 8, 8,
-                              lambda mp: _plant_range(mp, fe, "h_q_range", 6, _q_plus({2: 256, 3: -1})),
-                              [("6", "q^2 + q^3 + q^4", "257q^2 + q^4")]),
+                              lambda mp: _plant_range(mp, fe, "h_q_range", 6, _slot(3, 1)),
+                              [("6", "q^2 + q^3 + q^4", "q^2 + 2q^3 + q^4")]),
     # claim side: the last digit of 1010 in D(10) up by one; oracle side:
     # the bottom of D(10), 0122, replaced by 0202, one cover above it
     "mainbij-claim": ("mainbij", 16, 16,
@@ -432,45 +452,42 @@ PLANTS = {
                     [("5", "2q^2 + q^3", "q^2 + q^3"), ("5", "2q^2 + q^3", "q^2 + q^3")]),
     "hrs-claim-rs": ("hrs", 8, 25, lambda mp: _plant_sums(mp, hb._RS_WEIGHTS, 6, _count_plus({1: 1})),
                      [("6", "2s + r s + r^2", "s + r s + r^2")]),
-    "hrs-oracle-q": ("hrs", 8, 25, lambda mp: _plant_range(mp, hb, "h_q_range", 5, _up),
+    "hrs-oracle-q": ("hrs", 8, 25, lambda mp: _plant_range(mp, hb, "h_q_range", 5, _poly(_up)),
                      [("5", "q^2 + q^3", "q^3 + q^4")]),
-    "hrs-oracle-rs": ("hrs", 8, 25, lambda mp: _plant_range(mp, hb, "h_rs_range", 6, _bi_plus({(1, 0): 1})),
+    "hrs-oracle-rs": ("hrs", 8, 25, lambda mp: _plant_range(mp, hb, "h_rs_range", 6, _poly(_bi_plus({(1, 0): 1}))),
                       [("6", "s + r s + r^2", "s + r + r s + r^2")]),
-    # h_rs(6) = s + r s + r^2 with 256 r in place of r s: it packs to the
-    # true value at s = 256, r = 256^16, but ``pack_bi`` refuses it, so
-    # n = 6 is compared as BiPoly.  The range holds h_rs(13) as the object
-    # h_rs(6); the planted entry is a new object, so n = 13 still passes
-    "hrs-coefficient": ("hrs", 8, 25,
-                        lambda mp: _plant_range(mp, hb, "h_rs_range", 6, _bi_plus({(1, 0): 256, (1, 1): -1})),
-                        [("6", "s + r s + r^2", "s + 256r + r^2")]),
+    # h_rs(6) = s + r s + r^2 with one more in the slot of r s of the
+    # integer range entry; n = 6 is compared as BiPoly, the entry decoded
+    "hrs-coefficient": ("hrs", 8, 25, lambda mp: _plant_range(mp, hb, "h_rs_range", 6, _slot((1, 1), 1)),
+                        [("6", "s + r s + r^2", "s + 2r s + r^2")]),
     # D(5) = {101, 021} listed as 257 copies of 101: 257 q^2 sums to
     # 256^2 + 256^3, the packed h_q(5) = q^2 + q^3 at one-byte slots, so
     # a listing of 256 strings or more is compared as polynomials
     "hrs-count": ("hrs", 8, 25, lambda mp: _plant_stream(mp, 5, lambda ds: (b"\1\0\1",) * 257),
                   [("5", "257q^2", "q^2 + q^3"), ("5", "257s", "s + r"), ("5", "257q^2", "q^2 + q^3")]),
-    # h_q(5) = q^2 + q^3 with q^-1 added: a negative exponent has no slot
-    "hrs-negative-q": ("hrs", 8, 25, lambda mp: _plant_range(mp, hb, "h_q_range", 5, _q_plus({-1: 1})),
-                       [("5", "q^2 + q^3", "q^-1 + q^2 + q^3")]),
+    # h_q(5) = q^2 + q^3 with one less in the slot of q^0, which is empty:
+    # the entry borrows through the slots below q^2 and decodes to
+    # 255 + 255q + q^3
+    "hrs-negative-q": ("hrs", 8, 25, lambda mp: _plant_range(mp, hb, "h_q_range", 5, _slot(0, -1)),
+                       [("5", "q^2 + q^3", "255 + 255q + q^3")]),
     # claim side: the (ones, twos) tally of D(6); oracle side: the
     # recurrence, whose specialization to h_q moves with it, and h_q(6)
     # itself, which the specialization is compared with
     "hbar-claim": ("hbar", 8, 9, lambda mp: _plant_sums(mp, hb._HBAR_WEIGHTS, 6, _count_plus({1: 1})),
                    [("6", "(s + s^2 + t s + t^2, q^2 + q^3 + q^4)",
                      "(s^2 + t s + t^2, q^2 + q^3 + q^4)")]),
-    "hbar-oracle": ("hbar", 8, 9, lambda mp: _plant_range(mp, hb, "hbar_st_range", 6, _bi_plus({(1, 0): 1})),
+    "hbar-oracle": ("hbar", 8, 9, lambda mp: _plant_range(mp, hb, "hbar_st_range", 6, _poly(_bi_plus({(1, 0): 1}))),
                     [("6", "(s^2 + t s + t^2, q^2 + q^3 + q^4)",
                       "(s^2 + t + t s + t^2, 2q^2 + q^3 + q^4)")]),
-    "hbar-oracle-q": ("hbar", 8, 9, lambda mp: _plant_range(mp, hb, "h_q_range", 6, _one_more),
+    "hbar-oracle-q": ("hbar", 8, 9, lambda mp: _plant_range(mp, hb, "h_q_range", 6, _poly(_one_more)),
                       [("6", "(s^2 + t s + t^2, 2q^2 + q^3 + q^4)",
                         "(s^2 + t s + t^2, q^2 + q^3 + q^4)")]),
-    # hbar_st(6) = s^2 + t s + t^2 with 256 t in place of t s: the packed
-    # value is the true one, and ``pack_bi`` refuses it (its
-    # specialization moves too, so n = 6 fails on either count)
+    # hbar_st(6) = s^2 + t s + t^2 with one more in the slot of t s: its
+    # specialization moves with it, so n = 6 fails on both counts
     "hbar-coefficient": ("hbar", 8, 9,
-                         lambda mp: _plant_range(mp, hb, "hbar_st_range", 6,
-                                                 _bi_plus({(1, 0): 256, (1, 1): -1})),
+                         lambda mp: _plant_range(mp, hb, "hbar_st_range", 6, _slot((1, 1), 1)),
                          [("6", "(s^2 + t s + t^2, q^2 + q^3 + q^4)",
-                           "(s^2 + 256t + t^2, 257q^2 + q^4)")]),
+                           "(s^2 + 2t s + t^2, q^2 + 2q^3 + q^4)")]),
     # claim side of the packed matrix sweeps: one more in the lowest slot
     # of a of M~(6) = q M(6), which is q^-1 once shifted back, and of d
     # of M'(6), the constant term
@@ -480,66 +497,56 @@ PLANTS = {
                      [("6", "(s + r, s + r s + r^2)", "(s + r, 1 + s + r s + r^2)")]),
     # oracle side of the packed matrix sweeps: h_q(6) and h_rs(6), which
     # n = 6 reads as its bottom row sum and n = 7 as its top one
-    "mnthm-oracle": ("mnthm", 8, 8, lambda mp: _plant_range(mp, mx, "h_q_range", 6, _one_more),
+    "mnthm-oracle": ("mnthm", 8, 8, lambda mp: _plant_range(mp, mx, "h_q_range", 6, _poly(_one_more)),
                      [("6", "(1 + q, 2q^-1 + 1 + q)", "(1 + q, q^-1 + 1 + q)"),
                       ("7", "(2 + q + q^2, 1)", "(1 + q + q^2, 1)")]),
     "mprime-oracle": ("mprime", 8, 8,
-                      lambda mp: _plant_range(mp, mx, "h_rs_range", 6, _bi_plus({(0, 1): 1})),
+                      lambda mp: _plant_range(mp, mx, "h_rs_range", 6, _poly(_bi_plus({(0, 1): 1}))),
                       [("6", "(s + r, 2s + r s + r^2)", "(s + r, s + r s + r^2)"),
                        ("7", "(2s + r s + r^2, 1)", "(s + r s + r^2, 1)")]),
-    # oracle values that break the packing of M'(n) up to 8 (s = X = 256,
-    # r = X^5) yet pack to the true value: r s^5 for r^2, 256 r for r s,
-    # and s^2 - 256 s added; each n that reads one is compared as BiPoly
-    "mprime-s-degree": ("mprime", 8, 8,
-                        lambda mp: _plant_range(mp, mx, "h_rs_range", 6,
-                                                _bi_plus({(1, 5): 1, (2, 0): -1})),
-                        [("6", "(s + r, s + r s + r s^5)", "(s + r, s + r s + r^2)"),
-                         ("7", "(s + r s + r s^5, 1)", "(s + r s + r^2, 1)")]),
+    # one slot of the integer entry h_rs(6) = s + r s + r^2 of M'(n)'s
+    # packing up to 8 (s = X = 256, r = X^5) changed by one, as its name
+    # says: one more in the top s-degree, s^4, or in r s; one less in the
+    # empty constant slot, which borrows from s, in s, in r s, and in the
+    # empty slot of r, which borrows from r s.  n = 6 and 7 read it, and
+    # each is compared as BiPoly, the entry decoded
+    "mprime-s-degree": ("mprime", 8, 8, lambda mp: _plant_range(mp, mx, "h_rs_range", 6, _slot((0, 4), 1)),
+                        [("6", "(s + r, s + s^4 + r s + r^2)", "(s + r, s + r s + r^2)"),
+                         ("7", "(s + s^4 + r s + r^2, 1)", "(s + r s + r^2, 1)")]),
     "mprime-coefficient": ("mprime", 8, 8,
-                           lambda mp: _plant_range(mp, mx, "h_rs_range", 6,
-                                                   _bi_plus({(1, 0): 256, (1, 1): -1})),
-                           [("6", "(s + r, s + 256r + r^2)", "(s + r, s + r s + r^2)"),
-                            ("7", "(s + 256r + r^2, 1)", "(s + r s + r^2, 1)")]),
-    "mprime-negative": ("mprime", 8, 8,
-                        lambda mp: _plant_range(mp, mx, "h_rs_range", 6,
-                                                _bi_plus({(0, 2): 1, (0, 1): -256})),
-                        [("6", "(s + r, -255s + s^2 + r s + r^2)", "(s + r, s + r s + r^2)"),
-                         ("7", "(-255s + s^2 + r s + r^2, 1)", "(s + r s + r^2, 1)")]),
-    # negative exponents: r^2 s^-4 sits in the slot of r s (2*5 - 4 = 6),
-    # so it packs to the true value; r^-1 has no slot at all
+                           lambda mp: _plant_range(mp, mx, "h_rs_range", 6, _slot((1, 1), 1)),
+                           [("6", "(s + r, s + 2r s + r^2)", "(s + r, s + r s + r^2)"),
+                            ("7", "(s + 2r s + r^2, 1)", "(s + r s + r^2, 1)")]),
+    "mprime-negative": ("mprime", 8, 8, lambda mp: _plant_range(mp, mx, "h_rs_range", 6, _slot((0, 0), -1)),
+                        [("6", "(s + r, 255 + r s + r^2)", "(s + r, s + r s + r^2)"),
+                         ("7", "(255 + r s + r^2, 1)", "(s + r s + r^2, 1)")]),
     "mprime-negative-s": ("mprime", 8, 8,
-                          lambda mp: _plant_range(mp, mx, "h_rs_range", 6,
-                                                  _bi_plus({(2, -4): 1, (1, 1): -1})),
-                          [("6", "(s + r, s + r^2 s^-4 + r^2)", "(s + r, s + r s + r^2)"),
-                           ("7", "(s + r^2 s^-4 + r^2, 1)", "(s + r s + r^2, 1)")]),
+                          lambda mp: _plant_range(mp, mx, "h_rs_range", 6, _slot((0, 1), -1)),
+                          [("6", "(s + r, r s + r^2)", "(s + r, s + r s + r^2)"),
+                           ("7", "(r s + r^2, 1)", "(s + r s + r^2, 1)")]),
     "mprime-negative-r": ("mprime", 8, 8,
-                          lambda mp: _plant_range(mp, mx, "h_rs_range", 6, _bi_plus({(-1, 2): 1})),
-                          [("6", "(s + r, r^-1 s^2 + s + r s + r^2)", "(s + r, s + r s + r^2)"),
-                           ("7", "(r^-1 s^2 + s + r s + r^2, 1)", "(s + r s + r^2, 1)")]),
-    # h_q(6) = q^2 + q^3 + q^4 changed so that it no longer fits the
-    # packing of M~(n) (q = 256) yet packs to the true value: 256 q^2 in
-    # place of q^3, and q^3 - 256 q^2 added; and 1 added, which every n
-    # that reads h_q(6) shifts below q^0 (by q^-1 or q^-2), so a packing
-    # that dropped the slots below q^0 would match.  Each n that reads
-    # one is compared as LaurentPoly
-    "mnthm-coefficient": ("mnthm", 8, 8,
-                          lambda mp: _plant_range(mp, mx, "h_q_range", 6, _q_plus({2: 256, 3: -1})),
-                          [("6", "(1 + q, 257q^-1 + q)", "(1 + q, q^-1 + 1 + q)"),
-                           ("7", "(257 + q^2, 1)", "(1 + q + q^2, 1)")]),
-    "mnthm-negative": ("mnthm", 8, 8,
-                       lambda mp: _plant_range(mp, mx, "h_q_range", 6, _q_plus({2: -256, 3: 1})),
-                       [("6", "(1 + q, -255q^-1 + 2 + q)", "(1 + q, q^-1 + 1 + q)"),
-                        ("7", "(-255 + 2q + q^2, 1)", "(1 + q + q^2, 1)")]),
-    "mnthm-negative-q": ("mnthm", 8, 8, lambda mp: _plant_range(mp, mx, "h_q_range", 6, _q_plus({0: 1})),
+                          lambda mp: _plant_range(mp, mx, "h_rs_range", 6, _slot((1, 0), -1)),
+                          [("6", "(s + r, s + 255r + r^2)", "(s + r, s + r s + r^2)"),
+                           ("7", "(s + 255r + r^2, 1)", "(s + r s + r^2, 1)")]),
+    # h_q(6) = q^2 + q^3 + q^4 with one slot of its integer entry changed
+    # by one: one more in q^3; one less in q^2; and one more in q^0,
+    # which every n that reads h_q(6) shifts below q^0 (by q^-1 or
+    # q^-2), so a check that dropped the slots below q^0 would match.
+    # Each n that reads it is compared as LaurentPoly
+    "mnthm-coefficient": ("mnthm", 8, 8, lambda mp: _plant_range(mp, mx, "h_q_range", 6, _slot(3, 1)),
+                          [("6", "(1 + q, q^-1 + 2 + q)", "(1 + q, q^-1 + 1 + q)"),
+                           ("7", "(1 + 2q + q^2, 1)", "(1 + q + q^2, 1)")]),
+    "mnthm-negative": ("mnthm", 8, 8, lambda mp: _plant_range(mp, mx, "h_q_range", 6, _slot(2, -1)),
+                       [("6", "(1 + q, 1 + q)", "(1 + q, q^-1 + 1 + q)"),
+                        ("7", "(q + q^2, 1)", "(1 + q + q^2, 1)")]),
+    "mnthm-negative-q": ("mnthm", 8, 8, lambda mp: _plant_range(mp, mx, "h_q_range", 6, _slot(0, 1)),
                          [("6", "(1 + q, q^-3 + q^-1 + 1 + q)", "(1 + q, q^-1 + 1 + q)"),
                           ("7", "(q^-2 + 1 + q + q^2, 1)", "(1 + q + q^2, 1)")]),
-    "mnent-coefficient": ("mnent", 16, 15,
-                          lambda mp: _plant_range(mp, mx, "h_q_range", 6, _q_plus({2: 256, 3: -1})),
-                          _mnent_h6("257q^-1 + q", "257 + q^2")),
-    "mnent-negative": ("mnent", 16, 15,
-                       lambda mp: _plant_range(mp, mx, "h_q_range", 6, _q_plus({2: -256, 3: 1})),
-                       _mnent_h6("-255q^-1 + 2 + q", "-255 + 2q + q^2")),
-    "mnent-negative-q": ("mnent", 16, 15, lambda mp: _plant_range(mp, mx, "h_q_range", 6, _q_plus({0: 1})),
+    "mnent-coefficient": ("mnent", 16, 15, lambda mp: _plant_range(mp, mx, "h_q_range", 6, _slot(3, 1)),
+                          _mnent_h6("q^-1 + 2 + q", "1 + 2q + q^2")),
+    "mnent-negative": ("mnent", 16, 15, lambda mp: _plant_range(mp, mx, "h_q_range", 6, _slot(2, -1)),
+                       _mnent_h6("1 + q", "q + q^2")),
+    "mnent-negative-q": ("mnent", 16, 15, lambda mp: _plant_range(mp, mx, "h_q_range", 6, _slot(0, 1)),
                          _mnent_h6("q^-3 + q^-1 + 1 + q", "q^-2 + 1 + q + q^2")),
 }
 
@@ -559,9 +566,10 @@ def test_planted_defect_fails_where_planted(monkeypatch, plant):
 
 def test_weightbij_report_matches_the_per_n_route(monkeypatch):
     """The report of ``weight_checks`` equals that of ``weight_check``
-    run per n, also where a planted h_q(6) fails n = 6, once refused by
-    ``pack`` and once packed at the wrong lowest exponent: a failure
-    renders the packed claim decoded as ``h_q_fence(n)`` renders."""
+    run per n, also where a planted h_q(6) fails n = 6, once with one
+    more in the slot of q^3 and once shifted by q: a failure renders the
+    packed claim decoded as ``h_q_fence(n)`` renders, and the integer
+    range entry decoded as ``h_q(n)`` renders."""
     def per_n(limit):
         memo = {}
         return (fe.weight_check(n, memo) for n in range(1, limit + 1))
@@ -569,11 +577,11 @@ def test_weightbij_report_matches_the_per_n_route(monkeypatch):
     def snap(reports):
         return [{k: v for k, v in r.to_dict().items() if k != "elapsed_s"} for r in reports]
 
-    for change in (None, _q_plus({2: 256, 3: -1}), _up):
+    for change in (None, _q_plus({3: 1}), _up):
         monkeypatch.undo()
         if change is not None:
             _plant(monkeypatch, fe, "h_q", (6,), change)
-            _plant_range(monkeypatch, fe, "h_q_range", 6, change)
+            _plant_range(monkeypatch, fe, "h_q_range", 6, _poly(change))
         ranged = run_verify("weightbij", 4096)
         monkeypatch.setattr(verify_module, "weight_checks", per_n)
         assert snap(ranged) == snap(run_verify("weightbij", 4096))
@@ -611,8 +619,8 @@ def test_tally_sweeps_take_the_packed_path(name, bound, width):
     each slot is one byte; at 4690 two, since |D(4690)| = fusc(4691) =
     257.  D(0) is the empty string alone, which the window sums leave to
     the general passes, so n = 0 compares equal polynomials."""
-    assert verify_module._tally_width(bound) == width
-    assert verify_module._tally_width(4689) == 1
+    assert stern.range_width(bound) == width
+    assert stern.range_width(4689) == 1
     checks = list(getattr(verify_module, f"verify_{name}").__wrapped__(bound))
     assert len({where for where, _, _ in checks}) == bound + 1
     assert all(type(e) is not int and e == a for where, e, a in checks if where == "0")
@@ -624,14 +632,15 @@ def test_tally_sweeps_match_on_the_general_path(monkeypatch, name):
     """With ``_window_sums`` refusing every listing, as it refuses each
     D(n) for n >= 2^15, hrs and hbar compare the polynomials of the
     general tally passes, and report what the packed path reports, also
-    for a planted recurrence value that has no packed form."""
+    for a planted recurrence value, one more in the slot of r s (t s)
+    of its integer entry."""
     def snap():
         (rep,) = run_verify(name, 300)
         return {k: v for k, v in rep.to_dict().items() if k != "elapsed_s"}
 
     packed = snap()
     rng = "h_rs_range" if name == "hrs" else "hbar_st_range"
-    _plant_range(monkeypatch, hb, rng, 6, _bi_plus({(1, 0): 256, (1, 1): -1}))
+    _plant_range(monkeypatch, hb, rng, 6, _slot((1, 1), 1))
     planted = snap()
     monkeypatch.setattr(hb, "_window_sums", lambda *_: None)
     assert snap() == planted and [where for where, _, _ in planted["failures"]] == ["6"]
@@ -641,17 +650,85 @@ def test_tally_sweeps_match_on_the_general_path(monkeypatch, name):
 
 
 def test_mprime_packs_a_planted_entry_on_its_own(monkeypatch):
-    """In a true range h_rs(13) is the object h_rs(6); an entry h_rs(6)
+    """In a true range h_rs(13) equals h_rs(6); an entry h_rs(6)
     planted in the range fails n = 6 and 7, which read it, and not
     n = 13 and 14, which read h_rs(13) and stay on the packed path."""
-    hs = hb.h_rs_range(16)
-    assert hs[14] is hs[7]
-    _plant_range(monkeypatch, mx, "h_rs_range", 6, _bi_plus({(0, 1): 1}))
+    hs = hb.h_rs_range(16, 1, 5)
+    assert hs[14] == hs[7]
+    _plant_range(monkeypatch, mx, "h_rs_range", 6, _poly(_bi_plus({(0, 1): 1})))
     (rep,) = run_verify("mprime", 16)
     assert rep.checked == 16
     assert [where for where, _, _ in rep.failures] == ["6", "7"]
     sides = list(mx.m_prime_checks(16))
     assert [n for n, (e, a) in enumerate(sides, 1) if e is not a] == [6, 7]
+
+
+#: the sweeps that read an integer range as their oracle
+INTEGER_ORACLE_SWEEPS = ["weightbij", "mnthm", "mnent", "mprime", "hrs", "hbar"]
+
+
+@pytest.mark.parametrize("limit, w", [(4689, 1), (4690, 2)])
+def test_integer_ranges_decode_at_the_width_boundary(limit, w):
+    """The slot width of a range goes from one byte to two between 4689
+    and 4690, where fusc(4691) = 257: each integer range decodes, entry
+    for entry, to the polynomials of the per-n recurrences, and the six
+    sweeps that read one pass there."""
+    assert stern.range_width(limit) == w
+    _, k, _, _ = hb._tally_slots(limit)
+    hq, hrs, hbar = hb.h_q_range(limit, w), hb.h_rs_range(limit, w, k), hb.hbar_st_range(limit, w, k)
+    fq, rs, st = {}, {}, {}
+    for n in range(-1, limit + 1):
+        assert unpack(hq[n + 1], w) == hb.h_q(n, fq), n
+        assert unpack_bi(hrs[n + 1], w, k) == hb.h_rs(n, rs), n
+        assert unpack_bi(hbar[n + 1], w, k) == hb.hbar_st(n, st), n
+    if limit == 4690:
+        for name in INTEGER_ORACLE_SWEEPS:
+            (rep,) = run_verify(name, limit)
+            assert rep.passed and rep.checked >= limit - 1, name
+
+
+def test_tally_slots_keep_every_s_degree_apart():
+    """h_rs(2^16) has s^16 (sixteen nonleading zeros) and hbar_st(2^16 - 1)
+    has s^16 (sixteen ones), so K of the tallies and ranges to 2^16 + 1
+    must exceed 16, the window sums' base: at K = 16 either s^16 would
+    take the slot of r (t).  Each entry decodes to its recurrence, and
+    each tally of D(n), as an integer on the window sums' path and as a
+    polynomial off it, is that entry."""
+    limit = 2**16 + 1
+    w, k, _, bi_shifts = hb._tally_slots(limit)
+    hrs, hbar = hb.h_rs_range(limit, w, k), hb.hbar_st_range(limit, w, k)
+    tables = (hb._RS_WEIGHTS, hb._RS_LEAD, bi_shifts), (hb._HBAR_WEIGHTS, None, bi_shifts)
+    for n in (5, 4690, 2**15 - 1, 2**15, 2**16 - 1, 2**16):
+        rs, st = unpack_bi(hrs[n + 1], w, k), unpack_bi(hbar[n + 1], w, k)
+        assert (rs, st) == (hb.h_rs(n), hb.hbar_st(n)), n
+        elems = hb.expansions(n)
+        tallies = hb._packed_tallies(elems, 8 * w, *tables)
+        assert (tallies == [None, None]) == (n >= 2**15), n
+        if n < 2**15:
+            assert tallies == [hrs[n + 1], hbar[n + 1]], n
+        assert (hb.h_rs_enum(n, elems), hb.hbar_st_enum(n, elems)) == (rs, st), n
+    assert hb.h_rs(2**16).terms()[0] == ((0, 16), 1)
+    assert hb.hbar_st(2**16 - 1).terms() == [((0, 16), 1)]
+
+
+def _refuse(*_):
+    raise AssertionError("a polynomial was built on a passing check")
+
+
+@pytest.mark.parametrize("name", INTEGER_ORACLE_SWEEPS)
+def test_integer_oracle_sweeps_build_no_polynomial_to_pass(monkeypatch, name):
+    """With the sums and products of both polynomial types, and
+    ``BiPoly.specialize``, made to raise, the sweeps that read an integer
+    range still pass: each check compares integers, or at n = 0 builds
+    its tallies without arithmetic.  hbar's notes run the memoized
+    ``hbar_st`` recurrence, so for hbar only ``specialize`` raises."""
+    monkeypatch.setattr(BiPoly, "specialize", _refuse)
+    if name != "hbar":
+        for cls in (LaurentPoly, BiPoly):
+            monkeypatch.setattr(cls, "__add__", _refuse)
+            monkeypatch.setattr(cls, "__mul__", _refuse)
+    (rep,) = run_verify(name, 300)
+    assert rep.passed and rep.checked >= 299
 
 
 def _scaled(num, den):
