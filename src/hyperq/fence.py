@@ -30,12 +30,13 @@ identity h_q(n) = q^(r+s) * rgf(1/q), with s the number of ones in the
 binary expansion of n, is stated once, by ``weight_check``, which
 returns the identity's two sides at one n.  ``weight_checks`` yields
 them for n = 1..limit, and ``verify weightbij`` runs it.  The fence of
-n is a binary prefix of n, so one scan step per prefix
-(``_dual_rgf_range``) gives q^r rgf(1/q), each ideal weighed by the
-elements it leaves out, for every fence in range on packed integers
-at q = 256^w, w = ``stern.range_width(limit)``.  Each, times q^s, is
-compared with its entry in one integer range at the same w,
-``hyperbinary.h_q_range(limit, w)``, and only a failure is decoded.
+n is a binary prefix of n, so one scan step per prefix, a
+``stern.halving_range`` (``_dual_rgf_range``), gives q^r rgf(1/q),
+each ideal weighed by the elements it leaves out, for every fence in
+range on packed integers at q = 256^w, w = ``stern.range_width(limit)``.
+Each, times q^s, is compared with its entry in one integer range at
+the same w, ``hyperbinary.h_q_range(limit, w)``, and only a failure is
+decoded.
 ``qcw_fence`` writes cw_q(n) as a quotient of two rank generating
 functions, the identity's corollary.
 """
@@ -59,7 +60,7 @@ from .hyperbinary import (
     s_vector,
 )
 from .poly import LaurentPoly, RatFunc, slot_width, unpack
-from .stern import range_width
+from .stern import halving_range, range_width
 
 
 def fence(n: int) -> str:
@@ -272,15 +273,15 @@ def _dual_rgf_range(limit: int, step: int) -> list[int]:
 
     The word of m is the word of m >> 1 and one letter more, so the
     (out, inn) classes of ``_scan`` at m are one scan step from those
-    at m >> 1, the letter flipped: one step per m, as
-    ``matrices._packed_range`` takes for M~(n).  m = 0 holds (1, 0),
-    from which the leading 1 of every m steps to the scan's start
-    (1, q); R(0) = 1, the empty fence."""
-    states = [(1, 0)] * (limit + 1)
-    for m in range(1, limit + 1):
-        out, inn = states[m >> 1]
-        states[m] = (out, (out + inn) << step) if m & 1 else (out + inn, inn << step)
-    return [out + inn for out, inn in states]
+    at m >> 1, the letter flipped: the ``stern.halving_range`` of one
+    step per m, as ``matrices._packed_range`` takes for M~(n).  m = 0
+    holds (1, 0), from which the leading 1 of every m steps to the
+    scan's start (1, q); R(0) = 1, the empty fence."""
+    def scan_step(m: int, f: list) -> tuple[int, int]:
+        out, inn = f[m >> 1]
+        return (out, (out + inn) << step) if m & 1 else (out + inn, inn << step)
+
+    return list(map(sum, halving_range(limit, scan_step, (1, 0), (1, 1 << step))))
 
 
 def _packed_weights(limit: int) -> tuple[int, list[int]]:

@@ -47,11 +47,12 @@ a fusc_q memo.  ``h_q_range``, ``h_rs_range`` and ``hbar_st_range``
 list every value up to a limit, bottom up (``stern.halving_range``),
 indexed by n + 1 as the memos are, on integers: each polynomial at
 q = X = 256^w, or for the bivariate ones the second variable at X and
-the first at X^K, every weight a power of X, so a step is two
-products by powers of two and an add.  ``_packed_tallies`` sums a
-listing's tallies as integers at the same X and K
-(``_tally_slots``), which the ``hrs`` and ``hbar`` sweeps compare with
-those ranges; ``poly.unpack`` and ``unpack_bi`` decode either.
+the first at X^K, K = ``stern.bi_stride(limit)``, every weight a power
+of X, so a step is two products by powers of two and an add.
+``_packed_tallies`` sums a listing's tallies as integers at the same
+X and K (``_tally_slots``), which the ``hrs`` and ``hbar`` sweeps
+compare with those ranges; ``poly.unpack`` and ``unpack_bi`` decode
+either.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from itertools import repeat
 from operator import lshift
 
 from .poly import BiPoly, LaurentPoly, qint, qpow
-from .stern import digit_rule, fusc, fusc_q, halving, halving_range, range_width
+from .stern import bi_stride, digit_rule, fusc, fusc_q, halving, halving_range, range_width
 
 Digits = tuple[int, ...]
 
@@ -280,13 +281,12 @@ def _window_sums(strings: Sequence[bytes], joined: bytes, table: bytes,
 def _tally_slots(limit: int) -> tuple[int, int, list[int], list[int]]:
     """(w, K, q shifts, bivariate shifts) for the tallies over D(0), ...,
     D(limit) and the integer ranges they are compared with.  Each
-    coefficient counts expansions, so w is ``stern.range_width(limit)``;
-    K, one more than the bit length of the limit, exceeds every
-    s-degree (ones, or nonleading zeros) in range.  A shift list gives
+    coefficient counts expansions, so w is ``stern.range_width(limit)``,
+    and K is ``stern.bi_stride(limit)``.  A shift list gives
     ``_packed_tallies`` the place 8 w (x + j y) of each window sum
     x + _BASE y below 256: a count of s^x r^y at s = 256^w, r = 256^(w K)
     for j = K, and of q^(x + _BASE y) at q = 256^w for j = _BASE."""
-    w, k = range_width(limit), limit.bit_length() + 1
+    w, k = range_width(limit), bi_stride(limit)
     return w, k, *([8 * w * (v % _BASE + j * (v // _BASE)) for v in range(256)] for j in (_BASE, k))
 
 
@@ -405,7 +405,7 @@ def h_rs_range(limit: int, w: int, k: int) -> list[int]:
     """[h_rs(-1), h_rs(0), ..., h_rs(limit)] at s = X = 256^w, r = X^k,
     h_rs(n) at index n + 1: the digit weights (X, 1, X^k).  Every
     coefficient must be below X and every s-degree below k
-    (``limit.bit_length() + 1``); ``poly.unpack_bi(v, w, k)`` decodes an
+    (``stern.bi_stride(limit)``); ``poly.unpack_bi(v, w, k)`` decodes an
     entry."""
     return _int_range(limit, 256 ** w, 1, 256 ** (w * k))
 

@@ -32,12 +32,13 @@ fusc(n) and fusc(n+1), so no coefficient of an entry or a row sum
 reaches 256^w for w = ``stern.range_width(limit)``, the slot width of
 the largest fusc in range.
 Each entry of M~(n) is then one integer, its value at q = 256^w, and
-each entry of M'(n) one integer at s = X = 256^w, r = X^K, where
-K = ``limit.bit_length() + 1`` exceeds every s-degree (one per
-letter).  Both follow M(2n) = L M(n), M(2n+1) = R M(n), and a letter
-step (``_letter``) is a few shifts and two big-int adds, one per n in
-a range (``_packed_range``); ``m_of`` and ``m_prime_of`` take one per
-bit of n (``_packed_word``), with limit n and ``stern.fusc_width``.
+each entry of M'(n) one integer at s = X = 256^w, r = X^K, K =
+``stern.bi_stride(limit)`` above every s-degree (one per letter).
+Both follow M(2n) = L M(n), M(2n+1) = R M(n), and a letter step
+(``_letter``) is a few shifts and two big-int adds: a range
+(``_packed_range``) is ``stern.halving_range`` with one step per n,
+and ``m_of`` and ``m_prime_of`` take one per bit of n
+(``_packed_word``), with limit n and ``stern.fusc_width``.
 ``m_range``, ``m_prime_range``, ``m_of`` and ``m_prime_of`` decode
 every entry (``poly.unpack``, ``poly.unpack_bi``); the ``@`` fold of
 ``word_of(n)`` is left to the tests.  The three range checks read the
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 from .hyperbinary import _BI_ONE, _BI_ZERO, _X1, _X2, _zeros, h_q, h_q_range, h_rs, h_rs_range
 from .poly import BiPoly, LaurentPoly, ONE, ZERO, qpow, unpack, unpack_bi
-from .stern import fusc_width, range_width
+from .stern import bi_stride, fusc_width, halving_range, range_width
 
 
 def _mat2(name: str, one, zero) -> type:
@@ -132,12 +133,10 @@ def _letter(p: tuple, odd: int, u: int, r: int, s: int) -> tuple:
 
 
 def _packed_range(limit: int, u: int, r: int, s: int) -> list:
-    """[None, P(1), ..., P(limit)]: one ``_letter`` step per n."""
-    out = [None] * (limit + 1)
-    out[1] = (1, 0, 0, 1)
-    for n in range(2, limit + 1):
-        out[n] = _letter(out[n >> 1], n & 1, u, r, s)
-    return out
+    """[None, P(1), ..., P(limit)]: the ``stern.halving_range`` of one
+    ``_letter`` step per n, from P(n >> 1)."""
+    return halving_range(limit, lambda n, f: _letter(f[n >> 1], n & 1, u, r, s),
+                         None, (1, 0, 0, 1))
 
 
 def _packed_word(n: int, u: int, r: int, s: int) -> tuple:
@@ -297,14 +296,14 @@ R_PRIME = BiMat2(_X1, _X2, _BI_ZERO, _BI_ONE)
 
 def m_prime_of(n: int) -> BiMat2:
     """M'(n): the packed M'(n) walked over the bits of n, at s = 256^w,
-    r = 256^(w K) with K = ``n.bit_length() + 1``, each entry decoded."""
-    w, k = fusc_width(n), n.bit_length() + 1
+    r = 256^(w K) with K = ``stern.bi_stride(n)``, each entry decoded."""
+    w, k = fusc_width(n), bi_stride(n)
     return BiMat2(*[unpack_bi(v, w, k) for v in _packed_word(n, 0, 8 * w * k, 8 * w)])
 
 
 def _m_prime_packed(limit: int) -> tuple[int, int, list]:
     """(w, K, [None, M'(1), ..., M'(limit)]) at s = X = 256^w, r = X^K."""
-    w, k = range_width(limit), limit.bit_length() + 1
+    w, k = range_width(limit), bi_stride(limit)
     return w, k, _packed_range(limit, 0, 8 * w * k, 8 * w)
 
 

@@ -19,10 +19,10 @@ schoolbook convolutions, row by row for a ``BiPoly``.  Recurrences with
 nonnegative coefficients can instead run on packed integers, each
 polynomial evaluated at q = 256^w, w bytes per coefficient
 (``slot_width``), and build one ``LaurentPoly`` at the end (``unpack``);
-``pack`` goes the other way, and returns None for a polynomial that
-has no packed form.  ``pack_bi`` and ``unpack_bi`` do the same for a
-``BiPoly`` at s = 256^w, r = 256^(w k), k above every s-degree, one row
-per k slots.  This module alone decides whether a value fits its slots.
+``unpack_bi`` does the same for a ``BiPoly`` at s = 256^w, r = 256^(w k),
+k above every s-degree (``stern.bi_stride``), one row per k slots.
+Packing is the caller's: each packed value is built by the recurrence
+or tally that owns it, and this module only decodes.
 ``RatFunc`` equality short-circuits equal shapes and otherwise compares
 the two cross products.
 
@@ -33,7 +33,6 @@ object or one of its operands, and nothing mutates the stored tuples.
 
 from __future__ import annotations
 
-import struct
 import sys
 from collections.abc import Mapping
 from itertools import repeat
@@ -228,7 +227,7 @@ def slot_width(bound: int) -> int:
     return max(1, (bound.bit_length() + 7) >> 3)
 
 
-#: memoryview (and ``struct``) formats of the slot widths that are native
+#: memoryview formats of the slot widths that are native
 #: integer types; a cast reads the slots of a little-endian ``to_bytes``
 #: in order only on a little-endian host, so elsewhere no width has one
 _NATIVE_SLOTS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
@@ -252,22 +251,6 @@ def unpack(v: int, w: int, lo: int = 0) -> LaurentPoly:
         int.from_bytes, map(b.__getitem__, map(slice, range(0, size, w), range(w, size + w, w))),
         repeat("little")))
     return _dense(lo + low, c)
-
-
-def pack(p: LaurentPoly, w: int) -> int | None:
-    """c_0 + c_1 256^w + ... for p = q^lo * (c_0 + c_1 q + ...), each
-    0 <= c_i < 256^w: p at q = 256^w with its q^lo dropped, the inverse
-    of ``unpack(v, w, lo)``.  The slots are one little-endian
-    ``struct.pack`` when ``_NATIVE_SLOTS`` has w, w-byte ``to_bytes``
-    otherwise, read as one integer.  None when a coefficient is outside
-    [0, 256^w): it has no slot, and the integer would not determine p."""
-    c, fmt = p._c, _NATIVE_SLOTS.get(w)
-    try:
-        b = (struct.pack(f"<{len(c)}{fmt}", *c) if fmt
-             else b"".join(map(int.to_bytes, c, repeat(w), repeat("little"))))
-    except (struct.error, OverflowError):
-        return None
-    return int.from_bytes(b, "little")
 
 
 def _bi(i: int, j: int, rows: tuple) -> "BiPoly":
@@ -396,25 +379,10 @@ class BiPoly:
         return f"BiPoly({dict(self.terms())!r})"
 
 
-def pack_bi(p: BiPoly, w: int, k: int) -> int | None:
-    """p at s = X = 256^w, r = X^k: the ``BiPoly`` counterpart of
-    ``pack``, with r^i s^j in slot i k + j, so the rows, each padded to
-    k slots, are one ``pack``.  None when that value would not determine
-    p: an exponent outside the slots (either exponent negative, or an
-    s-degree of k or more), or a coefficient outside [0, X), for which
-    ``pack`` returns None."""
-    rows, pad, flat = p._rows, (0,) * k, []
-    if p._i < 0 or p._j < 0 or p._j + max(map(len, rows), default=0) > k:
-        return None
-    for r in rows:
-        flat += r + pad[len(r):]
-    v = pack(_dense(0, tuple(flat)), w)
-    return None if v is None else v << 8 * w * (p._i * k + p._j)
-
-
 def unpack_bi(v: int, w: int, k: int) -> BiPoly:
     """The ``BiPoly`` whose value at s = X = 256^w, r = X^k is v, each
-    slot below X: the inverse of ``pack_bi``, one row per k slots."""
+    slot below X and k above every s-degree: r^i s^j read from slot
+    i k + j, one row per k slots."""
     p = unpack(v, w)
     i, lo = divmod(p._lo, k)
     c = (0,) * lo + p._c

@@ -24,9 +24,11 @@ once, with no walk.
 ``_fusc_pair`` walks fusc_q too, on packed integers at q = 256^w (w from
 ``fusc_width``): fusc_q, cw_q and hyperbinary.h_q take that walk without
 a memo, and ``halving`` on ``LaurentPoly`` with one.  ``range_width`` is
-the slot width for a whole range, at which ``hyperbinary``'s ranges run
-``halving_range`` on integers, each ``digit_rule`` weight a power of
-256^w.
+the slot width for a whole range, and ``bi_stride`` the one stride K of
+every bivariate packing (s = 256^w, r = 256^(w K)).  Every packed range
+of the package is a ``halving_range``: ``hyperbinary``'s oracles, each
+``digit_rule`` weight a power of 256^w, the letter products of
+``matrices`` and the fence scans of ``fence``.
 
 Memo dicts are owned by the caller: a sweep that passes one uses one
 dict for the whole sweep and drops it afterwards, so repeated sweeps
@@ -78,6 +80,20 @@ def range_width(limit: int) -> int:
     M~(n) and M'(n) for n <= limit, and of h_q(n), h_rs(n) and
     hbar_st(n), each a count of hyperbinary expansions."""
     return slot_width(max(fusc_range(limit + 1)))
+
+
+def bi_stride(limit: int) -> int:
+    """The stride K of the bivariate packings to limit >= 0, r^i s^j in
+    slot i K + j at s = X = 256^w, r = X^K: one more than the bit length
+    of the limit, here and only here.  ``matrices`` packs M'(n) with it
+    (K of n alone for ``m_prime_of``), and ``hyperbinary`` the h_rs and
+    hbar_st ranges and tallies.  A slot holds one term only while every
+    s-degree in range is below K.  Those degrees count digits of n <=
+    limit, which has limit.bit_length() digits at most: the letters of
+    M'(n) (one per digit after the leading 1), the nonleading zeros
+    of h_rs(n), the ones of hbar_st(n).  The ones reach the bound, at
+    hbar_st(2^b - 1) = s^b, so K can be no smaller."""
+    return limit.bit_length() + 1
 
 
 def fusc_range(limit: int) -> list[int]:

@@ -50,7 +50,7 @@ from . import matrices as mx
 from . import qrational as qr
 from . import stern
 from .fence import iso_check, weight_checks
-from .poly import BiPoly, LaurentPoly, RatFunc, pack, unpack, unpack_bi
+from .poly import BiPoly, LaurentPoly, RatFunc, unpack, unpack_bi
 
 Failure = tuple[str, str, str]  # where, expected, actual
 
@@ -221,7 +221,9 @@ def verify_hrs(max_n):
     integer ranges ``h_q_range`` and ``h_rs_range`` at the slot width of
     the largest |D(n)|; a tally that is not its entry, or off the window
     sums' path, is compared as the polynomial of ``h_q_enum`` or
-    ``h_rs_enum`` with the entry decoded, as is the closed form."""
+    ``h_rs_enum`` with the entry decoded.  The closed form is weighed
+    at the same q as one integer, the sum of its terms, and compared
+    the same way."""
     if max_n < 0:
         return
     w, k, q_shifts, rs_shifts = hb._tally_slots(max_n)
@@ -232,8 +234,8 @@ def verify_hrs(max_n):
         yield _tally_check(n, tq, hq[n + 1], hb.h_q_enum, elems, unpack, w)
         yield _tally_check(n, trs, hrs[n + 1], hb.h_rs_enum, elems, unpack_bi, w, k)
         if hb.h_q_closed_form_applies(n):
-            c = hb.h_q_closed_form(n)
-            yield _tally_check(n, tq, pack(c, w) << 8 * w * c.min_exp, hb.h_q_enum, elems, unpack, w)
+            closed = sum(c << 8 * w * e for e, c in hb.h_q_closed_form(n).terms())
+            yield _tally_check(n, tq, closed, hb.h_q_enum, elems, unpack, w)
 
 
 @_sweep(50, kind="r,s")

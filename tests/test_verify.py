@@ -10,7 +10,7 @@ import hyperq.matrices as mx
 import hyperq.verify as verify_module
 from hyperq import qrational as qr
 from hyperq import stern
-from hyperq.poly import ONE, BiPoly, LaurentPoly, RatFunc, pack, pack_bi, qint, qpow, unpack, unpack_bi
+from hyperq.poly import ONE, BiPoly, LaurentPoly, RatFunc, qint, qpow, unpack, unpack_bi
 from hyperq.verify import REGISTRY, VerifyReport, run_verify
 
 
@@ -307,12 +307,13 @@ def _plant_range(monkeypatch, module, name, at, change):
 
 def _poly(change):
     """A range change: ``change`` applied to the entry's polynomial,
-    decoded and packed back (``unpack``/``pack``, or the ``_bi`` pair)."""
+    decoded (``unpack``, or ``unpack_bi``) and packed back as the sum of
+    its terms, c in the slot of q^e, or of r^i s^j at slot i K + j."""
     def changed(v, w, *k):
         if k:
-            return pack_bi(change(unpack_bi(v, w, *k)), w, *k)
-        p = change(unpack(v, w))
-        return pack(p, w) << 8 * w * p.min_exp
+            terms = change(unpack_bi(v, w, *k)).terms()
+            return sum(c << 8 * w * (i * k[0] + j) for (i, j), c in terms)
+        return sum(c << 8 * w * e for e, c in change(unpack(v, w)).terms())
     return changed
 
 
@@ -693,7 +694,10 @@ def test_tally_slots_keep_every_s_degree_apart():
     must exceed 16, the window sums' base: at K = 16 either s^16 would
     take the slot of r (t).  Each entry decodes to its recurrence, and
     each tally of D(n), as an integer on the window sums' path and as a
-    polynomial off it, is that entry."""
+    polynomial off it, is that entry.  M'(2^16), packed with the K of
+    the same rule, has the row sums (h_rs(2^16 - 1), h_rs(2^16)).  At
+    an all-ones limit 2^b - 1 the rule is tight: hbar_st(2^b - 1) = s^b
+    needs K = b + 1."""
     limit = 2**16 + 1
     w, k, _, bi_shifts = hb._tally_slots(limit)
     hrs, hbar = hb.h_rs_range(limit, w, k), hb.hbar_st_range(limit, w, k)
@@ -709,6 +713,12 @@ def test_tally_slots_keep_every_s_degree_apart():
         assert (hb.h_rs_enum(n, elems), hb.hbar_st_enum(n, elems)) == (rs, st), n
     assert hb.h_rs(2**16).terms()[0] == ((0, 16), 1)
     assert hb.hbar_st(2**16 - 1).terms() == [((0, 16), 1)]
+    mw, mk, ms = mx._m_prime_packed(limit)
+    assert (mw, mk) == (w, k)
+    a, b, c, d = ms[2**16]
+    assert (unpack_bi(a + b, w, k), unpack_bi(c + d, w, k)) == (hb.h_rs(2**16 - 1), hb.h_rs(2**16))
+    w, k, _, _ = hb._tally_slots(255)
+    assert unpack_bi(hb.hbar_st_range(255, w, k)[256], w, k) == BiPoly({(0, 8): 1}) == hb.hbar_st(255)
 
 
 def _refuse(*_):
