@@ -1,4 +1,4 @@
-"""Exact dense polynomial arithmetic over the integers.
+"""Exact polynomial arithmetic over the integers.
 
 Three small value types used everywhere else in the package:
 
@@ -8,27 +8,28 @@ Three small value types used everywhere else in the package:
 * ``RatFunc``     -- a quotient of two Laurent polynomials: a value
   compared by cross multiplication, never reduced, with no arithmetic.
 
-The polynomials met here are short and have no gaps, so both kinds are
-dense.  A ``LaurentPoly`` is q^lo times a tuple of coefficients whose
-first and last entries are nonzero (the empty tuple is zero).  A
-``BiPoly`` is r^i s^j times rows, row k the coefficient of r^k as such
-a tuple in s, every row read from the one s-offset j.  A product with a
-one-term operand moves the offsets and shares the tuples; sums add
-tuples in a C-level ``map`` (``_row_add``); other products are
-schoolbook convolutions, row by row for a ``BiPoly``.  Recurrences with
-nonnegative coefficients can instead run on packed integers, each
-polynomial evaluated at q = 256^w, w bytes per coefficient
-(``slot_width``), and build one ``LaurentPoly`` at the end (``unpack``);
-``unpack_bi`` does the same for a ``BiPoly`` at s = 256^w, r = 256^(w k),
-k above every s-degree (``stern.bi_stride``), one row per k slots.
-Packing is the caller's: each packed value is built by the recurrence
-or tally that owns it, and this module only decodes.
-``RatFunc`` equality short-circuits equal shapes and otherwise compares
-the two cross products.
+A ``LaurentPoly`` is dense: the polynomials in q met here are short and
+have no gaps, so it is q^lo times a tuple of coefficients whose first
+and last entries are nonzero (the empty tuple is zero).  A product with
+a one-term operand moves lo and shares the tuple, a sum adds tuples in
+a C-level ``map``, and other products are schoolbook convolutions.  A
+``BiPoly`` is the dict {(e1, e2): coeff} of its nonzero terms, in
+increasing (e1, e2) order; its products are term by term, and a
+product by one is the other operand.  Recurrences with nonnegative
+coefficients can instead run on packed integers, each polynomial
+evaluated at q = 256^w, w bytes per coefficient (``slot_width``), and
+build one ``LaurentPoly`` at the end (``unpack``); ``unpack_bi`` does
+the same for a ``BiPoly`` at s = 256^w, r = 256^(w k), k above every
+s-degree (``stern.bi_stride``), r^i s^j in slot i k + j.  Packing is
+the caller's: each packed value is built by the recurrence or tally
+that owns it, and this module only decodes.  ``RatFunc`` equality
+short-circuits equal shapes and otherwise compares the two cross
+products.
 
 All arithmetic is exact; there is no floating point anywhere.
 Instances are immutable by convention: every operation returns a fresh
-object or one of its operands, and nothing mutates the stored tuples.
+object or one of its operands, and nothing mutates the stored tuples
+or dicts.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Mapping
 from itertools import repeat
-from operator import add, itemgetter
+from operator import add
 
 def _render(terms, var) -> str:
     """The fixed wire format shared by both polynomial types: terms in
@@ -91,20 +92,6 @@ def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _rstrip(c: tuple) -> tuple:
-    """c without its trailing zeros."""
-    n = len(c)
-    while n and not c[n - 1]:
-        n -= 1
-    return c[:n]
-
-
-def _row_add(x: tuple, y: tuple) -> tuple:
-    """x + y read from one offset, with no trailing zero if neither had one."""
-    c, d = tuple(map(add, x, y)), len(x) - len(y)
-    return c + (x[-d:] if d > 0 else y[d:]) if d else _rstrip(c)
-
-
 class LaurentPoly:
     """A Laurent polynomial in one variable q, stored as q^lo * (c_0, c_1, ...),
     built from a {exponent: coeff} mapping; zero coefficients are dropped."""
@@ -149,8 +136,8 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         lo = min(self._lo, other._lo)
-        return _trimmed(lo, _row_add((0,) * (self._lo - lo) + self._c,
-                                     (0,) * (other._lo - lo) + other._c))
+        a, b = sorted(((0,) * (p._lo - lo) + p._c for p in (self, other)), key=len)
+        return _trimmed(lo, tuple(map(add, a, b)) + b[len(a):])
 
     def __neg__(self) -> "LaurentPoly":
         return _dense(self._lo, tuple(map(int.__neg__, self._c)))
@@ -253,51 +240,16 @@ def unpack(v: int, w: int, lo: int = 0) -> LaurentPoly:
     return _dense(lo + low, c)
 
 
-def _bi(i: int, j: int, rows: tuple) -> "BiPoly":
-    """r^i s^j * (rows[0] + rows[1] r + ...), rows already canonical."""
-    p = object.__new__(BiPoly)
-    p._i, p._j, p._rows = i, j, rows
-    return p
-
-
-def _canon(i: int, j: int, rows: tuple) -> "BiPoly":
-    """``_bi`` for rows that end nonzero or are empty: empty rows at
-    either end dropped, and the zeros that start every row moved to j."""
-    lo, hi = 0, len(rows)
-    while lo < hi and not rows[lo]:
-        lo += 1
-    if lo == hi:
-        return _bi(0, 0, ())
-    while not rows[hi - 1]:
-        hi -= 1
-    rows = rows[lo:hi]
-    if not any(map(itemgetter(0), filter(None, rows))):
-        m = min(next(e for e, c in enumerate(r) if c) for r in rows if r)
-        rows, j = tuple(r[m:] for r in rows), j + m
-    return _bi(i + lo, j, rows)
-
-
 class BiPoly:
-    """A polynomial in two commuting variables r, s, stored as r^i s^j
-    (row_0 + row_1 r + ...), row k the dense tuple of coefficients of
-    s^0, s^1, ... in the coefficient of r^k.  Exponents are integers of
-    either sign.  The form is canonical (no row ends in 0, the first and
-    last rows are nonzero, some row starts nonzero), so equality
-    compares (i, j, rows).  The names r, s only matter for rendering."""
+    """A polynomial in two commuting variables r, s, stored as the dict
+    {(e1, e2): coeff} of its nonzero terms, kept in increasing (e1, e2)
+    order for ``terms()`` and rendering.  Exponents are integers of
+    either sign.  The names r, s only matter for rendering."""
 
-    __slots__ = ("_i", "_j", "_rows")
+    __slots__ = ("_t",)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        nz = terms or {}
-        if not all(nz.values()):
-            nz = {p: c for p, c in nz.items() if c}
-        es, js = zip(*nz) if nz else ((0,), (0,))
-        i0, j0, k = min(es), min(js), max(js) + 1 - min(js)
-        flat = [0] * ((max(es) + 1 - i0) * k if nz else 0)
-        for (i, j), c in nz.items():
-            flat[(i - i0) * k + j - j0] = c
-        rows = zip(*[iter(flat)] * k)  # k slots each, trailing zeros dropped below
-        self._i, self._j, self._rows = i0, j0, tuple([r if r[-1] else _rstrip(r) for r in rows])
+        self._t = {p: c for p, c in sorted((terms or {}).items()) if c}
 
     @classmethod
     def zero(cls) -> "BiPoly":
@@ -313,51 +265,41 @@ class BiPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._rows
+        return not self._t
 
     def terms(self) -> list[tuple[tuple[int, int], int]]:
         """((e1, e2), coeff) pairs in lexicographic order."""
-        return [((i, j), c) for i, row in enumerate(self._rows, self._i)
-                for j, c in enumerate(row, self._j) if c]
+        return list(self._t.items())
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
         if not isinstance(other, BiPoly):
             return NotImplemented
-        a, b = (self, other) if self._i <= other._i else (other, self)
-        ra, rb, j = a._rows, b._rows, min(a._j, b._j)
-        if a._j != b._j:  # read every row from the lower s-offset
-            ra, rb = (tuple((0,) * (x._j - j) + r if r else r for r in x._rows) for x in (a, b))
-        off = b._i - a._i
-        ra += ((),) * (off + len(rb) - len(ra))  # pad ra to cover rb
-        return _canon(a._i, j, ra[:off] + tuple(map(_row_add, ra[off:], rb)) + ra[off + len(rb):])
+        out = dict(self._t)
+        for p, c in other._t.items():
+            out[p] = out.get(p, 0) + c
+        return BiPoly(out)
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         if not isinstance(other, BiPoly):
             return NotImplemented
-        x, y = (other, self) if len(self._rows) == 1 and len(self._rows[0]) == 1 else (self, other)
-        a, b = x._rows, y._rows
-        if not a or not b:
-            return _bi(0, 0, ())
-        i, j = x._i + y._i, x._j + y._j
-        if len(b) == 1 and len(b[0]) == 1:  # a monomial moves the offsets
-            (k,), = b
-            if k == 1:
-                return _bi(i, j, a) if y._i or y._j else x
-            return _bi(i, j, tuple(tuple(map(k.__mul__, r)) for r in a))
-        out = [()] * (len(a) + len(b) - 1)
-        for e, r in enumerate(a):
-            for f, t in enumerate(b, e):
-                if r and t:
-                    out[f] = _row_add(out[f], _convolve(r, t))
-        return _canon(i, j, tuple(out))
+        if self._t == {(0, 0): 1}:  # a product by one is the other operand
+            return other
+        if other._t == {(0, 0): 1}:
+            return self
+        out: dict[tuple[int, int], int] = {}
+        for (a1, a2), c1 in self._t.items():
+            for (b1, b2), c2 in other._t.items():
+                p = (a1 + b1, a2 + b2)
+                out[p] = out.get(p, 0) + c1 * c2
+        return BiPoly(out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self._i == other._i and self._j == other._j and self._rows == other._rows
+        return self._t == other._t
 
     def __bool__(self) -> bool:
-        return bool(self._rows)
+        return bool(self._t)
 
     def specialize(self, w1: int, w2: int) -> LaurentPoly:
         """Map each variable to a power of q, term by term:
@@ -366,7 +308,7 @@ class BiPoly:
 
     @property
     def eval_at_one(self) -> int:
-        return sum(map(sum, self._rows))
+        return sum(self._t.values())
 
     def text(self, names: tuple[str, str] = ("r", "s")) -> str:
         """Terms in lexicographic (e1, e2) order, e.g. "s + r" or "1 + r s^2"."""
@@ -376,17 +318,14 @@ class BiPoly:
     __str__ = text
 
     def __repr__(self) -> str:
-        return f"BiPoly({dict(self.terms())!r})"
+        return f"BiPoly({self._t!r})"
 
 
 def unpack_bi(v: int, w: int, k: int) -> BiPoly:
     """The ``BiPoly`` whose value at s = X = 256^w, r = X^k is v, each
     slot below X and k above every s-degree: r^i s^j read from slot
-    i k + j, one row per k slots."""
-    p = unpack(v, w)
-    i, lo = divmod(p._lo, k)
-    c = (0,) * lo + p._c
-    return _canon(i, 0, tuple(_rstrip(c[e:e + k]) for e in range(0, len(c), k)))
+    i k + j."""
+    return BiPoly({divmod(e, k): c for e, c in unpack(v, w).terms()})
 
 
 class RatFunc:

@@ -15,9 +15,11 @@ evaluated bottom up as one 2x2 step per partial quotient on a
 so (P, Q) is the product of the matrices (([a]_q, q^a), (1, 0)), one
 per partial quotient, applied to (1, 0): the q-SL(2) product form.  P
 and Q have nonnegative coefficients, so the steps run on the pair
-evaluated at q = 256^w, one integer each (``poly.unpack``).  The
-result is the explicit quotient P/Q, never reduced.  The value does
-not depend on which continued fraction representation of r/s is used.
+evaluated at q = 256^w, one integer each (``_packed_cf``), decoded by
+``poly.unpack``; ``verify``'s qrat sweep compares that packed pair
+itself.  The result is the explicit quotient P/Q, never reduced.  The
+value does not depend on which continued fraction representation of
+r/s is used.
 
 The run-length word of [a1, ..., am], a1 ones, a2 zeros, a3 ones, ...,
 is read twice.  Reversed, it is the binary expansion of the Calkin-Wilf
@@ -108,11 +110,7 @@ def qdeform_cf(cf: list[int]) -> RatFunc:
     q = 1, and those values are the integer continuants.  A first pass
     (P, Q) <- (a P + Q, P) on integers never lowers max(P, Q), so the
     final pair's larger value is the largest and fixes the slot width
-    w.  The second pass writes P and Q as one common power q^lo times
-    polynomials in q, and carries those two as their values at
-    q = 256^w.  [a]_q is the repunit of a slots and
-    [a]_{1/q} = q^-(a-1) [a]_q, so an even step lowers lo by a and
-    shifts the rest up: (P, Q) <- (q^-a (q [a]_q P + Q), q^-a q^a P).
+    w.  The second pass, ``_packed_cf``, runs at q = 256^w.
     """
     if not cf:
         raise ValueError("empty continued fraction")
@@ -122,8 +120,18 @@ def qdeform_cf(cf: list[int]) -> RatFunc:
             raise ValueError(f"partial quotient a{cf.index(a) + 1} = {a} is negative")
         p, q = a * p + q, p
     w = slot_width(max(p, q))
-    step = 8 * w
-    unit = b"\1" + bytes(w - 1)
+    p, q, lo = _packed_cf(cf, 8 * w)
+    return RatFunc(unpack(p, w, lo), unpack(q, w, lo))
+
+
+def _packed_cf(cf: list[int], step: int) -> tuple[int, int, int]:
+    """(P, Q, lo) with the q-deformation of cf equal to q^lo P / q^lo Q,
+    P and Q polynomials in q given by their values at q = 2^step, a
+    multiple of 8 that leaves every coefficient its own slot.  [a]_q is
+    the repunit of a slots and [a]_{1/q} = q^-(a-1) [a]_q, so an even
+    step lowers lo by a and shifts the rest up:
+    (P, Q) <- (q^-a (q [a]_q P + Q), q^-a q^a P)."""
+    unit = b"\1".ljust(step >> 3, b"\0")
     p, q, lo = 1, 0, 0
     for i in range(len(cf), 0, -1):
         a = cf[i - 1]
@@ -133,7 +141,7 @@ def qdeform_cf(cf: list[int]) -> RatFunc:
         else:
             p, q = (ones * p << step) + q, p << step * a
             lo -= a
-    return RatFunc(unpack(p, w, lo), unpack(q, w, lo))
+    return p, q, lo
 
 
 # ---------------------------------------------------------------------------

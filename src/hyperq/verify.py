@@ -22,11 +22,14 @@ slots of ``hyperbinary._tally_slots``, and the polynomials are built
 only for a failure or a listing off the window sums' path (D(0), and
 every D(n) with n >= 2^15).  hbar compares two tallies, its ones and
 twos with ``hbar_st_range`` and its digit sums with ``h_q_range``, so
-it specializes no polynomial to pass.  qrat and gg compare
-``RatFunc`` values, whose equality short-circuits two quotients of
-equal shape.  A bound above ``sys.maxsize`` (2^63 - 1 on a 64-bit
-build) raises ``OverflowError`` before any check: no range or list can
-have that many entries.  Sweeps are single threaded and iterate in
+it specializes no polynomial to pass.  qrat compares packed integer
+pairs too: its claim from ``h_q_range``, its oracle from the packed
+pass of ``qrational.qdeform_cf``, each pair rid of its common power of
+q, and ``RatFunc`` values only on a mismatch, so that a value of
+another shape still passes.  gg compares ``RatFunc`` values, whose
+equality short-circuits two quotients of equal shape.  A bound above
+``sys.maxsize`` (2^63 - 1 on a 64-bit build) raises ``OverflowError``
+before any check: no range or list can have that many entries.  Sweeps are single threaded and iterate in
 increasing order, so reports are deterministic.  Each builds its own
 state: a range, or private memo dicts, one per memoized function.
 
@@ -50,7 +53,7 @@ from . import matrices as mx
 from . import qrational as qr
 from . import stern
 from .fence import iso_check, weight_checks
-from .poly import BiPoly, LaurentPoly, RatFunc, unpack, unpack_bi
+from .poly import BiPoly, RatFunc, slot_width, unpack, unpack_bi
 
 Failure = tuple[str, str, str]  # where, expected, actual
 
@@ -151,14 +154,34 @@ def _sweep(default: int, kind: str = "n", lo: int = 1, render=_text, notes=None)
     return register
 
 
+def _without_common_q(a: int, b: int, step: int) -> tuple[int, int]:
+    """(a, b) divided by the largest power of q = 2^step dividing both."""
+    v = a | b
+    k = ((v & -v).bit_length() - 1) // step * step
+    return a >> k, b >> k
+
+
 @_sweep(10_000)
 def verify_qrat(max_n):
-    """[cw(n)]_q = q * cw_q(n) for 1 <= n <= max_n."""
+    """[cw(n)]_q = q * cw_q(n) for 1 <= n <= max_n.  One fusc range
+    gives r/s = cw(n) and the slot width w; at q = 256^w, the claim's
+    (q fusc_q(n), fusc_q(n+1)) comes from ``h_q_range``, and [r/s]_q
+    from its packed continued fraction pass (``qr._packed_cf``).  Each
+    pair is divided by its largest common power of q and the two are
+    compared as integers; only a mismatch compares them as ``RatFunc``
+    values, the claim decoded against ``qr.qdeform(r, s)``."""
     fr = stern.fusc_range(max_n + 1)
-    fq_memo: dict[int, LaurentPoly] = {}
+    w = slot_width(max(fr))
+    step = 8 * w
+    hq = hb.h_q_range(max_n, w)
     for n in range(1, max_n + 1):
-        v = stern.cw_q(n, fq_memo)
-        yield str(n), RatFunc(v.num.shift(1), v.den), qr.qdeform(fr[n], fr[n + 1])
+        claim = _without_common_q(hq[n] << step, hq[n + 1], step)
+        p, q, _ = qr._packed_cf(qr.cf_expand(fr[n], fr[n + 1]), step)
+        if claim == _without_common_q(p, q, step):
+            yield str(n), claim, claim
+        else:
+            yield (str(n), RatFunc(unpack(hq[n], w, 1), unpack(hq[n + 1], w)),
+                   qr.qdeform(fr[n], fr[n + 1]))
 
 
 @_sweep(4096)

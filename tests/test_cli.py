@@ -55,6 +55,8 @@ TEXT_GOLDENS = [
     (["fence", "--rgf", "10"], "1 + q + 2q^2 + q^3"),
     (["matrix", "19"], "q^-1 + 2 + q + q^2 | q^-2 + q^-1\nq^-1 + 1 | q^-2"),
     (["matrix", "--prime", "2"], "1 | 0\nr | s"),
+    (["matrix", "--prime", "19"],
+     "r s + r s^2 + r^2 + r^2 s + r^2 s^2 | s^3 + r s^3\nr + r s | s^2"),
 ]
 
 
@@ -103,6 +105,9 @@ JSON_CASES = [
       "entries": [["q^-1 + 2 + q + q^2", "q^-2 + q^-1"], ["q^-1 + 1", "q^-2"]]}),
     (["matrix", "--prime", "2"],
      {"n": 2, "prime": True, "entries": [["1", "0"], ["r", "s"]]}),
+    (["matrix", "--prime", "19"],
+     {"n": 19, "prime": True,
+      "entries": [["r s + r s^2 + r^2 + r^2 s + r^2 s^2", "s^3 + r s^3"], ["r + r s", "s^2"]]}),
 ]
 
 
@@ -139,6 +144,18 @@ def test_stats_output_digest():
             outs.append(out)
     digest = hashlib.sha256("".join(outs).encode()).hexdigest()
     assert digest == "ff4dafd5a7bb5a2be0c83e0afe0f1861e496ae2b43cedd3f8a215b6687ae60f6"
+
+
+@pytest.mark.parametrize("json_flag,prefix", [([], "1e3eb7d9e7aba111"),
+                                              (["--json"], "1bddff1ffd68eda8")])
+def test_matrix_prime_of_a_201_bit_n_digest(json_flag, prefix):
+    """``matrix --prime`` of n = 2^200 + 2^99 + 5, whose entries are
+    ``BiPoly`` values of a few hundred terms each, pinned by the sha256
+    prefix of its stdout: every term, coefficient and term order of the
+    rendering."""
+    code, out, err = run(["matrix", "--prime", str(2**200 + 2**99 + 5), *json_flag])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
 
 
 def test_json_dot_matches_text_mode():

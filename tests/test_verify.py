@@ -305,6 +305,25 @@ def _plant_range(monkeypatch, module, name, at, change):
     monkeypatch.setattr(module, name, planted)
 
 
+def _plant_cf(monkeypatch, rs, change):
+    """``qr._packed_cf`` with ``change(p, q, step)`` applied to the
+    packed pair (P, Q) of the continued fraction of r/s = rs alone: the
+    integer side of the qrat sweep, and the pass that ``qr.qdeform``
+    decodes, so a failure renders the changed value."""
+    real, cf = qr._packed_cf, qr.cf_expand(*rs)
+
+    def planted(c, step):
+        p, q, lo = real(c, step)
+        return (*change(p, q, step), lo) if c == cf else (p, q, lo)
+
+    monkeypatch.setattr(qr, "_packed_cf", planted)
+
+
+def _p_one_more(p, q, step):
+    """P with one added to its lowest nonzero slot."""
+    return p + (1 << ((p & -p).bit_length() - 1) // step * step), q
+
+
 def _poly(change):
     """A range change: ``change`` applied to the entry's polynomial,
     decoded (``unpack``, or ``unpack_bi``) and packed back as the sum of
@@ -389,12 +408,15 @@ def _mnent_h6(p3, p2):
 #: id -> (sweep, bound, checks, planting, failures); each plants one small
 #: error on one side of one n, or of one value that two neighbouring n read
 PLANTS = {
-    # claim side: the continued-fraction route, one coefficient up
-    "qrat-claim": ("qrat", 16, 16, lambda mp: _plant(mp, qr, "qdeform", (3, 2), _num(_one_more)),
+    # claim side: the packed continued-fraction pair of 3/2, one up in
+    # the lowest coefficient of its numerator
+    "qrat-claim": ("qrat", 16, 16, lambda mp: _plant_cf(mp, (3, 2), _p_one_more),
                    [("5", "(1 + q + q^2) / (1 + q)", "(2 + q + q^2) / (1 + q)")]),
-    # oracle side: cw_q(5) with its numerator's lo off by one
-    "qrat-oracle": ("qrat", 16, 16, lambda mp: _plant(mp, stern, "cw_q", (5,), _num(_up)),
-                    [("5", "(q + q^2 + q^3) / (1 + q)", "(1 + q + q^2) / (1 + q)")]),
+    # oracle side: the range entry fusc_q(5) = h_q(4) shifted by q, the
+    # numerator of n = 5 and the denominator of n = 4
+    "qrat-oracle": ("qrat", 16, 16, lambda mp: _plant_range(mp, hb, "h_q_range", 4, _poly(_up)),
+                    [("4", "(q) / (1 + q + q^2)", "(q^2) / (1 + q + q^2)"),
+                     ("5", "(q + q^2 + q^3) / (1 + q)", "(1 + q + q^2) / (1 + q)")]),
     "gg-claim": ("gg", 6, 11,
                  lambda mp: _plant(mp, qr, "qdeform_via_graph", (5, 3), _num(_one_more)),
                  [("5/3", "(1 + q + 2q^2 + q^3) / (1 + q + q^2)",
@@ -664,15 +686,17 @@ def test_mprime_packs_a_planted_entry_on_its_own(monkeypatch):
     assert [n for n, (e, a) in enumerate(sides, 1) if e is not a] == [6, 7]
 
 
-#: the sweeps that read an integer range as their oracle
-INTEGER_ORACLE_SWEEPS = ["weightbij", "mnthm", "mnent", "mprime", "hrs", "hbar"]
+#: the sweeps that compare integers on every passing n: an integer
+#: range as their oracle, or for qrat a range and the packed continued
+#: fraction pass
+INTEGER_ORACLE_SWEEPS = ["qrat", "weightbij", "mnthm", "mnent", "mprime", "hrs", "hbar"]
 
 
 @pytest.mark.parametrize("limit, w", [(4689, 1), (4690, 2)])
 def test_integer_ranges_decode_at_the_width_boundary(limit, w):
     """The slot width of a range goes from one byte to two between 4689
     and 4690, where fusc(4691) = 257: each integer range decodes, entry
-    for entry, to the polynomials of the per-n recurrences, and the six
+    for entry, to the polynomials of the per-n recurrences, and the seven
     sweeps that read one pass there."""
     assert stern.range_width(limit) == w
     _, k, _, _ = hb._tally_slots(limit)
@@ -727,12 +751,14 @@ def _refuse(*_):
 
 @pytest.mark.parametrize("name", INTEGER_ORACLE_SWEEPS)
 def test_integer_oracle_sweeps_build_no_polynomial_to_pass(monkeypatch, name):
-    """With the sums and products of both polynomial types, and
-    ``BiPoly.specialize``, made to raise, the sweeps that read an integer
-    range still pass: each check compares integers, or at n = 0 builds
-    its tallies without arithmetic.  hbar's notes run the memoized
-    ``hbar_st`` recurrence, so for hbar only ``specialize`` raises."""
+    """With the sums and products of both polynomial types,
+    ``BiPoly.specialize`` and ``RatFunc`` equality made to raise, the
+    sweeps that compare integers still pass: each check compares
+    integers, or at n = 0 builds its tallies without arithmetic.  hbar's
+    notes run the memoized ``hbar_st`` recurrence, so for hbar only
+    ``specialize`` and ``RatFunc`` equality raise."""
     monkeypatch.setattr(BiPoly, "specialize", _refuse)
+    monkeypatch.setattr(RatFunc, "__eq__", _refuse)
     if name != "hbar":
         for cls in (LaurentPoly, BiPoly):
             monkeypatch.setattr(cls, "__add__", _refuse)
@@ -742,8 +768,11 @@ def test_integer_oracle_sweeps_build_no_polynomial_to_pass(monkeypatch, name):
 
 
 def _scaled(num, den):
-    """A RatFunc with num and den multiplied by these polynomials."""
-    return lambda v: RatFunc(v.num * num, v.den * den)
+    """A change of a packed pair (P, Q): num times P and den times Q,
+    both polynomials evaluated at the pair's q = 2^step."""
+    def value(p, step):
+        return sum(c << step * e for e, c in p.terms())
+    return lambda p, q, step: (p * value(num, step), q * value(den, step))
 
 
 @pytest.mark.parametrize("name,bound,checks,at,failure", [
@@ -754,16 +783,17 @@ def _scaled(num, den):
       "(1 + q + 2q^2 + q^3) / (1 + q + q^2)")),
 ])
 def test_rational_sweeps_compare_values_not_shapes(monkeypatch, name, bound, checks, at, failure):
-    """qrat and gg compare values: ``qr.qdeform`` at one r/s with num and
-    den both multiplied by 1 + q has another shape and the same value,
-    and passes; with den multiplied by 1 + q^2 instead it fails there
+    """qrat and gg compare values: the packed continued-fraction pair of
+    one r/s, behind ``qr.qdeform`` and qrat's integer compare, with P
+    and Q both multiplied by 1 + q has another shape and the same value,
+    and passes; with Q multiplied by 1 + q^2 instead it fails there
     alone."""
-    _plant(monkeypatch, qr, "qdeform", at, _scaled(qint(2), qint(2)))
+    _plant_cf(monkeypatch, at, _scaled(qint(2), qint(2)))
     (rep,) = run_verify(name, bound)
     assert rep.checked == checks and rep.passed and rep.failures == []
 
     monkeypatch.undo()
-    _plant(monkeypatch, qr, "qdeform", at, _scaled(qint(2), ONE + qpow(2)))
+    _plant_cf(monkeypatch, at, _scaled(qint(2), ONE + qpow(2)))
     (rep,) = run_verify(name, bound)
     assert rep.checked == checks
     assert rep.failures == [failure]
