@@ -29,14 +29,15 @@ same fence scan on packed integers (``poly.unpack``).  The weight
 identity h_q(n) = q^(r+s) * rgf(1/q), with s the number of ones in the
 binary expansion of n, is stated once, by ``weight_check``, which
 returns the identity's two sides at one n.  ``weight_checks`` yields
-them for n = 1..limit, and ``verify weightbij`` runs it.  The fence of
-n is a binary prefix of n, so one scan step per prefix, a
+its checks for n = 1..limit, and ``verify weightbij`` runs it.  The
+fence of n is a binary prefix of n, so one scan step per prefix, a
 ``stern.halving_range`` (``_dual_rgf_range``), gives q^r rgf(1/q),
 each ideal weighed by the elements it leaves out, for every fence in
 range on packed integers at q = 256^w, w = ``stern.range_width(limit)``.
-Each, times q^s, is compared with its entry in one integer range at
-the same w, ``hyperbinary.h_q_range(limit, w)``, and only a failure is
-decoded.
+Each, times q^s, is yielded as the claim, with its entry in one
+integer range at the same w, ``hyperbinary.h_q_range(limit, w)``, as
+the oracle, and a decode into the sides of ``weight_check(n)``, which
+``verify`` calls only when the two integers differ.
 ``qcw_fence`` writes cw_q(n) as a quotient of two rank generating
 functions, the identity's corollary.
 """
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
+from functools import partial
 
 from .hyperbinary import (
     Digits,
@@ -298,22 +300,23 @@ def _packed_weights(limit: int) -> tuple[int, list[int]]:
 
 
 def weight_checks(limit: int):
-    """The two sides of ``weight_check(n)`` for n = 1..limit, in order;
-    nothing when limit < 1.  The claim is the packed c(n) of
-    ``_packed_weights``, h_q_fence(n) with its q^s dropped, s the number
-    of ones of n.  The oracle h_q(n) is read from one integer
-    ``h_q_range`` at the same slot width: where it is c(n) times q^s,
-    c(n) is both sides, else the sides are c(n) decoded
+    """The checks of ``weight_check(n)`` for n = 1..limit, in order, as
+    (claim, oracle, decode); nothing when limit < 1.  The claim is the
+    packed c(n) of ``_packed_weights``, h_q_fence(n) with its q^s
+    dropped, s the number of ones of n, times q^s.  The oracle h_q(n) is
+    read from one integer ``h_q_range`` at the same slot width.
+    ``decode()`` gives the sides of ``weight_check(n)``: c(n) decoded
     (``poly.unpack``, q^s put back) and h_q(n) decoded."""
     if limit < 1:
         return
     w, claims = _packed_weights(limit)
     hs = h_q_range(limit, w)
+
+    def sides(n, c):
+        return unpack(c, w, n.bit_count()), unpack(hs[n + 1], w)
+
     for n, c in enumerate(claims[1:], 1):
-        if hs[n + 1] == c << 8 * w * n.bit_count():
-            yield c, c
-        else:
-            yield unpack(c, w, n.bit_count()), unpack(hs[n + 1], w)
+        yield c << 8 * w * n.bit_count(), hs[n + 1], partial(sides, n, c)
 
 
 def qcw_fence(n: int) -> RatFunc:

@@ -45,19 +45,24 @@ every entry (``poly.unpack``, ``poly.unpack_bi``); the ``@`` fold of
 oracle side from one integer range at the same packing,
 ``hyperbinary.h_q_range(limit, w)`` at q = 256^w or
 ``h_rs_range(limit, w, K)`` at s = X, r = X^K, the recurrence run on
-integers, and compare integers: ``row_sum_checks`` reads the two h_q
-values of ``_row_sums_index(n)`` and ``entries_checks`` the four of
+integers, and yield (claim, oracle, decode) with integers as claim and
+oracle: ``row_sum_checks`` reads the two h_q values of
+``_row_sums_index(n)`` and ``entries_checks`` the four of
 ``_entries_index(n)``, each shifted by its monomial factor and q^z,
 both sides shifted up by q^(k+1) so that no shift is negative
-(``_oracle_matches``), and ``m_prime_checks`` reads (h_rs(n-1),
-h_rs(n)) as they are.  A match yields the packed integers as both
-sides.  A mismatch yields the two sides as polynomials instead, both
-decoded from the same integers: ``row_sums_formula(n)`` and the row
-sums of M(n), M(n) and ``entries_formula(n)``, each formula over an
-h_q memo of the values it reads, or the ``BiPoly`` pairs.
+(``_shifted_sides``), and ``m_prime_checks`` reads (h_rs(n-1),
+h_rs(n)) as they are.  ``verify`` compares them and calls
+``decode()`` only on a mismatch; it gives the two sides as
+polynomials, both decoded from the same integers:
+``row_sums_formula(n)`` and the row sums of M(n), M(n) and
+``entries_formula(n)``, each formula over an h_q memo of the values it
+reads, or the ``BiPoly`` pairs.  Each decode binds its n and values
+when it is yielded.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .hyperbinary import _BI_ONE, _BI_ZERO, _X1, _X2, _zeros, h_q, h_q_range, h_rs, h_rs_range
 from .poly import BiPoly, LaurentPoly, ONE, ZERO, qpow, unpack, unpack_bi
@@ -230,43 +235,45 @@ def row_sum_check(n: int) -> tuple[tuple, tuple]:
     return row_sums_formula(n), m_of(n).column_sums_vector()
 
 
-def _oracle_matches(hs: list, bits: int, n: int, index, claims: tuple) -> bool:
-    """Whether each packed claim v of M~(n) = q^z M(n) is q^(e + z)
-    h_q(m) at q = 2^bits, for the (m, e) of ``index`` and h_q(m) read
-    from ``hs = h_q_range``.  e + z may be negative, so both sides are
-    taken times q^(k + 1), k + 1 the bit length of n: no e is below
-    -k - 1."""
+def _shifted_sides(hs: list, bits: int, n: int, index, claims: tuple) -> tuple[list, list]:
+    """(claim, oracle) for the packed claims v of M~(n) = q^z M(n), each
+    to be q^(e + z) h_q(m) at q = 2^bits, for the (m, e) of ``index``
+    and h_q(m) read from ``hs = h_q_range``.  e + z may be negative, so
+    both sides are taken times q^(k + 1), k + 1 the bit length of n: no
+    e is below -k - 1."""
     z, up = _zeros(n), n.bit_length()
-    return [hs[m + 1] << bits * (e + z + up) for m, e in index] == [v << bits * up for v in claims]
+    return [v << bits * up for v in claims], [hs[m + 1] << bits * (e + z + up) for m, e in index]
 
 
 def row_sum_checks(limit: int):
-    """The two sides of ``row_sum_check(n)`` for n = 1..limit, in order:
-    the packed pair of M~(n) (1,1)^T as both sides where the two h_q
-    values of ``_row_sums_index(n)``, read from one integer
-    ``h_q_range`` at the slot width of M~, match it
-    (``_oracle_matches``), else ``row_sums_formula(n)`` over those
-    values decoded and the row sums of M(n), unpacked.  Nothing when
+    """The checks of ``row_sum_check(n)`` for n = 1..limit, in order, as
+    (claim, oracle, decode): the packed pair of M~(n) (1,1)^T against
+    the two h_q values of ``_row_sums_index(n)``, read from one integer
+    ``h_q_range`` at the slot width of M~, both shifted
+    (``_shifted_sides``).  ``decode()`` gives the sides of
+    ``row_sum_check(n)``: ``row_sums_formula(n)`` over those values
+    decoded, and the row sums of M(n), unpacked.  Nothing when
     limit < 1."""
     if limit < 1:
         return
     w, ms = _m_packed(limit)
     hs = h_q_range(limit, w)
+
+    def sides(n, sums):  # an h_q memo of the values read, decoded
+        memo = {m + 1: unpack(hs[m + 1], w) for m, _ in _row_sums_index(n)}
+        return row_sums_formula(n, memo), tuple(unpack(v, w, -_zeros(n)) for v in sums)
+
     for n, (a, b, c, d) in enumerate(ms[1:], 1):
-        sums, index = (a + b, c + d), _row_sums_index(n)
-        if _oracle_matches(hs, 8 * w, n, index, sums):
-            yield sums, sums
-        else:  # an h_q memo of the values read, decoded
-            memo = {m + 1: unpack(hs[m + 1], w) for m, _ in index}
-            yield row_sums_formula(n, memo), tuple(unpack(v, w, -_zeros(n)) for v in sums)
+        sums = a + b, c + d
+        yield *_shifted_sides(hs, 8 * w, n, _row_sums_index(n), sums), partial(sides, n, sums)
 
 
 def entries_checks(limit: int):
-    """The two sides of "M(n) equals ``entries_formula(n)``" for
-    n = 2..limit, in order: the packed M~(n) as both sides where the four
-    h_q values of ``_entries_index(n)``, read from one integer
-    ``h_q_range`` at the slot width of M~, match it
-    (``_oracle_matches``), else M(n), unpacked, and
+    """The checks of "M(n) equals ``entries_formula(n)``" for
+    n = 2..limit, in order, as (claim, oracle, decode): the packed M~(n)
+    against the four h_q values of ``_entries_index(n)``, read from one
+    integer ``h_q_range`` at the slot width of M~, both shifted
+    (``_shifted_sides``).  ``decode()`` gives M(n), unpacked, and
     ``entries_formula(n)`` over those values decoded.  The range ends
     at the largest m read.  Each m read for n is below 2^k, the top bit
     of n; with 2^K the top bit of the limit, the largest is
@@ -277,13 +284,13 @@ def entries_checks(limit: int):
     w, ms = _m_packed(limit)
     top = 1 << (limit.bit_length() - 1)
     hs = h_q_range(min(limit - top // 2, top - 1), w)
+
+    def sides(n, m):  # an h_q memo of the values read, decoded
+        memo = {h + 1: unpack(hs[h + 1], w) for h, _ in _entries_index(n)}
+        return Mat2(*[unpack(v, w, -_zeros(n)) for v in m]), entries_formula(n, memo)
+
     for n in range(2, limit + 1):
-        m, index = ms[n], _entries_index(n)
-        if _oracle_matches(hs, 8 * w, n, index, m):
-            yield m, m
-        else:  # an h_q memo of the values read, decoded
-            memo = {h + 1: unpack(hs[h + 1], w) for h, _ in index}
-            yield Mat2(*[unpack(v, w, -_zeros(n)) for v in m]), entries_formula(n, memo)
+        yield *_shifted_sides(hs, 8 * w, n, _entries_index(n), ms[n]), partial(sides, n, ms[n])
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +330,20 @@ def m_prime_check(n: int) -> tuple[tuple, tuple]:
 
 
 def m_prime_checks(limit: int):
-    """The two sides of ``m_prime_check(n)`` for n = 1..limit, in order:
-    the packed pair of M'(n) (1,1)^T as both sides where the entries
-    h_rs(n-1), h_rs(n) of one integer ``h_rs_range``, at the s = X,
-    r = X^K of M'(n), are that pair, else the two ``BiPoly`` pairs, the
-    entries and the row sums decoded.  Nothing when limit < 1."""
+    """The checks of ``m_prime_check(n)`` for n = 1..limit, in order, as
+    (claim, oracle, decode): the packed pair of M'(n) (1,1)^T against
+    the entries h_rs(n-1), h_rs(n) of one integer ``h_rs_range``, at
+    the s = X, r = X^K of M'(n).  ``decode()`` gives the two ``BiPoly``
+    pairs, the entries and the row sums decoded.  Nothing when
+    limit < 1."""
     if limit < 1:
         return
     w, k, ms = _m_prime_packed(limit)
     hs = h_rs_range(limit, w, k)
+
+    def sides(pair, sums):
+        return tuple(unpack_bi(v, w, k) for v in pair), tuple(unpack_bi(v, w, k) for v in sums)
+
     for n, (a, b, c, d) in enumerate(ms[1:], 1):
         pair, sums = (hs[n], hs[n + 1]), (a + b, c + d)
-        if pair == sums:
-            yield sums, sums
-        else:
-            yield tuple(unpack_bi(v, w, k) for v in pair), tuple(unpack_bi(v, w, k) for v in sums)
+        yield sums, pair, partial(sides, pair, sums)

@@ -1,37 +1,44 @@
 """Exhaustive sweeps that confirm the package's identities on ranges.
 
-Each sweep is a generator of ``(where, expected, actual)`` checks over
-its range; ``_sweep`` registers it and turns it into ``verify_<name>
-(bound)``, which times the checks, counts them, compares the two sides
-and returns a ``VerifyReport``.  Everything is exact arithmetic; a
+Each sweep is a generator of ``(where, claim, oracle, decode)`` checks
+over its range; ``_sweep`` registers it and turns it into
+``verify_<name>(bound)``, which times the checks, counts them and
+returns a ``VerifyReport``.  ``_sweep`` is the one place that compares:
+a check passes where claim equals oracle, and only a mismatch calls
+``decode()`` for the (expected, actual) sides as polynomials, which
+fail the check only if they differ.  Everything is exact arithmetic; a
 failure records where it happened plus expected/actual renderings.
 mainbij yields the two sides that the library's check
-``fence.iso_check`` returns, weightbij those of ``fence.weight_checks``,
-the range form of ``fence.weight_check``, mnthm and mprime those of
+``fence.iso_check`` returns, and gg two ``RatFunc`` values, whose
+equality short-circuits two quotients of equal shape; both have no
+decode.  weightbij yields the checks of ``fence.weight_checks``, the
+range form of ``fence.weight_check``, mnthm and mprime those of
 ``matrices.row_sum_checks`` and ``matrices.m_prime_checks``, the range
 forms of ``row_sum_check`` and ``m_prime_check``, and mnent those of
 ``matrices.entries_checks``, so each of those identities is written
 down in the library.  Those four range forms read their oracle from one
 integer range (``hyperbinary.h_q_range`` or ``h_rs_range``, the
-recurrence run on integers at the claim's packing) and compare
-integers, decoding the polynomials only for a failure, and yield
-nothing below their range.  hrs and hbar do the same with their
-tallies over D(n): each is summed as one integer and compared with
-one entry of ``h_q_range``, ``h_rs_range`` or ``hbar_st_range`` at the
-slots of ``hyperbinary._tally_slots``, and the polynomials are built
-only for a failure or a listing off the window sums' path (D(0), and
-every D(n) with n >= 2^15).  hbar compares two tallies, its ones and
+recurrence run on integers at the claim's packing), yield integers as
+claim and oracle, with a decode into the polynomials of the per-n
+check, and yield nothing below their range.  hrs and hbar do the same
+with their tallies over D(n): each is summed as one integer and
+compared with one entry of ``h_q_range``, ``h_rs_range`` or
+``hbar_st_range`` at the slots of ``hyperbinary._tally_slots``, and
+the polynomials are built only for a failure or a listing off the
+window sums' path (D(0), and every D(n) with n >= 2^15), whose decoded
+sides are equal and pass.  hbar compares two tallies, its ones and
 twos with ``hbar_st_range`` and its digit sums with ``h_q_range``, so
 it specializes no polynomial to pass.  qrat compares packed integer
 pairs too: its claim from ``h_q_range``, its oracle from the packed
 pass of ``qrational.qdeform_cf``, each pair rid of its common power of
-q, and ``RatFunc`` values only on a mismatch, so that a value of
-another shape still passes.  gg compares ``RatFunc`` values, whose
-equality short-circuits two quotients of equal shape.  A bound above
+q, and decodes ``RatFunc`` values, so that a value of another shape
+still passes.  Each decode binds its values when it is yielded, so
+the checks may be collected before any is decoded.  A bound above
 ``sys.maxsize`` (2^63 - 1 on a 64-bit build) raises ``OverflowError``
-before any check: no range or list can have that many entries.  Sweeps are single threaded and iterate in
-increasing order, so reports are deterministic.  Each builds its own
-state: a range, or private memo dicts, one per memoized function.
+before any check: no range or list can have that many entries.
+Sweeps are single threaded and iterate in increasing order, so reports
+are deterministic.  Each builds its own state: a range, or private
+memo dicts, one per memoized function.
 
 ``hbar`` deserves a word: the literal halving recurrence usually quoted
 for the (ones, twos) generating function drops a factor in the odd case
@@ -45,7 +52,7 @@ from __future__ import annotations
 
 import sys
 import time
-from functools import wraps
+from functools import partial, wraps
 from math import gcd
 
 from . import hyperbinary as hb
@@ -128,9 +135,16 @@ REGISTRY: dict[str, tuple] = {}
 def _sweep(default: int, kind: str = "n", lo: int = 1, render=_text, notes=None):
     """Register the generator ``verify_<name>(bound)`` as sweep ``name``.
 
-    The returned function runs every check, compares expected with
-    actual, renders the failures with ``render`` and appends
-    ``notes(bound)``, all inside one timer.
+    The generator yields ``(where, claim, oracle, decode)`` per check,
+    ``where`` an n or an "r/s".  The returned function counts every
+    check and passes it where ``claim == oracle``.  Only a mismatch
+    calls ``decode()``, for the (expected, actual) sides as
+    polynomials, and fails where those differ; a ``decode`` of None
+    takes claim and oracle as the sides.  It renders a failure, its
+    ``where`` by ``str`` and its sides by ``render``, and appends
+    ``notes(bound)``, all inside one timer.  Each ``decode`` binds its
+    values when it is yielded, so that a caller may collect the checks
+    before it decodes any.
     """
     def register(checks):
         name = checks.__name__.removeprefix("verify_")
@@ -142,10 +156,11 @@ def _sweep(default: int, kind: str = "n", lo: int = 1, render=_text, notes=None)
             t0 = time.perf_counter()
             failures: list[Failure] = []
             checked = 0
-            for where, expected, actual in checks(bound):
-                checked += 1
-                if expected != actual:
-                    failures.append((where, render(expected), render(actual)))
+            for checked, (where, claim, oracle, decode) in enumerate(checks(bound), 1):
+                if claim != oracle:
+                    expected, actual = decode() if decode else (claim, oracle)
+                    if expected != actual:
+                        failures.append((str(where), render(expected), render(actual)))
             return VerifyReport(name, lo, bound, checked, failures,
                                 time.perf_counter() - t0, notes(bound) if notes else [])
 
@@ -168,20 +183,20 @@ def verify_qrat(max_n):
     (q fusc_q(n), fusc_q(n+1)) comes from ``h_q_range``, and [r/s]_q
     from its packed continued fraction pass (``qr._packed_cf``).  Each
     pair is divided by its largest common power of q and the two are
-    compared as integers; only a mismatch compares them as ``RatFunc``
+    compared as integers; a mismatch decodes them as ``RatFunc``
     values, the claim decoded against ``qr.qdeform(r, s)``."""
     fr = stern.fusc_range(max_n + 1)
     w = slot_width(max(fr))
     step = 8 * w
     hq = hb.h_q_range(max_n, w)
+
+    def sides(n):
+        return RatFunc(unpack(hq[n], w, 1), unpack(hq[n + 1], w)), qr.qdeform(fr[n], fr[n + 1])
+
     for n in range(1, max_n + 1):
-        claim = _without_common_q(hq[n] << step, hq[n + 1], step)
         p, q, _ = qr._packed_cf(qr.cf_expand(fr[n], fr[n + 1]), step)
-        if claim == _without_common_q(p, q, step):
-            yield str(n), claim, claim
-        else:
-            yield (str(n), RatFunc(unpack(hq[n], w, 1), unpack(hq[n + 1], w)),
-                   qr.qdeform(fr[n], fr[n + 1]))
+        yield (n, _without_common_q(hq[n] << step, hq[n + 1], step),
+               _without_common_q(p, q, step), partial(sides, n))
 
 
 @_sweep(4096)
@@ -191,45 +206,35 @@ def verify_mainbij(max_n):
     as bytes, which ``iso_check`` compares as a set with the images of
     the ideals."""
     for n, elems in enumerate(hb.expansions_upto(max_n, 1), 1):
-        yield str(n), *iso_check(n, elems)
+        yield n, *iso_check(n, elems), None
 
 
 @_sweep(16_384)
 def verify_weightbij(max_n):
     """h_q(n) = q^(r+s) * rgf(1/q) for 1 <= n <= max_n."""
-    for n, sides in enumerate(weight_checks(max_n), 1):
-        yield str(n), *sides
+    for n, check in enumerate(weight_checks(max_n), 1):
+        yield n, *check
 
 
 @_sweep(16_384, lo=2, render=lambda m: " | ".join(e.text() for e in m.entries()))
 def verify_mnent(max_n):
     """entries_formula(n) equals the word product M(n) entrywise."""
-    for n, sides in enumerate(mx.entries_checks(max_n), 2):
-        yield str(n), *sides
+    for n, check in enumerate(mx.entries_checks(max_n), 2):
+        yield n, *check
 
 
 @_sweep(16_384)
 def verify_mnthm(max_n):
     """M(n) (1,1)^T = (q^-k h_q(n-1), q^-k-1 h_q(n))^T."""
-    for n, sides in enumerate(mx.row_sum_checks(max_n), 1):
-        yield str(n), *sides
+    for n, check in enumerate(mx.row_sum_checks(max_n), 1):
+        yield n, *check
 
 
 @_sweep(16_384)
 def verify_mprime(max_n):
     """M'(n) (1,1)^T = (h_rs(n-1), h_rs(n))^T."""
-    for n, sides in enumerate(mx.m_prime_checks(max_n), 1):
-        yield str(n), *sides
-
-
-def _tally_check(n: int, tally: int | None, value: int, enum, elems, decode, *slots):
-    """One check of a tally over D(n) = elems against the packed
-    ``value``: the tally as both sides where it is that integer, else
-    ``enum(n, elems)`` and ``decode(value, *slots)``, so a failure, or
-    a tally off the window sums' path, compares polynomials."""
-    if tally == value:
-        return str(n), tally, tally
-    return str(n), enum(n, elems), decode(value, *slots)
+    for n, check in enumerate(mx.m_prime_checks(max_n), 1):
+        yield n, *check
 
 
 @_sweep(4096, lo=0)
@@ -243,8 +248,8 @@ def verify_hrs(max_n):
     listing, and hbar_st is not tallied.  The recurrences are the
     integer ranges ``h_q_range`` and ``h_rs_range`` at the slot width of
     the largest |D(n)|; a tally that is not its entry, or off the window
-    sums' path, is compared as the polynomial of ``h_q_enum`` or
-    ``h_rs_enum`` with the entry decoded.  The closed form is weighed
+    sums' path, decodes as the polynomial of ``h_q_enum`` or
+    ``h_rs_enum`` against the entry decoded.  The closed form is weighed
     at the same q as one integer, the sum of its terms, and compared
     the same way."""
     if max_n < 0:
@@ -252,13 +257,20 @@ def verify_hrs(max_n):
     w, k, q_shifts, rs_shifts = hb._tally_slots(max_n)
     hq, hrs = hb.h_q_range(max_n, w), hb.h_rs_range(max_n, w, k)
     tables = (hb._HQ_WEIGHTS, None, q_shifts), (hb._RS_WEIGHTS, hb._RS_LEAD, rs_shifts)
+
+    def q_sides(n, elems, value):
+        return hb.h_q_enum(n, elems), unpack(value, w)
+
+    def rs_sides(n, elems, value):
+        return hb.h_rs_enum(n, elems), unpack_bi(value, w, k)
+
     for n, elems in enumerate(hb.expansions_upto(max_n)):
         tq, trs = hb._packed_tallies(elems, 8 * w, *tables)
-        yield _tally_check(n, tq, hq[n + 1], hb.h_q_enum, elems, unpack, w)
-        yield _tally_check(n, trs, hrs[n + 1], hb.h_rs_enum, elems, unpack_bi, w, k)
+        yield n, tq, hq[n + 1], partial(q_sides, n, elems, hq[n + 1])
+        yield n, trs, hrs[n + 1], partial(rs_sides, n, elems, hrs[n + 1])
         if hb.h_q_closed_form_applies(n):
             closed = sum(c << 8 * w * e for e, c in hb.h_q_closed_form(n).terms())
-            yield _tally_check(n, tq, closed, hb.h_q_enum, elems, unpack, w)
+            yield n, tq, closed, partial(q_sides, n, elems, closed)
 
 
 @_sweep(50, kind="r,s")
@@ -268,7 +280,7 @@ def verify_gg(max_rs):
     for s in range(1, max_rs + 1):
         for r in range(s + 1, max_rs + 1):
             if gcd(r, s) == 1:
-                yield f"{r}/{s}", qr.qdeform(r, s), qr.qdeform_via_graph(r, s)
+                yield f"{r}/{s}", qr.qdeform(r, s), qr.qdeform_via_graph(r, s), None
 
 
 def _hbar_notes(max_n: int) -> list[str]:
@@ -312,32 +324,32 @@ def verify_hbar(max_n):
     strings as bytes; ``hb._packed_tallies`` sums each string's ones
     and twos as one integer, and its digit sum p1 + 2 p2 as another, in
     a fixed number of C calls over the joined listing.  They are
-    compared with the integer ranges ``hbar_st_range`` and
-    ``h_q_range``: given the first equality, the second is the
-    specialization's.  Where both hold the tally is both sides.  Off
-    the window sums' path the ones and twos are tallied as a polynomial
-    (``hbar_st_enum``), which is weighed p1 + 2 p2 as one integer, and
-    a passing n yields (tally, h_q) against (recurrence, h_q), both
-    entries decoded.  Only a failure specializes the recurrence
-    (``BiPoly.specialize``) to render its actual side."""
+    compared, as the pair claim, with the pair oracle of the integer
+    ranges ``hbar_st_range`` and ``h_q_range``: given the first
+    equality, the second is the specialization's.  A mismatch, or a
+    listing off the window sums' path, decodes: the ones and twos are
+    tallied as a polynomial (``hbar_st_enum``), which is weighed
+    p1 + 2 p2 as one integer, and a passing n gives (tally, h_q)
+    against (recurrence, h_q), both entries decoded.  Only a failure
+    specializes the recurrence (``BiPoly.specialize``) to render its
+    actual side."""
     if max_n < 0:
         return
     w, k, q_shifts, st_shifts = hb._tally_slots(max_n)
     hq, hbar = hb.h_q_range(max_n, w), hb.hbar_st_range(max_n, w, k)
     tables = (hb._HBAR_WEIGHTS, None, st_shifts), (hb._HQ_WEIGHTS, None, q_shifts)
-    for n, elems in enumerate(hb.expansions_upto(max_n)):
-        tallies = hb._packed_tallies(elems, 8 * w, *tables)
-        if tallies == [hbar[n + 1], hq[n + 1]]:
-            yield str(n), tallies[0], tallies[0]
-            continue
-        # a failure, or a listing off the window sums' path: the
-        # tallies as polynomials, and the ones and twos weighed p1 + 2 p2
+
+    def sides(n, elems, tally):
         rec, h = unpack_bi(hbar[n + 1], w, k), unpack(hq[n + 1], w)
         expected = hb.hbar_st_enum(n, elems), h
         weighed = sum(c << 8 * w * (j + 2 * i) for (i, j), c in expected[0].terms())
-        if tallies[0] is not None or expected[0] != rec or weighed != hq[n + 1]:
+        if tally is not None or expected[0] != rec or weighed != hq[n + 1]:
             h = rec.specialize(2, 1)
-        yield str(n), expected, (rec, h)
+        return expected, (rec, h)
+
+    for n, elems in enumerate(hb.expansions_upto(max_n)):
+        tallies = hb._packed_tallies(elems, 8 * w, *tables)
+        yield n, tallies, [hbar[n + 1], hq[n + 1]], partial(sides, n, elems, tallies[0])
 
 
 def run_verify(name: str, max_n: int | None = None) -> list[VerifyReport]:

@@ -394,19 +394,20 @@ def test_weight_check_sweep_and_all_ones():
 @pytest.mark.parametrize("limit, w", [(4096, 1), (4689, 1), (4690, 2)])
 def test_weight_checks_decode_to_the_fence_formula(limit, w):
     """Every packed claim of ``weight_checks`` decodes, with q^s put
-    back, to ``h_q_fence(n)``, and every check's sides decode to those
-    of ``weight_check(n)``.  The slot width is one byte to 4689 and two
+    back, to ``h_q_fence(n)``; every check's claim is that packed claim
+    times q^s and equals its oracle, and its decode gives the sides of
+    ``weight_check(n)``.  The slot width is one byte to 4689 and two
     from 4690, where fusc(4691) = 256 is the first fusc to need them."""
     assert range_width(limit) == w
     _, claims = fe._packed_weights(limit)
     assert len(claims) == limit + 1 and claims[0] == 1  # h_q_fence(0) = 1
     memo = {}
-    for n, (expected, actual) in enumerate(fe.weight_checks(limit), 1):
+    for n, (claim, oracle, decode) in enumerate(fe.weight_checks(limit), 1):
         s = n.bit_count()
-        assert type(expected) is int and expected is actual == claims[n]
-        decoded = unpack(expected, w, s)
+        assert type(claim) is int and claim == oracle == claims[n] << 8 * w * s
+        decoded = unpack(claims[n], w, s)
         assert decoded == fe.h_q_fence(n), n
-        assert (decoded, decoded) == weight_check(n, memo), n
+        assert (decoded, decoded) == weight_check(n, memo) == decode(), n
     assert n == limit
 
 

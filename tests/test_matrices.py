@@ -28,7 +28,7 @@ from hyperq.matrices import (
     row_sums_formula,
     word_of,
 )
-from hyperq.poly import ONE, ZERO, BiPoly, LaurentPoly, qpow, unpack, unpack_bi
+from hyperq.poly import ONE, ZERO, BiPoly, LaurentPoly, qpow, unpack
 from hyperq.stern import cw_q, fusc, fusc_q
 
 
@@ -161,34 +161,36 @@ def test_packed_ranges_match_word_products_where_the_packing_changes(limit):
     """Each range decodes its packed products with the slot width and K
     of its limit; the last n of the range have the largest values.  The
     row sums and the entry formula's checks are read from the same packed
-    products, and match as packed integers."""
+    products, and match as packed integers; each check's decode gives
+    the sides of the per-n identity."""
     ms, mps = m_range(limit), m_prime_range(limit)
     sums = list(row_sum_checks(limit))
     entries = list(entries_checks(limit))
     primes = list(m_prime_checks(limit))
-    w, k, _ = mx._m_prime_packed(limit)
     assert len(sums) == len(primes) == len(entries) + 1 == limit
     for n in range(limit - 3, limit + 1):
         m, mp = m_of(n), m_prime_of(n)
         assert [_dense(e) for e in ms[n].entries()] == [_dense(e) for e in m.entries()], n
         assert [e.terms() for e in mps[n].entries()] == [e.terms() for e in mp.entries()], n
         assert m == _fold(n, L, R) and mp == _fold(n, L_PRIME, R_PRIME), n
-        lo = -mx._zeros(n)
-        expected, actual = sums[n - 1]
-        assert expected == actual, n
-        actual = tuple(unpack(v, w, lo) for v in actual)
+        claim, oracle, decode = sums[n - 1]
+        assert claim == oracle, n
+        expected, actual = decode()
         assert [_dense(e) for e in actual] == [_dense(e) for e in m.column_sums_vector()], n
         assert actual == row_sums_formula(n) and row_sum_check(n) == (actual, actual)
-        expected, actual = entries[n - 2]
         assert expected == actual, n
-        assert [_dense(unpack(v, w, lo)) for v in actual] == [_dense(e) for e in m.entries()], n
-        assert entries_formula(n) == m, n
-        expected, actual = primes[n - 1]
-        assert expected == actual, n
-        assert tuple(unpack_bi(v, w, k) for v in actual) == mp.column_sums_vector(), n
-    assert all(expected == actual for expected, actual in sums)
-    assert all(expected == actual for expected, actual in entries)
-    assert all(expected == actual for expected, actual in primes)
+        claim, oracle, decode = entries[n - 2]
+        assert claim == oracle, n
+        expected, actual = decode()
+        assert [_dense(e) for e in expected.entries()] == [_dense(e) for e in m.entries()], n
+        assert entries_formula(n) == m == actual, n
+        claim, oracle, decode = primes[n - 1]
+        assert claim == oracle, n
+        expected, actual = decode()
+        assert actual == mp.column_sums_vector() == expected, n
+    assert all(claim == oracle for claim, oracle, _ in sums)
+    assert all(claim == oracle for claim, oracle, _ in entries)
+    assert all(claim == oracle for claim, oracle, _ in primes)
 
 
 def test_packed_slots_hold_coefficients_past_one_byte():

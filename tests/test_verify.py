@@ -589,13 +589,13 @@ def test_planted_defect_fails_where_planted(monkeypatch, plant):
 
 def test_weightbij_report_matches_the_per_n_route(monkeypatch):
     """The report of ``weight_checks`` equals that of ``weight_check``
-    run per n, also where a planted h_q(6) fails n = 6, once with one
+    run per n, its sides as claim and oracle with no decode, also where a planted h_q(6) fails n = 6, once with one
     more in the slot of q^3 and once shifted by q: a failure renders the
     packed claim decoded as ``h_q_fence(n)`` renders, and the integer
     range entry decoded as ``h_q(n)`` renders."""
     def per_n(limit):
         memo = {}
-        return (fe.weight_check(n, memo) for n in range(1, limit + 1))
+        return ((*fe.weight_check(n, memo), None) for n in range(1, limit + 1))
 
     def snap(reports):
         return [{k: v for k, v in r.to_dict().items() if k != "elapsed_s"} for r in reports]
@@ -613,11 +613,11 @@ def test_weightbij_report_matches_the_per_n_route(monkeypatch):
 
 def test_weightbij_takes_the_packed_path_at_its_default_bound():
     """Every check of ``verify weightbij`` to 16,384 compares integers:
-    both sides are the one packed claim."""
+    claim and oracle are equal integers."""
     limit = REGISTRY["weightbij"][1]
-    sides = list(fe.weight_checks(limit))
-    assert len(sides) == limit == 16_384
-    assert all(type(e) is int and e is a for e, a in sides)
+    checks = list(fe.weight_checks(limit))
+    assert len(checks) == limit == 16_384
+    assert all(type(c) is int and type(o) is int and c == o for c, o, _ in checks)
 
 
 @pytest.mark.parametrize("name,checks,count", [
@@ -627,27 +627,35 @@ def test_weightbij_takes_the_packed_path_at_its_default_bound():
 ])
 def test_matrix_sweeps_take_the_packed_path_at_their_default_bound(name, checks, count):
     """Every check of ``verify mnthm``, ``mnent`` and ``mprime`` to
-    16,384 compares integers: both sides are the one tuple of packed
-    integers from the claim."""
-    sides = list(checks(REGISTRY[name][1]))
-    assert len(sides) == count
-    assert all(e is a and all(type(v) is int for v in e) for e, a in sides)
+    16,384 compares integers: claim and oracle are equal lists or tuples
+    of packed integers."""
+    checks = list(checks(REGISTRY[name][1]))
+    assert len(checks) == count
+    assert all(c == o and all(type(v) is int for v in (*c, *o)) for c, o, _ in checks)
 
 
 @pytest.mark.parametrize("bound,width", [(4096, 1), (4690, 2)])
 @pytest.mark.parametrize("name", ["hrs", "hbar"])
 def test_tally_sweeps_take_the_packed_path(name, bound, width):
     """Every check of ``verify hrs`` and ``hbar`` from n = 1 compares
-    integers: both sides are the one packed tally.  At the default 4096
-    each slot is one byte; at 4690 two, since |D(4690)| = fusc(4691) =
-    257.  D(0) is the empty string alone, which the window sums leave to
-    the general passes, so n = 0 compares equal polynomials."""
+    integers: the packed tally, or hbar's pair of them, equals its
+    oracle.  At the default 4096 each slot is one byte; at 4690 two,
+    since |D(4690)| = fusc(4691) = 257.  D(0) is the empty string alone,
+    which the window sums leave to the general passes, so n = 0 misses
+    its oracle and decodes to equal polynomials."""
+    def ints(v):
+        return [v] if type(v) is int else v
+
     assert stern.range_width(bound) == width
     assert stern.range_width(4689) == 1
     checks = list(getattr(verify_module, f"verify_{name}").__wrapped__(bound))
-    assert len({where for where, _, _ in checks}) == bound + 1
-    assert all(type(e) is not int and e == a for where, e, a in checks if where == "0")
-    assert all(type(e) is int and e is a for where, e, a in checks if where != "0")
+    assert len({where for where, _, _, _ in checks}) == bound + 1
+    for where, c, o, decode in checks:
+        if where == 0:
+            e, a = decode()
+            assert c != o and type(e) is not int and e == a
+        else:
+            assert c == o and all(type(v) is int for v in ints(c) + ints(o)), where
 
 
 @pytest.mark.parametrize("name", ["hrs", "hbar"])
@@ -682,8 +690,8 @@ def test_mprime_packs_a_planted_entry_on_its_own(monkeypatch):
     (rep,) = run_verify("mprime", 16)
     assert rep.checked == 16
     assert [where for where, _, _ in rep.failures] == ["6", "7"]
-    sides = list(mx.m_prime_checks(16))
-    assert [n for n, (e, a) in enumerate(sides, 1) if e is not a] == [6, 7]
+    checks = list(mx.m_prime_checks(16))
+    assert [n for n, (c, o, _) in enumerate(checks, 1) if c != o] == [6, 7]
 
 
 #: the sweeps that compare integers on every passing n: an integer
@@ -799,3 +807,91 @@ def test_rational_sweeps_compare_values_not_shapes(monkeypatch, name, bound, che
     assert rep.failures == [failure]
     where, expected, actual = failure
     assert rep.lines()[1] == f"  at {where}: expected {expected}, got {actual}"
+
+
+def _numbered(checks, lo):
+    """A library range form's checks, collected as (n, claim, oracle,
+    decode), its first n being ``lo``."""
+    return lambda bound: [(n, *check) for n, check in enumerate(checks(bound), lo)]
+
+
+def _swept(name):
+    """A sweep's checks, collected as (n, claim, oracle, decode)."""
+    return lambda bound: list(getattr(verify_module, f"verify_{name}").__wrapped__(bound))
+
+
+#: sweep -> (a claim-side plant of PLANTS, the checks collected, and the
+#: sides that a decode of n gives with nothing planted: the per-n check
+#: of the library, or the per-n recurrences)
+BINDINGS = {
+    "mnthm": ("mnthm-claim", _numbered(mx.row_sum_checks, 1), lambda n: [mx.row_sum_check(n)]),
+    "mnent": ("mnent-claim", _numbered(mx.entries_checks, 2),
+              lambda n: [(mx.m_of(n), mx.entries_formula(n))]),
+    "mprime": ("mprime-claim", _numbered(mx.m_prime_checks, 1), lambda n: [mx.m_prime_check(n)]),
+    "weightbij": ("weightbij-claim", _numbered(fe.weight_checks, 1), lambda n: [fe.weight_check(n)]),
+    "qrat": ("qrat-claim", _swept("qrat"),
+             lambda n: [(RatFunc(hb.h_q(n - 1).shift(1), hb.h_q(n)),) * 2]),
+    "hrs": ("hrs-claim-q", _swept("hrs"), lambda n: [(hb.h_q(n),) * 2, (hb.h_rs(n),) * 2]),
+    "hbar": ("hbar-claim", _swept("hbar"), lambda n: [((hb.hbar_st(n), hb.h_q(n)),) * 2]),
+}
+
+
+@pytest.mark.parametrize("name", BINDINGS)
+def test_decodes_bind_their_values_when_yielded(monkeypatch, name):
+    """Every decode, called once all the checks are collected, decodes
+    its own check: the per-n sides, equal, wherever they pass (on a
+    match, and at D(0), off the window sums' path), and at the planted
+    n alone the planted side against the true other side.  A decode
+    that read its loop's variables only when called would decode the
+    last n for every n."""
+    plant, collect, sides = BINDINGS[name]
+    _, bound, _, install, failures = PLANTS[plant]
+    install(monkeypatch)
+    checks = collect(bound)
+    assert checks[-1][0] == bound
+    failed = set()
+    for n, claim, oracle, decode in checks:
+        expected, actual = got = decode()
+        if expected == actual:
+            assert got in sides(n), n
+        else:
+            failed.add(n)
+            assert claim != oracle and any(expected == e or actual == a for e, a in sides(n)), n
+    assert failed == {int(where) for where, _, _ in failures}
+
+
+#: ``checked`` of each sweep under ``run_verify("all", 300)``
+CHECKED_AT_300 = {"qrat": 300, "mainbij": 300, "weightbij": 300, "mnent": 299, "mnthm": 300,
+                  "mprime": 300, "hrs": 639, "gg": 773, "hbar": 301}
+
+
+def test_the_engine_decodes_only_a_mismatch(monkeypatch):
+    """Under ``run_verify("all", 300)``, with every sweep registered
+    again through ``_sweep`` and each of its decodes counted, no sweep
+    decodes a check except at D(0), which the window sums leave to the
+    general passes: hrs's three checks there and hbar's one.  Every
+    sweep passes, with the checks it counts unchanged."""
+    calls = Counter()
+
+    def counted(name, decode):
+        def call():
+            calls[name] += 1
+            return decode()
+        return call
+
+    def recount(name, checks):
+        def sweep(bound):
+            for where, claim, oracle, decode in checks(bound):
+                yield where, claim, oracle, decode and counted(name, decode)
+        sweep.__name__ = f"verify_{name}"
+        return sweep
+
+    registry = dict(REGISTRY)
+    monkeypatch.setattr(verify_module, "REGISTRY", {})
+    for name, (func, default, kind) in registry.items():
+        verify_module._sweep(default, kind)(recount(name, func.__wrapped__))
+    reports = run_verify("all", 300)
+    assert [r.theorem for r in reports] == list(registry)
+    assert all(r.passed for r in reports)
+    assert {r.theorem: r.checked for r in reports} == CHECKED_AT_300
+    assert calls == Counter({"hrs": 3, "hbar": 1})
